@@ -6,10 +6,10 @@ Given a Levi subsystem L of E7 or E8, the pipeline is:
 2. The positive roots beta with pairing(h, beta-coroot) == 1.
 3. kappa: the sum of those roots.
 4. The central torus lattice of L: coroot-lattice vectors orthogonal to every
-   simple root of L, taken together with the all-ones vector and then sliced
-   down to the sublattice of representatives with last coordinate zero.  That
-   slice is a transversal of the all-ones line, so its rank is
-   rank(system) - rank(L).
+   simple root of L.  In simple-coroot coordinates this is the integer kernel
+   of L's rows of the Cartan matrix, of rank rank(system) - rank(L); each
+   kernel vector maps to ambient coordinates as the same combination of the
+   simple roots' canonical representatives (last coordinate zero).
 5. Verdict: "integral" iff kappa pairs to an even integer with every basis
    vector of that lattice.  The parity test is basis-independent (an integer
    unimodular change of basis maps even pairing vectors to even pairing
@@ -23,20 +23,20 @@ to disagree with the exact recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import InputError, IntegrityError
-from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice
+from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, mat_mul
 from .reference import WORKED_EXAMPLES, WorkedExample
 from .root_system import (
     LeviSubsystem,
     QuotientVector,
     RootSystem,
     build_root_system,
+    cartan_matrix,
     coroot,
-    coroot_lattice,
     lattice_contains_mod_ones,
     levi_subsystem,
     pair,
@@ -75,65 +75,41 @@ def principal_h(levi: LeviSubsystem) -> QuotientVector:
 
 def roots_pairing_one(rs: RootSystem, h: QuotientVector) -> tuple[QuotientVector, ...]:
     """Positive roots whose coroot pairs to exactly 1 against h, in the
-    system's enumeration order."""
-    return tuple(r for r in rs.positive_roots if pair(h, coroot(r)) == 1)
+    system's enumeration order.
+
+    h is paired with the simple coroots once; each positive coroot is the
+    same integer combination of simple coroots as its root is of simple
+    roots, so its pairing is a dot product with the root's coefficients.
+    """
+    on_simples = [pair(h, coroot(alpha)) for alpha in rs.simple_roots]
+    return tuple(
+        r
+        for r in rs.positive_roots
+        if sum(c * v for c, v in zip(rs.coefficients(r), on_simples)) == 1
+    )
 
 
 def kappa_weight(rs: RootSystem, h: QuotientVector) -> QuotientVector:
-    acc = QuotientVector((0,) * rs.ambient_dim)
-    for r in roots_pairing_one(rs, h):
-        acc = acc + r
-    return acc
-
-
-def _combine(coeffs: Iterable[int], vectors) -> tuple[int, ...]:
-    vectors = list(vectors)
-    dim = len(vectors[0]) if vectors else 0
-    acc = [0] * dim
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for j in range(dim):
-                acc[j] += c * v[j]
-    return tuple(acc)
+    return sum(roots_pairing_one(rs, h), QuotientVector((0,) * rs.ambient_dim))
 
 
 def central_torus_lattice(levi: LeviSubsystem) -> LatticeBasis:
     """Lattice of coroot-lattice vectors centralizing the Levi.
 
-    Computed inside the ambient integer lattice: take the sublattice of the
-    coroot lattice pairing to zero with every simple root of the Levi, adjoin
-    the all-ones vector, and keep the slice whose last coordinate vanishes.
-    The slice fixes one representative per all-ones coset, which matches how
+    In simple-coroot coordinates c, the vector sum(c_j * alpha_j) pairs with
+    the simple root alpha_i as row i of the Cartan matrix applied to c, so the
+    torus is the integer kernel of the Levi's Cartan rows.  That kernel is
+    mapped to ambient coordinates through the simple roots' canonical
+    representatives, whose last coordinate is zero, which matches how
     quotient vectors canonicalize for display.
     """
     rs = levi.system
-    d = rs.ambient_dim
-    ambient_basis = coroot_lattice(rs.name)
-    simples = [rs.simple_roots[i - 1] for i in levi.indices]
-
-    # integer constraint matrix: d * pairing(alpha, basis vector)
-    rows = []
-    for alpha in simples:
-        row = []
-        for bvec in ambient_basis.vectors:
-            value = d * pair(alpha, QuotientVector(bvec))
-            if not isinstance(value, int):
-                raise IntegrityError("pairing against an integer vector must clear d")
-            row.append(value)
-        rows.append(row)
-    constraint = IntMatrix.from_rows(rows, cols=ambient_basis.rank)
-    coeff_kernel = kernel_lattice(constraint)
-
-    generators = [_combine(c, ambient_basis.vectors) for c in coeff_kernel.vectors]
-    generators.append((1,) * d)
-    full = LatticeBasis(d, tuple(generators))
-
-    # slice to last coordinate zero: kernel of the last-coordinate functional
-    # expressed on the basis coefficients of the full lattice
-    last_coords = IntMatrix.from_rows([[v[-1] for v in full.vectors]])
-    slice_coeffs = kernel_lattice(last_coords)
-    slice_vectors = tuple(_combine(c, full.vectors) for c in slice_coeffs.vectors)
-    result = LatticeBasis(d, slice_vectors)
+    cartan = cartan_matrix(rs)
+    rows = [cartan[i - 1] for i in levi.indices]
+    coeffs = kernel_lattice(IntMatrix.from_rows(rows, cols=rs.rank))
+    simples = IntMatrix.from_rows([a.canonical_coords for a in rs.simple_roots])
+    ambient = mat_mul(IntMatrix.from_rows(coeffs.vectors, cols=rs.rank), simples)
+    result = LatticeBasis(rs.ambient_dim, tuple(ambient.to_rows()))
 
     expected_rank = rs.rank - levi.rank
     if result.rank != expected_rank:
@@ -255,7 +231,7 @@ def delta_verdict(system: str, levi_indices: Iterable[int]) -> DeltaReport:
     levi = levi_subsystem(rs, tuple(levi_indices))
     h = principal_h(levi)
     roots = roots_pairing_one(rs, h)
-    kap = kappa_weight(rs, h)
+    kap = sum(roots, QuotientVector((0,) * rs.ambient_dim))
     torus = central_torus_lattice(levi)
     pairings = tuple(pair(kap, QuotientVector(v)) for v in torus.vectors)
     return DeltaReport(
@@ -304,15 +280,4 @@ def preset_report(preset: str) -> DeltaReport:
         )
     system, indices = PRESETS[preset]
     report = delta_verdict(system, indices)
-    comparison = _compare(report, WORKED_EXAMPLES[preset])
-    return DeltaReport(
-        system=report.system,
-        levi_indices=report.levi_indices,
-        h=report.h,
-        roots_pairing_one=report.roots_pairing_one,
-        kappa=report.kappa,
-        torus_basis=report.torus_basis,
-        pairings=report.pairings,
-        verdict=report.verdict,
-        reference=comparison,
-    )
+    return replace(report, reference=_compare(report, WORKED_EXAMPLES[preset]))

@@ -23,7 +23,6 @@ outer symmetry; the calculus here never needs to tell them apart, and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -244,7 +243,9 @@ def inverse_steps(orbit: ClassicalOrbit) -> tuple[InverseStep, ...]:
     return tuple(found)
 
 
-def _gaps_at_most_one(parts: tuple[int, ...]) -> bool:
+def is_birationally_rigid(orbit: ClassicalOrbit) -> bool:
+    """No consecutive gap exceeds 1, the implicit trailing zero included."""
+    parts = orbit.parts
     for k in range(len(parts)):
         nxt = parts[k + 1] if k + 1 < len(parts) else 0
         if parts[k] - nxt > 1:
@@ -252,19 +253,11 @@ def _gaps_at_most_one(parts: tuple[int, ...]) -> bool:
     return True
 
 
-def is_birationally_rigid(orbit: ClassicalOrbit) -> bool:
-    """No consecutive gap exceeds 1, the implicit trailing zero included."""
-    return _gaps_at_most_one(orbit.parts)
-
-
-def has_codim4_boundary(orbit: ClassicalOrbit) -> bool:
-    """Whether every boundary degeneration sits in codimension at least 4.
-
-    For B/C/D partitions this coincides with the no-gap-above-1 condition
-    that characterizes birational rigidity; both names are kept because the
-    two properties are conceptually distinct and only happen to agree here.
-    """
-    return _gaps_at_most_one(orbit.parts)
+# Whether every boundary degeneration sits in codimension at least 4.  For
+# B/C/D partitions this coincides with the no-gap-above-1 condition that
+# characterizes birational rigidity; both names are kept because the two
+# properties are conceptually distinct and only happen to agree here.
+has_codim4_boundary = is_birationally_rigid
 
 
 @dataclass(frozen=True)

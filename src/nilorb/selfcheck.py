@@ -39,7 +39,7 @@ from .orbit_partitions import (
     partitions_of,
     rigid_special_source,
 )
-from .root_system import QuotientVector, build_root_system, cartan_matrix, pair
+from .root_system import QuotientVector, build_root_system, cartan_matrix, diagram_arms, pair
 
 __all__ = ["CriterionResult", "CRITERION_IDS", "criterion_name", "run_criterion", "run_all"]
 
@@ -69,57 +69,18 @@ class CriterionResult:
         }
 
 
-def _diagram_arms(rs) -> Optional[tuple[int, ...]]:
-    """Arm lengths of the simple-root diagram when it is a T-shaped tree.
-
-    Returns None unless the Cartan matrix is symmetric with diagonal 2 and
-    off-diagonal entries in {0, -1}, and the bond graph is a connected tree
-    with exactly one degree-3 vertex and no higher degree.
-    """
-    cm = cartan_matrix(rs)
-    n = len(cm)
-    for i in range(n):
-        if cm[i][i] != 2:
-            return None
-        for j in range(n):
-            if i != j and (cm[i][j] not in (0, -1) or cm[i][j] != cm[j][i]):
-                return None
-    adj = {i: [j for j in range(n) if j != i and cm[i][j] == -1] for i in range(n)}
-    centers = [i for i in range(n) if len(adj[i]) == 3]
-    if len(centers) != 1 or any(len(adj[i]) > 3 for i in range(n)):
-        return None
-    arms = []
-    for start in adj[centers[0]]:
-        length = 1
-        prev, cur = centers[0], start
-        while True:
-            onward = [k for k in adj[cur] if k != prev]
-            if not onward:
-                break
-            if len(onward) > 1:
-                return None
-            prev, cur = cur, onward[0]
-            length += 1
-        arms.append(length)
-    if sum(arms) + 1 != n:
-        return None
-    return tuple(sorted(arms, reverse=True))
-
-
 def _root_system_criterion(
-    criterion_id: str,
-    name: str,
     system: str,
     expected_positive: int,
     expected_rank: int,
     expected_arms: tuple[int, ...],
     required_simples: tuple[tuple[int, ...], ...] = (),
-) -> CriterionResult:
+) -> tuple:
     rs = build_root_system(system)
     n_pos = len(rs.positive_roots)
     n_simple = len(rs.simple_roots)
     bad_norms = sum(1 for r in rs.positive_roots if pair(r, r) != 2)
-    arms = _diagram_arms(rs)
+    arms = diagram_arms(cartan_matrix(rs))
     simple_set = set(rs.simple_roots)
     missing = [v for v in required_simples if QuotientVector(v) not in simple_set]
 
@@ -143,18 +104,16 @@ def _root_system_criterion(
         and arms == expected_arms
         and not missing
     )
-    return CriterionResult(criterion_id, name, passed, expected, actual)
+    return passed, expected, actual
 
 
-def _criterion_e7_roots(atlas_path: Optional[str]) -> CriterionResult:
-    return _root_system_criterion("1", "e7-root-system", "E7", 63, 7, (3, 2, 1))
+def _criterion_e7_roots(atlas_path: Optional[str]) -> tuple:
+    return _root_system_criterion("E7", 63, 7, (3, 2, 1))
 
 
-def _criterion_e8_roots(atlas_path: Optional[str]) -> CriterionResult:
+def _criterion_e8_roots(atlas_path: Optional[str]) -> tuple:
     # epsilon_7 - epsilon_8 and epsilon_6 + epsilon_7 + epsilon_8 in R^9
     return _root_system_criterion(
-        "2",
-        "e8-root-system",
         "E8",
         120,
         8,
@@ -166,7 +125,7 @@ def _criterion_e8_roots(atlas_path: Optional[str]) -> CriterionResult:
     )
 
 
-def _criterion_e7_preset(atlas_path: Optional[str]) -> CriterionResult:
+def _criterion_e7_preset(atlas_path: Optional[str]) -> tuple:
     report = preset_report("E7:A2+A1")
     ref = report.reference
     members = ref.member_checks
@@ -204,10 +163,10 @@ def _criterion_e7_preset(atlas_path: Optional[str]) -> CriterionResult:
     notes = [f"flagged member {flagged.coords}: {flagged.note}"]
     if failing:
         notes.append(f"failing sub-checks: {', '.join(failing)}")
-    return CriterionResult("3", "e7-preset-replay", not failing, expected, actual, tuple(notes))
+    return not failing, expected, actual, tuple(notes)
 
 
-def _criterion_e8_preset(atlas_path: Optional[str]) -> CriterionResult:
+def _criterion_e8_preset(atlas_path: Optional[str]) -> tuple:
     report = preset_report("E8:A4+2A1")
     ref = report.reference
     sub = {
@@ -233,10 +192,10 @@ def _criterion_e8_preset(atlas_path: Optional[str]) -> CriterionResult:
         f"torus rank {report.torus_rank}; verdict {report.verdict}"
     )
     notes = (f"failing sub-checks: {', '.join(failing)}",) if failing else ()
-    return CriterionResult("4", "e8-preset-replay", not failing, expected, actual, notes)
+    return not failing, expected, actual, notes
 
 
-def _criterion_classical_fixtures(atlas_path: Optional[str]) -> CriterionResult:
+def _criterion_classical_fixtures(atlas_path: Optional[str]) -> tuple:
     small = ClassicalOrbit("D", (2, 2) + (1,) * 10)
     medium = ClassicalOrbit("D", (3, 3, 2, 2, 1, 1))
     gapped = ClassicalOrbit("C", (4, 2))
@@ -254,10 +213,10 @@ def _criterion_classical_fixtures(atlas_path: Optional[str]) -> CriterionResult:
         "C(4,2) valid but not birationally rigid"
     )
     actual = "; ".join(f"{k}: {ok}" for k, ok in facts.items())
-    return CriterionResult("5", "classical-fixtures", not failing, expected, actual)
+    return not failing, expected, actual
 
 
-def _criterion_rigid_sources(atlas_path: Optional[str]) -> CriterionResult:
+def _criterion_rigid_sources(atlas_path: Optional[str]) -> tuple:
     checked = 0
     failures = []
     for total in range(1, 21):
@@ -293,13 +252,10 @@ def _criterion_rigid_sources(atlas_path: Optional[str]) -> CriterionResult:
         "birationally rigid source whose variant-i script replays to the input"
     )
     actual = f"{checked} special orbits checked; {len(failures)} failures"
-    return CriterionResult(
-        "6", "rigid-source-exhaustive", checked > 0 and not failures,
-        expected, actual, tuple(failures[:5]),
-    )
+    return checked > 0 and not failures, expected, actual, tuple(failures[:5])
 
 
-def _criterion_step_semantics(atlas_path: Optional[str]) -> CriterionResult:
+def _criterion_step_semantics(atlas_path: Optional[str]) -> tuple:
     failures = []
 
     stepped, variant = elementary_step(ClassicalOrbit("C", (1, 1)), 1)
@@ -346,12 +302,10 @@ def _criterion_step_semantics(atlas_path: Optional[str]) -> CriterionResult:
         f"step gave ({stepped.parts}, {variant}); "
         f"{recovered} round-trips recovered; {len(failures)} failures"
     )
-    return CriterionResult(
-        "7", "step-semantics", not failures, expected, actual, tuple(failures[:5])
-    )
+    return not failures, expected, actual, tuple(failures[:5])
 
 
-def _criterion_atlas(atlas_path: Optional[str]) -> CriterionResult:
+def _criterion_atlas(atlas_path: Optional[str]) -> tuple:
     records = load_atlas(atlas_path)
 
     delta_calls: list[tuple[str, tuple[int, ...]]] = []
@@ -400,7 +354,7 @@ def _criterion_atlas(atlas_path: Optional[str]) -> CriterionResult:
         f"{flips} flag flips, {len(undetected)} undetected"
     )
     notes = tuple(undetected[:5]) + tuple(f"{r.check_id}: {r.details}" for r in failed[:3])
-    return CriterionResult("8", "atlas-consistency", not problems, expected, actual, notes)
+    return not problems, expected, actual, notes
 
 
 def _box_search(basis: LatticeBasis, target: tuple[int, ...], radius: int) -> Optional[tuple[int, ...]]:
@@ -421,7 +375,7 @@ def _box_search(basis: LatticeBasis, target: tuple[int, ...], radius: int) -> Op
     return walk(0, [])
 
 
-def _criterion_lattice_oracle(atlas_path: Optional[str]) -> CriterionResult:
+def _criterion_lattice_oracle(atlas_path: Optional[str]) -> tuple:
     rng = random.Random(_LATTICE_SEED)
     radius = 4
     kernel_vectors = 0
@@ -479,57 +433,48 @@ def _criterion_lattice_oracle(atlas_path: Optional[str]) -> CriterionResult:
         f"100 matrices; {kernel_vectors} kernel vectors verified; "
         f"{probes} membership probes; {len(failures)} disagreements"
     )
-    return CriterionResult(
-        "9", "lattice-oracle", not failures, expected, actual, tuple(failures[:5])
-    )
+    return not failures, expected, actual, tuple(failures[:5])
 
 
-# criterion runners in report order; each takes the atlas path and all but the
-# atlas criterion ignore it
-_RUNNERS: dict[str, Callable[[Optional[str]], CriterionResult]] = {
-    "1": _criterion_e7_roots,
-    "2": _criterion_e8_roots,
-    "3": _criterion_e7_preset,
-    "4": _criterion_e8_preset,
-    "5": _criterion_classical_fixtures,
-    "6": _criterion_rigid_sources,
-    "7": _criterion_step_semantics,
-    "8": _criterion_atlas,
-    "9": _criterion_lattice_oracle,
-}
+# criteria in report order: (id, name, runner).  Every runner takes the atlas
+# path, which all but the atlas criterion ignore, and returns (passed,
+# expected, actual[, notes]); run_criterion adds the id and the name.
+_CRITERIA: tuple[tuple[str, str, Callable[[Optional[str]], tuple]], ...] = (
+    ("1", "e7-root-system", _criterion_e7_roots),
+    ("2", "e8-root-system", _criterion_e8_roots),
+    ("3", "e7-preset-replay", _criterion_e7_preset),
+    ("4", "e8-preset-replay", _criterion_e8_preset),
+    ("5", "classical-fixtures", _criterion_classical_fixtures),
+    ("6", "rigid-source-exhaustive", _criterion_rigid_sources),
+    ("7", "step-semantics", _criterion_step_semantics),
+    ("8", "atlas-consistency", _criterion_atlas),
+    ("9", "lattice-oracle", _criterion_lattice_oracle),
+)
 
-CRITERION_IDS = tuple(_RUNNERS)
+CRITERION_IDS = tuple(cid for cid, _, _ in _CRITERIA)
 
-_NAMES = {
-    "1": "e7-root-system",
-    "2": "e8-root-system",
-    "3": "e7-preset-replay",
-    "4": "e8-preset-replay",
-    "5": "classical-fixtures",
-    "6": "rigid-source-exhaustive",
-    "7": "step-semantics",
-    "8": "atlas-consistency",
-    "9": "lattice-oracle",
-}
+
+def _lookup(criterion_id: str) -> tuple[str, Callable[[Optional[str]], tuple]]:
+    for cid, name, runner in _CRITERIA:
+        if cid == criterion_id:
+            return name, runner
+    raise InputError(f"unknown criterion {criterion_id!r}; have 1..9")
 
 
 def criterion_name(criterion_id: str) -> str:
-    if criterion_id not in _NAMES:
-        raise InputError(f"unknown criterion {criterion_id!r}; have 1..9")
-    return _NAMES[criterion_id]
+    return _lookup(criterion_id)[0]
 
 
 def run_criterion(criterion_id: str, atlas_path: Optional[str] = None) -> CriterionResult:
     """Run one criterion.  A crash inside a criterion becomes a failed result
     carrying the exception text, so the suite always reports all nine."""
-    if criterion_id not in _RUNNERS:
-        raise InputError(f"unknown criterion {criterion_id!r}; have 1..9")
+    name, runner = _lookup(criterion_id)
     try:
-        return _RUNNERS[criterion_id](atlas_path)
+        return CriterionResult(criterion_id, name, *runner(atlas_path))
     except Exception as exc:
         return CriterionResult(
             criterion_id=criterion_id,
-            name=_NAMES[criterion_id],
+            name=name,
             passed=False,
             expected="criterion completes and passes",
             actual=f"raised {type(exc).__name__}: {exc}",

@@ -8,7 +8,10 @@ orthogonality, and saturation of the torus lattice in a small box).
 """
 
 import itertools
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -213,8 +216,6 @@ def test_kappa_representative_does_not_change_pairings():
 
 
 def test_payload_is_json_ready_and_stable():
-    import json
-
     report = preset_report("E8:A4+2A1")
     payload = report.to_payload()
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -222,3 +223,27 @@ def test_payload_is_json_ready_and_stable():
     assert payload["verdict"] == "non-integral"
     assert payload["kappa"] == [8, 8, 7, 6, 6, 6, 7, 6, 0]
     assert payload["reference"]["clean"] is True
+
+
+# --- golden oracle over every Levi ------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "levi_sweep.json"
+
+
+def test_every_levi_matches_the_golden_sweep():
+    # the golden file was written by the ambient-coordinate construction, so
+    # it is an independent oracle for the Cartan-kernel torus stage
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    totals = Counter()
+    for key, expected in golden["levis"].items():
+        system, labels = key.split(":")
+        report = delta_verdict(system, tuple(int(i) for i in labels.split(",")))
+        assert report.verdict == expected["verdict"], key
+        assert [list(v) for v in report.torus_basis] == expected["torus_basis"], key
+        totals[f"{system} {report.verdict}"] += 1
+    assert len(golden["levis"]) == 382
+    assert totals == Counter(golden["totals"]) == Counter(
+        {"E7 integral": 94, "E7 non-integral": 33, "E8 integral": 151, "E8 non-integral": 104}
+    )
+    for preset, payload in golden["presets"].items():
+        assert json.dumps(preset_report(preset).to_payload(), sort_keys=True) == payload

@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilorb.errors import CapabilityError, InputError
+from nilorb import root_system
+from nilorb.errors import CapabilityError, InputError, IntegrityError
 from nilorb.exact_linalg import lattice_contains
 from nilorb.root_system import (
     QuotientVector,
     build_root_system,
     cartan_matrix,
     coroot,
+    diagram_arms,
     coroot_lattice,
     lattice_contains_mod_ones,
     levi_subsystem,
@@ -184,6 +186,49 @@ def test_cartan_matrices_have_e_series_shape():
                 length += 1
             lengths.append(length)
         assert sorted(lengths, reverse=True) == list(arms)
+
+
+def simply_laced(n, bonds):
+    """Cartan matrix with 2 on the diagonal and -1 on each listed bond."""
+    cm = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        cm[i][j] = cm[j][i] = -1
+    return cm
+
+
+D5_BONDS = [(0, 1), (1, 2), (2, 3), (2, 4)]
+
+
+def test_diagram_arms_of_t_shaped_trees():
+    e7 = simply_laced(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+    e8 = simply_laced(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)])
+    assert diagram_arms(e7) == (3, 2, 1)
+    assert diagram_arms(e8) == (4, 2, 1)
+    assert diagram_arms(simply_laced(5, D5_BONDS)) == (2, 1, 1)
+
+
+def test_diagram_arms_rejects_other_shapes():
+    chain = simply_laced(7, [(i, i + 1) for i in range(6)])
+    two_branches = simply_laced(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
+    cycle = simply_laced(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    # a bond seen from one end only: read row-wise, it still looks like D5
+    non_symmetric = simply_laced(5, D5_BONDS)
+    non_symmetric[0][1] = 0
+    # an extra doubly-laced edge between two leaves of D5
+    double_bond = simply_laced(5, D5_BONDS)
+    double_bond[3][4] = double_bond[4][3] = -2
+    for cm in (chain, two_branches, cycle, non_symmetric, double_bond):
+        assert diagram_arms(cm) is None
+
+
+def test_build_checks_the_diagram_shape(monkeypatch):
+    build_root_system.cache_clear()
+    monkeypatch.setitem(root_system._EXPECTED_ARMS, "E7", (2, 2, 2))
+    try:
+        with pytest.raises(IntegrityError):
+            build_root_system("E7")
+    finally:
+        build_root_system.cache_clear()
 
 
 def test_coefficients_recombine_every_positive_root():
