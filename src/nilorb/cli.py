@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 from .delta_check import PRESETS, delta_verdict, preset_report
@@ -141,23 +141,11 @@ def cmd_delta(args: argparse.Namespace) -> CommandResult:
 
 
 def _record_payload(record) -> dict:
-    return {
-        "group": record.group,
-        "label": record.label,
-        "is_special": record.is_special,
-        "is_rigid": record.is_rigid,
-        "is_birationally_rigid": record.is_birationally_rigid,
-        "codim4_boundary": record.codim4_boundary,
-        "fails_smooth_locus_codim4": record.fails_smooth_locus_codim4,
-        "in_e1": record.in_e1,
-        "in_e2": record.in_e2,
-        "in_e3": record.in_e3,
-        "levi_descriptor": (
-            list(record.levi_descriptor) if record.levi_descriptor else None
-        ),
-        "provenance": dict(record.provenance),
-        "comment": record.comment,
-    }
+    payload = {f.name: getattr(record, f.name) for f in fields(record)}
+    levi = record.levi_descriptor
+    payload["levi_descriptor"] = list(levi) if levi else None
+    payload["provenance"] = dict(record.provenance)
+    return payload
 
 
 def cmd_atlas(args: argparse.Namespace) -> CommandResult:

@@ -280,47 +280,43 @@ class BirationalSource:
 
 
 def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
-    """Birationally rigid orbits reaching ``orbit`` by variant-(i) steps.
+    """The birationally rigid orbit reaching ``orbit`` by variant-(i) steps.
 
-    Depth-first over inverse variant-(i) steps with n ascending; the first
-    script found per source is kept.  The orbit itself appears (with an empty
-    script) when it is already birationally rigid.  Results sort by the
-    source partition.
+    An inverse variant-(i) step at n lowers the gap p_n - p_{n+1} (trailing
+    zero counted) by 2 and leaves every other gap alone.  So every descent
+    ends at the same rigid orbit, the one whose gaps are the input's gaps
+    mod 2, and one walk finds it: at each point take the smallest n with an
+    inverse variant-(i) step, until none is left.  The orbit itself comes
+    back with an empty script when it is already birationally rigid.  The
+    result is a 1-tuple, with the script outermost first.
     """
-    found: dict[tuple[int, ...], StepScript] = {}
-    seen: set[tuple[int, ...]] = set()
-
-    def visit(current: ClassicalOrbit, trail: tuple[tuple[int, str], ...]) -> None:
-        if current.parts in seen:
-            return
-        seen.add(current.parts)
-        if is_birationally_rigid(current) and current.parts not in found:
-            found[current.parts] = StepScript(trail)
-        for step in inverse_steps(current):
-            if step.variant != "i":
-                continue
-            visit(step.source, ((step.n, "i"),) + trail)
-
-    visit(orbit, ())
-    return tuple(
-        BirationalSource(ClassicalOrbit(orbit.kind, parts), script)
-        for parts, script in sorted(found.items())
-    )
+    current = orbit
+    steps: list[tuple[int, str]] = []
+    while True:
+        step = next((s for s in inverse_steps(current) if s.variant == "i"), None)
+        if step is None:
+            break
+        steps.append((step.n, "i"))
+        current = step.source
+    if not is_birationally_rigid(current):
+        raise IntegrityError(f"variant-(i) descent from {orbit!r} ends at {current!r}")
+    return (BirationalSource(current, StepScript(tuple(reversed(steps)))),)
 
 
 def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
-    """The distinguished special birationally rigid source of a special orbit.
+    """The special birationally rigid source of a special orbit.
 
+    The source is the end of the one variant-(i) walk in
+    :func:`birational_sources`; the gap argument there makes it unique.
     Raises InputError when the input is not special, and IntegrityError when
-    no special source turns up (the calculus promises one exists).  Ties go
-    to the lexicographically smallest source partition.
+    the source is not special (the calculus promises it is).
     """
     if not is_special(orbit):
         raise InputError(f"{orbit!r} is not special")
-    for source in birational_sources(orbit):
-        if is_special(source.orbit):
-            return source
-    raise IntegrityError(f"no birationally rigid special source for {orbit!r}")
+    (source,) = birational_sources(orbit)
+    if not is_special(source.orbit):
+        raise IntegrityError(f"birationally rigid source of {orbit!r} is not special")
+    return source
 
 
 def partitions_of(total: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:

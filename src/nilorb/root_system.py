@@ -247,7 +247,8 @@ _EXPECTED_ARMS = {"E7": (3, 2, 1), "E8": (4, 2, 1)}
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """A built root system: positives, labeled simples, coefficient table."""
+    """A built root system: positives, labeled simples, coefficient table,
+    and the Cartan matrix of the labeled simples."""
 
     name: str
     ambient_dim: int
@@ -255,6 +256,7 @@ class RootSystem:
     positive_roots: tuple[QuotientVector, ...]
     simple_roots: tuple[QuotientVector, ...]
     coefficient_table: dict
+    cartan: tuple[tuple[int, ...], ...]
 
     def coefficients(self, root: QuotientVector) -> tuple[int, ...]:
         """Coefficients of a positive root over the labeled simple roots."""
@@ -271,9 +273,7 @@ class RootSystem:
 
 
 def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(pair(a, b) for b in rs.simple_roots) for a in rs.simple_roots
-    )
+    return rs.cartan
 
 
 def diagram_arms(cartan: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
@@ -333,10 +333,10 @@ def build_root_system(name: str) -> RootSystem:
     simples = derive_simple_roots(positives, rank)
     pos_set = set(positives)
     table = {root: _decompose(root, simples, pos_set) for root in positives}
-    rs = RootSystem(name, ambient_dim, rank, positives, simples, table)
-    if diagram_arms(cartan_matrix(rs)) != _EXPECTED_ARMS[name]:
+    cartan = tuple(tuple(pair(a, b) for b in simples) for a in simples)
+    if diagram_arms(cartan) != _EXPECTED_ARMS[name]:
         raise IntegrityError(f"{name}: derived diagram has the wrong shape")
-    return rs
+    return RootSystem(name, ambient_dim, rank, positives, simples, table, cartan)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,13 +14,14 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .delta_check import preset_report
 from .errors import InputError, StepInapplicableError
-from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains
+from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains, mat_mul
 from .orbit_atlas import (
     check_consistency,
     flip_field,
@@ -357,22 +358,22 @@ def _criterion_atlas(atlas_path: Optional[str]) -> tuple:
     return not problems, expected, actual, notes
 
 
-def _box_search(basis: LatticeBasis, target: tuple[int, ...], radius: int) -> Optional[tuple[int, ...]]:
-    # brute force over all coefficient tuples with entries in [-radius, radius]
-    def walk(index: int, partial: list[int]):
-        if index == basis.rank:
-            vec = [0] * basis.ambient_dim
-            for c, bv in zip(partial, basis.vectors):
-                for j in range(basis.ambient_dim):
-                    vec[j] += c * bv[j]
-            return tuple(partial) if tuple(vec) == target else None
-        for c in range(-radius, radius + 1):
-            hit = walk(index + 1, partial + [c])
-            if hit is not None:
-                return hit
-        return None
+def _combinations(basis: LatticeBasis, coeffs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """For each coefficient row c, the lattice vector sum(c_k * v_k) over the
+    basis vectors v_k."""
+    product = mat_mul(
+        IntMatrix.from_rows(coeffs, cols=basis.rank),
+        IntMatrix.from_rows(basis.vectors, cols=basis.ambient_dim),
+    )
+    return [product.row(i) for i in range(product.rows)]
 
-    return walk(0, [])
+
+def _box_search(basis: LatticeBasis, radius: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    # brute force: every coefficient tuple with entries in [-radius, radius],
+    # keyed by the lattice vector it gives (a basis is independent, so each
+    # vector has one tuple)
+    box = list(itertools.product(range(-radius, radius + 1), repeat=basis.rank))
+    return dict(zip(_combinations(basis, box), box))
 
 
 def _criterion_lattice_oracle(atlas_path: Optional[str]) -> tuple:
@@ -394,14 +395,12 @@ def _criterion_lattice_oracle(atlas_path: Optional[str]) -> tuple:
             if any(image):
                 failures.append(f"matrix {index}: kernel vector {v} maps to {image}")
 
+        in_box = _box_search(basis, radius)
         candidates = []
         for _ in range(3):
             coeffs = [rng.randint(-radius, radius) for _ in range(basis.rank)]
-            member = [0] * basis.ambient_dim
-            for c, bv in zip(coeffs, basis.vectors):
-                for j in range(basis.ambient_dim):
-                    member[j] += c * bv[j]
-            candidates.append(tuple(member))
+            (member,) = _combinations(basis, [coeffs])
+            candidates.append(member)
             jolt = rng.randrange(basis.ambient_dim)
             candidates.append(
                 tuple(x + (1 if j == jolt else 0) for j, x in enumerate(member))
@@ -409,20 +408,15 @@ def _criterion_lattice_oracle(atlas_path: Optional[str]) -> tuple:
         for cand in candidates:
             probes += 1
             claimed = lattice_contains(basis, cand)
-            brute = _box_search(basis, cand, radius)
+            brute = in_box.get(cand)
             if brute is not None and claimed != brute:
                 failures.append(f"matrix {index}: {cand} found by search, claim {claimed}")
             if brute is None and claimed is not None and all(
                 abs(c) <= radius for c in claimed
             ):
                 failures.append(f"matrix {index}: {cand} claimed in-box, search missed it")
-            if claimed is not None:
-                rebuilt = [0] * basis.ambient_dim
-                for c, bv in zip(claimed, basis.vectors):
-                    for j in range(basis.ambient_dim):
-                        rebuilt[j] += c * bv[j]
-                if tuple(rebuilt) != cand:
-                    failures.append(f"matrix {index}: certificate fails for {cand}")
+            if claimed is not None and _combinations(basis, [claimed]) != [cand]:
+                failures.append(f"matrix {index}: certificate fails for {cand}")
 
     expected = (
         "100 random 4x6 matrices with entries in [-9,9]: every kernel basis "

@@ -1,8 +1,10 @@
 """CLI behavior: dispatch, exit codes, deterministic output, data overrides."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +107,15 @@ def test_partition_rigid_special_source(capsys):
     assert doc["payload"]["script"] == [[2, "i"], [1, "i"]]
 
 
+def test_partition_long_chain_c_2400(capsys):
+    code, doc, _ = run_json(
+        capsys, "partition", "rigid-special-source", "--type", "C", "--parts", "2400"
+    )
+    assert code == 0
+    assert doc["payload"]["source"] == []
+    assert len(doc["payload"]["script"]) == 1200
+
+
 # --- delta ---------------------------------------------------------------------
 
 
@@ -175,6 +186,8 @@ def test_atlas_query_record(capsys):
     assert payload["in_e3"] is True
     assert payload["levi_descriptor"] == [1, 2, 3, 4, 7, 8]
     assert payload["provenance"]["in_e3"].startswith("paper §")
+    _, out, _ = run_cli(capsys, "atlas", "query", "--group", "E8", "--label", "A_4+2A_1")
+    assert "levi_descriptor: [1, 2, 3, 4, 7, 8]\n" in out
 
 
 def test_atlas_query_not_found_suggests(capsys):
@@ -242,6 +255,17 @@ def test_atlas_env_var_and_data_precedence(capsys, tmp_path, monkeypatch):
     assert doc["payload"]["all_passed"] is True
 
 
+def test_atlas_query_payload_is_the_raw_record(capsys):
+    records = json.loads(default_atlas_text())["records"]
+    assert len(records) == 63
+    for raw in records:
+        code, doc, _ = run_json(
+            capsys, "atlas", "query", "--group", raw["group"], "--label", raw["label"]
+        )
+        assert code == 0
+        assert doc["payload"] == {"comment": None, **raw}
+
+
 # --- selftest ------------------------------------------------------------------
 
 
@@ -279,3 +303,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["special"] is True
+
+
+# --- README commands against the benchmark's golden stdout ------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def readme_commands() -> dict:
+    # perfbench/workloads.py imports no nilorb, so loading it by path is cheap
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.README_COMMANDS
+
+
+def test_readme_commands_match_the_golden_stdout(capsys):
+    golden = json.loads((PERFBENCH / "golden" / "cli_commands.json").read_text(encoding="utf-8"))
+    commands = readme_commands()
+    assert sorted(commands) == sorted(golden) and len(golden) == 13
+    for name, argv in commands.items():
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0, name
+        assert out == golden[name], name

@@ -279,6 +279,74 @@ def test_rigid_special_source_exists_for_all_small_special_orbits():
                 assert result.script.replay(result.orbit) == o
 
 
+# --- the walk against the depth-first oracle ------------------------------------------
+
+def dfs_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
+    """Birationally rigid orbits reaching ``orbit`` by variant-(i) steps.
+
+    Depth-first over inverse variant-(i) steps with n ascending; the first
+    script found per source is kept.  The orbit itself appears (with an empty
+    script) when it is already birationally rigid.  Results sort by the
+    source partition.
+    """
+    found: dict[tuple[int, ...], StepScript] = {}
+    seen: set[tuple[int, ...]] = set()
+
+    def visit(current: ClassicalOrbit, trail: tuple[tuple[int, str], ...]) -> None:
+        if current.parts in seen:
+            return
+        seen.add(current.parts)
+        if is_birationally_rigid(current) and current.parts not in found:
+            found[current.parts] = StepScript(trail)
+        for step in inverse_steps(current):
+            if step.variant != "i":
+                continue
+            visit(step.source, ((step.n, "i"),) + trail)
+
+    visit(orbit, ())
+    return tuple(
+        BirationalSource(ClassicalOrbit(orbit.kind, parts), script)
+        for parts, script in sorted(found.items())
+    )
+
+
+def gap_parity_reduction(parts):
+    """The partition whose gaps p_k - p_{k+1} (trailing zero counted) are
+    those of ``parts`` taken mod 2."""
+    gaps = [p - q for p, q in zip(parts, parts[1:] + (0,))]
+    reduced = [sum(g % 2 for g in gaps[k:]) for k in range(len(gaps))]
+    return tuple(p for p in reduced if p)
+
+
+def test_walk_matches_the_dfs_oracle_up_to_total_26():
+    # the zero orbit of types C and D counts too
+    checked = 0
+    for kind in ("B", "C", "D"):
+        for total in range(1 if kind == "B" else 0, 27, 2):
+            for o in valid_orbits(kind, total):
+                (source,) = birational_sources(o)
+                assert (source,) == dfs_sources(o), o
+                assert source.orbit.parts == gap_parity_reduction(o.parts), o
+                checked += 1
+    assert checked == 5006
+
+
+def test_long_chain_c_2400():
+    target = orbit("C", 2400)
+    result = rigid_special_source(target)
+    assert result.orbit.parts == ()
+    assert result.script.steps == ((1, "i"),) * 1200
+    assert result.script.replay(result.orbit) == target
+
+
+def test_b_staircase_of_total_361():
+    staircase = orbit("B", *range(37, 0, -2))
+    assert staircase.size == 361
+    result = rigid_special_source(staircase)
+    assert result.orbit.parts == (1,) * 19
+    assert result.script.replay(result.orbit) == staircase
+
+
 # --- partitions_of ---------------------------------------------------------------------------
 
 def test_partition_counts():
