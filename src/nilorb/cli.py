@@ -329,7 +329,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     text = None
     if args.command == "selftest" and result.status == "ok":
         text = _selftest_table(result.payload)
-    _emit(result, json_mode=args.json, text=text)
+    try:
+        _emit(result, json_mode=args.json, text=text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`); point stdout at devnull so the
+        # interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return result.exit_code
 
 

@@ -201,9 +201,6 @@ class LatticeBasis:
     def rank(self) -> int:
         return len(self.vectors)
 
-    def contains(self, v: Sequence[int]) -> Optional[Vector]:
-        return lattice_contains(self, v)
-
 
 def kernel_lattice(m: IntMatrix) -> LatticeBasis:
     """Basis of the integer kernel {x in Z^cols : m @ x == 0}.

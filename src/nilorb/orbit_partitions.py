@@ -14,7 +14,11 @@ each of the first n parts, variant (ii) adds 2 to the first n-1 parts and 1
 to parts n and n+1.  Missing parts count as zeros, so both variants may
 lengthen the partition.  Variant (ii) is only available where variant (i)
 lands outside the valid partition set; this asymmetry is what makes the step
-relation and its inverses deterministic enough to replay.
+relation deterministic enough to replay.  The inverses are not a second
+rule: a candidate source is the orbit with a step's increments removed, and
+it counts only when the forward rule maps it back.  Variant-(i) inverses
+touch one gap each, so the birationally rigid source is a closed formula in
+the gaps (see :func:`birational_sources`).
 
 A D-partition with all parts even corresponds to two orbits exchanged by an
 outer symmetry; the calculus here never needs to tell them apart, and
@@ -24,6 +28,7 @@ outer symmetry; the calculus here never needs to tell them apart, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, IntegrityError, StepInapplicableError
@@ -136,10 +141,6 @@ def is_special(orbit: ClassicalOrbit) -> bool:
     )
 
 
-def _padded(parts: tuple[int, ...], length: int) -> list[int]:
-    return list(parts) + [0] * max(0, length - len(parts))
-
-
 def _strip(parts: Sequence[int]) -> tuple[int, ...]:
     out = list(parts)
     while out and out[-1] == 0:
@@ -147,20 +148,19 @@ def _strip(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _variant_i_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
-    grown = _padded(parts, n)
-    for k in range(n):
-        grown[k] += 2
-    return _strip(grown)
-
-
-def _variant_ii_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
-    grown = _padded(parts, n + 1)
-    for k in range(n - 1):
-        grown[k] += 2
-    grown[n - 1] += 1
-    grown[n] += 1
-    return _strip(grown)
+def _moved(
+    parts: tuple[int, ...], n: int, variant: str, sign: int
+) -> Optional[tuple[int, ...]]:
+    """``parts`` with a variant-``variant`` step at ``n`` added (sign 1) or
+    removed (sign -1), missing parts counted as zeros; None when the result
+    is not a partition."""
+    increments = [2] * n if variant == "i" else [2] * (n - 1) + [1, 1]
+    moved = list(parts) + [0] * max(0, len(increments) - len(parts))
+    for k, d in enumerate(increments):
+        moved[k] += sign * d
+    if moved[-1] < 0 or any(a < b for a, b in zip(moved, moved[1:])):
+        return None
+    return _strip(moved)
 
 
 def elementary_step(
@@ -179,7 +179,7 @@ def elementary_step(
     if variant not in (None, "i", "ii"):
         raise InputError(f"variant must be 'i' or 'ii', got {variant!r}")
 
-    first = _variant_i_parts(orbit.parts, n)
+    first = _moved(orbit.parts, n, "i", 1)
     first_ok = is_valid_type(first, orbit.kind)
     if variant in (None, "i"):
         if first_ok:
@@ -189,7 +189,7 @@ def elementary_step(
                 f"variant i at n={n} leaves type {orbit.kind}: {first}"
             )
     if not first_ok:
-        second = _variant_ii_parts(orbit.parts, n)
+        second = _moved(orbit.parts, n, "ii", 1)
         if is_valid_type(second, orbit.kind):
             return ClassicalOrbit(orbit.kind, second), "ii"
         raise StepInapplicableError(
@@ -210,36 +210,21 @@ class InverseStep:
 def inverse_steps(orbit: ClassicalOrbit) -> tuple[InverseStep, ...]:
     """All (source, n, variant) whose elementary step reproduces ``orbit``.
 
-    Listed with n ascending and variant (i) before (ii).  Each returned entry
-    round-trips: elementary_step(source, n) == (orbit, variant).
+    Each candidate source is ``orbit`` with the step's increments removed;
+    it is kept when it is a valid orbit of the same type and
+    elementary_step(source, n) == (orbit, variant), so the forward rule alone
+    decides which variant is legal.  Listed with n ascending and variant (i)
+    before (ii).
     """
-    parts = orbit.parts
-    length = len(parts)
     found = []
-    for n in range(1, length + 1):
-        nxt = parts[n] if n < length else 0
-        if parts[n - 1] >= 2 and parts[n - 1] - 2 >= nxt:
-            src = _strip(tuple(p - 2 for p in parts[:n]) + parts[n:])
-            if is_valid_type(src, orbit.kind):
-                found.append(
-                    InverseStep(ClassicalOrbit(orbit.kind, src), n, "i")
-                )
-        if n < length:
-            cand = [p for p in parts]
-            for k in range(n - 1):
-                cand[k] -= 2
-            cand[n - 1] -= 1
-            cand[n] -= 1
-            if all(x >= 0 for x in cand) and all(
-                cand[k] >= cand[k + 1] for k in range(len(cand) - 1)
-            ):
-                src = _strip(cand)
-                if is_valid_type(src, orbit.kind):
-                    # variant ii only fires where variant i would not
-                    if not is_valid_type(_variant_i_parts(src, n), orbit.kind):
-                        found.append(
-                            InverseStep(ClassicalOrbit(orbit.kind, src), n, "ii")
-                        )
+    for n in range(1, len(orbit.parts) + 1):
+        for variant in ("i", "ii"):
+            parts = _moved(orbit.parts, n, variant, -1)
+            if parts is None or not is_valid_type(parts, orbit.kind):
+                continue
+            source = ClassicalOrbit(orbit.kind, parts)
+            if elementary_step(source, n) == (orbit, variant):
+                found.append(InverseStep(source, n, variant))
     return tuple(found)
 
 
@@ -282,32 +267,35 @@ class BirationalSource:
 def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     """The birationally rigid orbit reaching ``orbit`` by variant-(i) steps.
 
-    An inverse variant-(i) step at n lowers the gap p_n - p_{n+1} (trailing
-    zero counted) by 2 and leaves every other gap alone.  So every descent
-    ends at the same rigid orbit, the one whose gaps are the input's gaps
-    mod 2, and one walk finds it: at each point take the smallest n with an
-    inverse variant-(i) step, until none is left.  The orbit itself comes
-    back with an empty script when it is already birationally rigid.  The
-    result is a 1-tuple, with the script outermost first.
+    Write g_n = p_n - p_{n+1} for the gaps of the L parts, trailing zero
+    counted.  An inverse variant-(i) step at n is legal whenever g_n >= 2 and
+    lowers g_n by 2, leaving every other gap alone (at g_n = 2 it merges two
+    blocks of one parity, so even multiplicities stay even).  So the source
+    is the partition whose gaps are g_n mod 2: its parts are the suffix sums
+    of those parities, zeros stripped.  Descending by the smallest legal n
+    each time gives the script, outermost first: floor(g_n / 2) copies of
+    ``(n, "i")`` for n = L down to 1.  A birationally rigid orbit is its own
+    source with an empty script.  The result is a 1-tuple.
     """
-    current = orbit
-    steps: list[tuple[int, str]] = []
-    while True:
-        step = next((s for s in inverse_steps(current) if s.variant == "i"), None)
-        if step is None:
-            break
-        steps.append((step.n, "i"))
-        current = step.source
-    if not is_birationally_rigid(current):
-        raise IntegrityError(f"variant-(i) descent from {orbit!r} ends at {current!r}")
-    return (BirationalSource(current, StepScript(tuple(reversed(steps)))),)
+    gaps = [p - q for p, q in zip(orbit.parts, orbit.parts[1:] + (0,))]
+    parts = _strip(list(accumulate(g % 2 for g in reversed(gaps)))[::-1])
+    steps = tuple(
+        (n, "i") for n in range(len(gaps), 0, -1) for _ in range(gaps[n - 1] // 2)
+    )
+    # rigid by construction (every gap is 0 or 1); the type is the calculus's
+    # promise, so a source outside it is an integrity fault, not bad input
+    try:
+        source = ClassicalOrbit(orbit.kind, parts)
+    except InputError as exc:
+        raise IntegrityError(f"gap-parity source of {orbit!r}: {exc}") from None
+    return (BirationalSource(source, StepScript(steps)),)
 
 
 def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
     """The special birationally rigid source of a special orbit.
 
-    The source is the end of the one variant-(i) walk in
-    :func:`birational_sources`; the gap argument there makes it unique.
+    The source is the gap-parity reduction of :func:`birational_sources`;
+    the gap argument there makes it unique.
     Raises InputError when the input is not special, and IntegrityError when
     the source is not special (the calculus promises it is).
     """

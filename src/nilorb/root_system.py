@@ -83,9 +83,6 @@ class QuotientVector:
     def canonical_coords(self) -> tuple[Scalar, ...]:
         return self._canon
 
-    def canonical(self) -> "QuotientVector":
-        return QuotientVector(self._canon)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._canon)
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -303,6 +304,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["special"] is True
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest"],
+        ["atlas", "list"],
+        ["delta", "--preset", "E7:A2+A1", "--json"],
+    ],
+)
+def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
+    # the read end is closed before the child starts, as after `| head -n 0`;
+    # buffered stdout fails at the flush, unbuffered stdout at the first print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilorb", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 # --- README commands against the benchmark's golden stdout ------------------------

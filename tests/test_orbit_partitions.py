@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilorb import orbit_partitions
 from nilorb.errors import InputError, IntegrityError, StepInapplicableError
 from nilorb.orbit_partitions import (
+    KINDS,
     BirationalSource,
     ClassicalOrbit,
+    InverseStep,
     StepScript,
     birational_sources,
     elementary_step,
@@ -202,6 +205,63 @@ def test_forward_steps_are_recovered_by_inverse_exhaustive():
                     assert (o.parts, n, variant) in entries
 
 
+def _strip(parts):
+    out = list(parts)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _variant_i_parts(parts, n):
+    grown = list(parts) + [0] * max(0, n - len(parts))
+    for k in range(n):
+        grown[k] += 2
+    return _strip(grown)
+
+
+def reference_inverse_steps(orbit: ClassicalOrbit) -> tuple[InverseStep, ...]:
+    """Inverse steps built by hand: the variant (i) and (ii) candidates are
+    written out, and the step rule is restated as their legality tests."""
+    parts = orbit.parts
+    length = len(parts)
+    found = []
+    for n in range(1, length + 1):
+        nxt = parts[n] if n < length else 0
+        if parts[n - 1] >= 2 and parts[n - 1] - 2 >= nxt:
+            src = _strip(tuple(p - 2 for p in parts[:n]) + parts[n:])
+            if is_valid_type(src, orbit.kind):
+                found.append(
+                    InverseStep(ClassicalOrbit(orbit.kind, src), n, "i")
+                )
+        if n < length:
+            cand = [p for p in parts]
+            for k in range(n - 1):
+                cand[k] -= 2
+            cand[n - 1] -= 1
+            cand[n] -= 1
+            if all(x >= 0 for x in cand) and all(
+                cand[k] >= cand[k + 1] for k in range(len(cand) - 1)
+            ):
+                src = _strip(cand)
+                if is_valid_type(src, orbit.kind):
+                    # variant ii only fires where variant i would not
+                    if not is_valid_type(_variant_i_parts(src, n), orbit.kind):
+                        found.append(
+                            InverseStep(ClassicalOrbit(orbit.kind, src), n, "ii")
+                        )
+    return tuple(found)
+
+
+def test_inverse_steps_match_the_hand_built_oracle_up_to_total_24():
+    checked = 0
+    for kind in ("B", "C", "D"):
+        for total in range(1 if kind == "B" else 0, 25, 2):
+            for o in valid_orbits(kind, total):
+                assert inverse_steps(o) == reference_inverse_steps(o), o
+                checked += 1
+    assert checked == 3357
+
+
 # --- rigidity and boundary ------------------------------------------------------------
 
 def test_rigidity_cases():
@@ -233,6 +293,14 @@ def test_sources_of_b_311():
     sources = birational_sources(orbit("B", 3, 1, 1))
     assert [s.orbit.parts for s in sources] == [(1, 1, 1)]
     assert sources[0].script.replay(orbit("B", 1, 1, 1)) == orbit("B", 3, 1, 1)
+
+
+def test_source_outside_the_type_is_an_integrity_fault(monkeypatch):
+    # a source the type rejects is the calculus's fault, not bad input
+    target = orbit("C", 4, 4)
+    monkeypatch.setattr(orbit_partitions, "is_valid_type", lambda parts, kind: parts != ())
+    with pytest.raises(IntegrityError):
+        birational_sources(target)
 
 
 def test_rigid_orbit_is_its_own_source():
@@ -345,6 +413,41 @@ def test_b_staircase_of_total_361():
     result = rigid_special_source(staircase)
     assert result.orbit.parts == (1,) * 19
     assert result.script.replay(result.orbit) == staircase
+
+
+# parts whose parity needs an even multiplicity in each type
+_PAIRED_RESIDUE = {"B": 0, "C": 1, "D": 0}
+
+
+@st.composite
+def large_orbits(draw):
+    """Valid B/C/D orbits of up to 41 parts, valid by construction: a part of
+    the paired parity is drawn twice, and a part 1 fixes the total's parity
+    for B and D."""
+    kind = draw(st.sampled_from(KINDS))
+    parts = []
+    for value in draw(st.lists(st.integers(1, 60), max_size=20)):
+        parts += [value] * (2 if value % 2 == _PAIRED_RESIDUE[kind] else 1)
+    if sum(parts) % 2 != (1 if kind == "B" else 0):
+        parts.append(1)  # 1 is never a paired part in B or D; C totals are even
+    return ClassicalOrbit(kind, tuple(sorted(parts, reverse=True)))
+
+
+def gaps_of(parts, length):
+    padded = tuple(parts) + (0,) * (length - len(parts))
+    return [p - q for p, q in zip(padded, padded[1:] + (0,))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_orbits())
+def test_gap_formula_on_large_orbits(o):
+    gaps = gaps_of(o.parts, len(o.parts))
+    (source,) = birational_sources(o)
+    assert gaps_of(source.orbit.parts, len(o.parts)) == [g % 2 for g in gaps]
+    steps = source.script.steps
+    assert len(steps) == sum(g // 2 for g in gaps)
+    assert all(a[0] >= b[0] for a, b in zip(steps, steps[1:]))
+    assert source.script.replay(source.orbit) == o
 
 
 # --- partitions_of ---------------------------------------------------------------------------
