@@ -2,14 +2,23 @@
 
 Given a Levi subsystem L of E7 or E8, the pipeline is:
 
-1. h: the sum of the positive coroots of L.
-2. The positive roots beta with pairing(h, beta-coroot) == 1.
-3. kappa: the sum of those roots.
+1. h: the sum of the positive coroots of L.  Every root of the system has
+   norm 2 (checked once when the system is built), so each coroot is its
+   root and h is one column sum of L's raw root coordinates.  L's members are
+   the positive roots whose support bitmask lies inside L's labels.
+2. The positive roots beta with pairing(h, beta-coroot) == 1.  h is paired
+   with the simple coroots once; each positive coroot is the same integer
+   combination of simple coroots as its root is of simple roots, so its
+   pairing is the dot product of the root's coefficient row with those
+   values.
+3. kappa: the sum of those roots, again one column sum of raw coordinates.
 4. The central torus lattice of L: coroot-lattice vectors orthogonal to every
    simple root of L.  In simple-coroot coordinates this is the integer kernel
-   of L's rows of the Cartan matrix, of rank rank(system) - rank(L); each
-   kernel vector maps to ambient coordinates as the same combination of the
-   simple roots' canonical representatives (last coordinate zero).
+   of L's rows of the Cartan matrix, of rank rank(system) - rank(L), read
+   off one HNF of the transposed rows; each kernel vector maps to ambient
+   coordinates as the same combination of the simple roots' canonical
+   representatives (last coordinate zero), and the image is made canonical
+   as a lattice basis.
 5. Verdict: "integral" iff kappa pairs to an even integer with every basis
    vector of that lattice.  The parity test is basis-independent (an integer
    unimodular change of basis maps even pairing vectors to even pairing
@@ -25,18 +34,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from operator import mul
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError, IntegrityError
-from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, mat_mul
+from .exact_linalg import LatticeBasis, _kernel_rows
 from .reference import WORKED_EXAMPLES, WorkedExample
 from .root_system import (
     LeviSubsystem,
     QuotientVector,
     RootSystem,
+    _form,
     build_root_system,
     cartan_matrix,
-    coroot,
     lattice_contains_mod_ones,
     levi_subsystem,
     pair,
@@ -63,14 +73,17 @@ __all__ = [
 ]
 
 
+def _coordinate_sum(vectors: Sequence[QuotientVector], dim: int) -> QuotientVector:
+    """Sum of the vectors, one raw-coordinate column sum and one
+    QuotientVector; the raw coordinates equal those of repeated ``+``."""
+    return QuotientVector(tuple(map(sum, zip(*(v.coords for v in vectors)))) or (0,) * dim)
+
+
 def principal_h(levi: LeviSubsystem) -> QuotientVector:
     """Sum of the positive coroots of the Levi subsystem."""
     if not levi.positive_roots:
         raise InputError("levi subsystem has no positive roots; h is undefined")
-    acc = QuotientVector((0,) * levi.system.ambient_dim)
-    for root in levi.positive_roots:
-        acc = acc + coroot(root)
-    return acc
+    return _coordinate_sum(levi.positive_roots, levi.system.ambient_dim)
 
 
 def roots_pairing_one(rs: RootSystem, h: QuotientVector) -> tuple[QuotientVector, ...]:
@@ -79,18 +92,18 @@ def roots_pairing_one(rs: RootSystem, h: QuotientVector) -> tuple[QuotientVector
 
     h is paired with the simple coroots once; each positive coroot is the
     same integer combination of simple coroots as its root is of simple
-    roots, so its pairing is a dot product with the root's coefficients.
+    roots, so its pairing is a dot product with the root's coefficient row.
     """
-    on_simples = [pair(h, coroot(alpha)) for alpha in rs.simple_roots]
+    on_simples = [pair(h, alpha) for alpha in rs.simple_roots]
     return tuple(
-        r
-        for r in rs.positive_roots
-        if sum(c * v for c, v in zip(rs.coefficients(r), on_simples)) == 1
+        root
+        for root, row in zip(rs.positive_roots, rs.coefficient_rows)
+        if sum(map(mul, row, on_simples)) == 1
     )
 
 
 def kappa_weight(rs: RootSystem, h: QuotientVector) -> QuotientVector:
-    return sum(roots_pairing_one(rs, h), QuotientVector((0,) * rs.ambient_dim))
+    return _coordinate_sum(roots_pairing_one(rs, h), rs.ambient_dim)
 
 
 def central_torus_lattice(levi: LeviSubsystem) -> LatticeBasis:
@@ -105,11 +118,13 @@ def central_torus_lattice(levi: LeviSubsystem) -> LatticeBasis:
     """
     rs = levi.system
     cartan = cartan_matrix(rs)
-    rows = [cartan[i - 1] for i in levi.indices]
-    coeffs = kernel_lattice(IntMatrix.from_rows(rows, cols=rs.rank))
-    simples = IntMatrix.from_rows([a.canonical_coords for a in rs.simple_roots])
-    ambient = mat_mul(IntMatrix.from_rows(coeffs.vectors, cols=rs.rank), simples)
-    result = LatticeBasis(rs.ambient_dim, tuple(ambient.to_rows()))
+    transposed = [[cartan[i - 1][j] for i in levi.indices] for j in range(rs.rank)]
+    ambient_columns = list(zip(*(a.canonical_coords for a in rs.simple_roots)))
+    ambient = tuple(
+        tuple(sum(map(mul, coeffs, column)) for column in ambient_columns)
+        for coeffs in _kernel_rows(transposed, levi.rank)
+    )
+    result = LatticeBasis(rs.ambient_dim, ambient)
 
     expected_rank = rs.rank - levi.rank
     if result.rank != expected_rank:
@@ -231,9 +246,9 @@ def delta_verdict(system: str, levi_indices: Iterable[int]) -> DeltaReport:
     levi = levi_subsystem(rs, tuple(levi_indices))
     h = principal_h(levi)
     roots = roots_pairing_one(rs, h)
-    kap = sum(roots, QuotientVector((0,) * rs.ambient_dim))
+    kap = _coordinate_sum(roots, rs.ambient_dim)
     torus = central_torus_lattice(levi)
-    pairings = tuple(pair(kap, QuotientVector(v)) for v in torus.vectors)
+    pairings = tuple(_form(kap.coords, v) for v in torus.vectors)
     return DeltaReport(
         system=rs.name,
         levi_indices=levi.indices,

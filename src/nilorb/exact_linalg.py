@@ -117,37 +117,40 @@ def _submul(target: list[int], source: list[int], q: int) -> None:
             target[j] -= q * source[j]
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
+def _echelon(h: list[list[int]], cols: int, track: bool) -> Optional[list[list[int]]]:
+    """Bring the rows ``h`` to row-style Hermite normal form in place.
 
-    Returns ``(h, u)`` with ``u`` unimodular and ``u @ m == h``.  Pivots are
-    positive, entries above each pivot lie in [0, pivot), and zero rows sit at
-    the bottom.  Zero and empty matrices are legal inputs.
+    With ``track`` the unimodular transform ``u`` (``u @ original == h``) is
+    built alongside and returned; without it only ``h`` changes.  Entries
+    must already be checked integers.
     """
-    h = m.to_rows()
-    u = IntMatrix.identity(m.rows).to_rows()
+    n = len(h)
+    u = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
     r = 0
-    for c in range(m.cols):
-        if r == m.rows:
+    for c in range(cols):
+        if r == n:
             break
         # Euclid on column c, rows r..end, until at most one nonzero survives.
         while True:
-            live = [i for i in range(r, m.rows) if h[i][c] != 0]
+            live = [i for i in range(r, n) if h[i][c] != 0]
             if not live:
                 break
             i0 = min(live, key=lambda i: (abs(h[i][c]), i))
             if i0 != r:
                 h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
+                if track:
+                    u[r], u[i0] = u[i0], u[r]
             if h[r][c] < 0:
                 _negate(h[r])
-                _negate(u[r])
+                if track:
+                    _negate(u[r])
             reduced_all = True
-            for i in range(r + 1, m.rows):
+            for i in range(r + 1, n):
                 if h[i][c]:
                     q = h[i][c] // h[r][c]
                     _submul(h[i], h[r], q)
-                    _submul(u[i], u[r], q)
+                    if track:
+                        _submul(u[i], u[r], q)
                     if h[i][c]:
                         reduced_all = False
             if reduced_all:
@@ -158,9 +161,39 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         for i in range(r):
             q = h[i][c] // pivot
             _submul(h[i], h[r], q)
-            _submul(u[i], u[r], q)
+            if track:
+                _submul(u[i], u[r], q)
         r += 1
-    return IntMatrix.from_rows(h, cols=m.cols), IntMatrix.from_rows(u, cols=m.rows)
+    return u
+
+
+def _flat(rows: list[list[int]]) -> tuple[int, ...]:
+    return tuple(x for row in rows for x in row)
+
+
+def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form.
+
+    Returns ``(h, u)`` with ``u`` unimodular and ``u @ m == h``.  Pivots are
+    positive, entries above each pivot lie in [0, pivot), and zero rows sit at
+    the bottom.  Zero and empty matrices are legal inputs.
+    """
+    h = m.to_rows()
+    u = _echelon(h, m.cols, track=True)
+    return IntMatrix(m.rows, m.cols, _flat(h)), IntMatrix(m.rows, m.rows, _flat(u))
+
+
+def _kernel_rows(transposed: list[list[int]], width: int) -> list[Vector]:
+    """Basis of the integer kernel {x : m @ x == 0} of the matrix m whose
+    transpose has the rows ``transposed``, each ``width`` entries long.
+
+    The rows of the unimodular transform that clear rows of hnf(m^T) form a
+    basis of the kernel; the kernel of an integer matrix is a saturated
+    sublattice, so this basis is primitive.  It is not canonical, and
+    ``transposed`` is overwritten by its HNF.
+    """
+    u = _echelon(transposed, width, track=True)
+    return [tuple(u[i]) for i, row in enumerate(transposed) if not any(row)]
 
 
 def _pivot_column(row: Vector) -> int:
@@ -187,15 +220,14 @@ class LatticeBasis:
             raise InputError("ambient dimension must be nonnegative")
         rows = []
         for v in self.vectors:
-            row = tuple(_as_int(x) for x in v)
+            row = [_as_int(x) for x in v]
             if len(row) != self.ambient_dim:
                 raise InputError(
                     f"vector length {len(row)} does not match ambient dimension {self.ambient_dim}"
                 )
             rows.append(row)
-        h, _ = hermite_normal_form(IntMatrix.from_rows(rows, cols=self.ambient_dim))
-        canon = tuple(h.row(i) for i in range(h.rows) if _pivot_column(h.row(i)) >= 0)
-        object.__setattr__(self, "vectors", canon)
+        _echelon(rows, self.ambient_dim, track=False)
+        object.__setattr__(self, "vectors", tuple(tuple(row) for row in rows if any(row)))
 
     @property
     def rank(self) -> int:
@@ -203,16 +235,8 @@ class LatticeBasis:
 
 
 def kernel_lattice(m: IntMatrix) -> LatticeBasis:
-    """Basis of the integer kernel {x in Z^cols : m @ x == 0}.
-
-    Rows of the unimodular transform that clear rows of hnf(m^T) form a basis
-    of the kernel; the kernel of an integer matrix is a saturated sublattice,
-    so this basis is primitive.
-    """
-    t = m.transpose()
-    h, u = hermite_normal_form(t)
-    vectors = [u.row(i) for i in range(t.rows) if _pivot_column(h.row(i)) < 0]
-    return LatticeBasis(m.cols, tuple(vectors))
+    """Canonical basis of the integer kernel {x in Z^cols : m @ x == 0}."""
+    return LatticeBasis(m.cols, tuple(_kernel_rows(m.transpose().to_rows(), m.rows)))
 
 
 def lattice_contains(basis: LatticeBasis, v: Sequence[int]) -> Optional[Vector]:

@@ -130,15 +130,22 @@ class ClassicalOrbit:
 _SPECIAL_RESIDUE = {"B": 0, "C": 1, "D": 1}
 
 
+def _gaps(parts: tuple[int, ...]) -> list[int]:
+    """g_n = p_n - p_{n+1} for n = 1..L, the trailing zero counted."""
+    return [p - q for p, q in zip(parts, parts[1:] + (0,))]
+
+
 def is_special(orbit: ClassicalOrbit) -> bool:
-    """Specialness via the transpose-parity test.
+    """Specialness via the transpose-parity test, read off the gaps.
 
     The transpose partition must have even multiplicities at even parts for
-    type B, and at odd parts for types C and D.
+    type B, and at odd parts for types C and D.  The transpose has
+    multiplicity g_k at k, so the test needs the gaps only: O(L) for L parts
+    rather than O(p_1 * L) for building the transpose.
     """
-    return _parity_multiplicities_even(
-        transpose(orbit.parts), _SPECIAL_RESIDUE[orbit.kind]
-    )
+    # g_k sits at index k - 1: even k are the odd indices
+    first = 1 - _SPECIAL_RESIDUE[orbit.kind]
+    return all(g % 2 == 0 for g in _gaps(orbit.parts)[first::2])
 
 
 def _strip(parts: Sequence[int]) -> tuple[int, ...]:
@@ -277,7 +284,7 @@ def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     ``(n, "i")`` for n = L down to 1.  A birationally rigid orbit is its own
     source with an empty script.  The result is a 1-tuple.
     """
-    gaps = [p - q for p, q in zip(orbit.parts, orbit.parts[1:] + (0,))]
+    gaps = _gaps(orbit.parts)
     parts = _strip(list(accumulate(g % 2 for g in reversed(gaps)))[::-1])
     steps = tuple(
         (n, "i") for n in range(len(gaps), 0, -1) for _ in range(gaps[n - 1] // 2)

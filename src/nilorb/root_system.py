@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapabilityError, InputError, IntegrityError
@@ -131,11 +132,13 @@ def pair(x: QuotientVector, y: QuotientVector):
     """
     if x.dim != y.dim:
         raise InputError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    d = x.dim
-    dot = sum(a * b for a, b in zip(x.coords, y.coords))
-    sx = sum(x.coords)
-    sy = sum(y.coords)
-    num = d * dot - sx * sy
+    return _form(x.coords, y.coords)
+
+
+def _form(x: Sequence[Scalar], y: Sequence[Scalar]):
+    """:func:`pair` on raw coordinate tuples of equal length."""
+    d = len(x)
+    num = d * sum(map(mul, x, y)) - sum(x) * sum(y)
     if isinstance(num, int):
         q, r = divmod(num, d)
         return q if r == 0 else Fraction(num, d)
@@ -245,7 +248,15 @@ _EXPECTED_ARMS = {"E7": (3, 2, 1), "E8": (4, 2, 1)}
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """A built root system: positives, labeled simples, coefficient table,
-    and the Cartan matrix of the labeled simples."""
+    and the Cartan matrix of the labeled simples.
+
+    Two integer tables are aligned with ``positive_roots``: row k of
+    ``coefficient_rows`` holds root k's coefficients over the labeled simple
+    roots, and bit i - 1 of ``support_masks[k]`` is set iff simple root i
+    occurs in it.  The delta stages run on these tables and on ``cartan``;
+    every root has been checked to have norm 2, so each coroot has the same
+    coefficients as its root.
+    """
 
     name: str
     ambient_dim: int
@@ -254,6 +265,8 @@ class RootSystem:
     simple_roots: tuple[QuotientVector, ...]
     coefficient_table: dict
     cartan: tuple[tuple[int, ...], ...]
+    coefficient_rows: tuple[tuple[int, ...], ...]
+    support_masks: tuple[int, ...]
 
     def coefficients(self, root: QuotientVector) -> tuple[int, ...]:
         """Coefficients of a positive root over the labeled simple roots."""
@@ -333,7 +346,13 @@ def build_root_system(name: str) -> RootSystem:
     cartan = tuple(tuple(pair(a, b) for b in simples) for a in simples)
     if diagram_arms(cartan) != _EXPECTED_ARMS[name]:
         raise IntegrityError(f"{name}: derived diagram has the wrong shape")
-    return RootSystem(name, ambient_dim, rank, positives, simples, table, cartan)
+    rows = tuple(table[root] for root in positives)
+    masks = tuple(_support_mask(i + 1 for i, c in enumerate(row) if c) for row in rows)
+    return RootSystem(name, ambient_dim, rank, positives, simples, table, cartan, rows, masks)
+
+
+def _support_mask(labels: Iterable[int]) -> int:
+    return sum(1 << (i - 1) for i in labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,11 +382,11 @@ def levi_subsystem(rs: RootSystem, indices: Iterable[int]) -> LeviSubsystem:
     for i in idx:
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= rs.rank:
             raise InputError(f"levi index {i!r} out of range 1..{rs.rank}")
-    allowed = set(idx)
+    outside = ~_support_mask(idx)
     members = tuple(
         root
-        for root in rs.positive_roots
-        if all(c == 0 or (k + 1) in allowed for k, c in enumerate(rs.coefficients(root)))
+        for root, mask in zip(rs.positive_roots, rs.support_masks)
+        if not mask & outside
     )
     return LeviSubsystem(rs, tuple(sorted(idx)), members)
 

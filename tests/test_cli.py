@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,17 @@ def test_partition_long_chain_c_2400(capsys):
     assert code == 0
     assert doc["payload"]["source"] == []
     assert len(doc["payload"]["script"]) == 1200
+
+
+def test_partition_special_of_a_huge_part(capsys):
+    # the transpose of (1000000001,) has a billion parts; specialness must
+    # not build it
+    start = time.perf_counter()
+    code, doc, _ = run_json(capsys, "partition", "special", "--type", "B", "--parts", "1000000001")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert doc["payload"]["special"] is True
+    assert elapsed < 0.5
 
 
 # --- delta ---------------------------------------------------------------------

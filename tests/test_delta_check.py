@@ -24,11 +24,14 @@ from nilorb.delta_check import (
     principal_h,
     roots_pairing_one,
 )
-from nilorb.errors import InputError
-from nilorb.exact_linalg import LatticeBasis, lattice_contains
+from nilorb.errors import InputError, IntegrityError
+from nilorb.exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains, mat_mul
 from nilorb.root_system import (
+    LeviSubsystem,
     QuotientVector,
     build_root_system,
+    cartan_matrix,
+    coroot,
     coroot_lattice,
     lattice_contains_mod_ones,
     levi_subsystem,
@@ -247,3 +250,87 @@ def test_every_levi_matches_the_golden_sweep():
     )
     for preset, payload in golden["presets"].items():
         assert json.dumps(preset_report(preset).to_payload(), sort_keys=True) == payload
+
+
+# --- ambient-coordinate oracle for the table-based stages --------------------------
+#
+# The stages as they ran before the integer tables: every coroot checked and
+# added as a QuotientVector, pairings through ``pair``, the torus through
+# ``kernel_lattice``, and Levi members found by scanning coefficients.
+
+
+def oracle_levi_members(rs, indices):
+    allowed = set(indices)
+    return tuple(
+        root
+        for root in rs.positive_roots
+        if all(c == 0 or (k + 1) in allowed for k, c in enumerate(rs.coefficients(root)))
+    )
+
+
+def oracle_principal_h(levi):
+    acc = QuotientVector((0,) * levi.system.ambient_dim)
+    for root in levi.positive_roots:
+        acc = acc + coroot(root)
+    return acc
+
+
+def oracle_roots_pairing_one(rs, h):
+    on_simples = [pair(h, coroot(alpha)) for alpha in rs.simple_roots]
+    return tuple(
+        r
+        for r in rs.positive_roots
+        if sum(c * v for c, v in zip(rs.coefficients(r), on_simples)) == 1
+    )
+
+
+def oracle_central_torus_lattice(levi):
+    rs = levi.system
+    cartan = cartan_matrix(rs)
+    rows = [cartan[i - 1] for i in levi.indices]
+    coeffs = kernel_lattice(IntMatrix.from_rows(rows, cols=rs.rank))
+    simples = IntMatrix.from_rows([a.canonical_coords for a in rs.simple_roots])
+    ambient = mat_mul(IntMatrix.from_rows(coeffs.vectors, cols=rs.rank), simples)
+    result = LatticeBasis(rs.ambient_dim, tuple(ambient.to_rows()))
+    if result.rank != rs.rank - levi.rank:
+        raise IntegrityError("torus lattice rank")
+    return result
+
+
+def all_levis():
+    for name, rank in (("E7", 7), ("E8", 8)):
+        for k in range(1, rank + 1):
+            yield from ((name, idx) for idx in itertools.combinations(range(1, rank + 1), k))
+
+
+def test_table_stages_match_the_ambient_oracle_on_every_levi():
+    checked = 0
+    for name, idx in all_levis():
+        rs = build_root_system(name)
+        levi = levi_subsystem(rs, idx)
+        assert levi.positive_roots == oracle_levi_members(rs, idx), idx
+        oracle_levi = LeviSubsystem(rs, idx, oracle_levi_members(rs, idx))
+
+        h = oracle_principal_h(oracle_levi)
+        roots = oracle_roots_pairing_one(rs, h)
+        kappa = sum(roots, QuotientVector((0,) * rs.ambient_dim))
+        torus = oracle_central_torus_lattice(oracle_levi)
+        pairings = tuple(pair(kappa, QuotientVector(v)) for v in torus.vectors)
+        ok = all(isinstance(p, int) and p % 2 == 0 for p in pairings)
+        verdict = "integral" if ok else "non-integral"
+
+        assert principal_h(levi).coords == h.coords, idx
+        assert [r.coords for r in roots_pairing_one(rs, h)] == [r.coords for r in roots], idx
+        assert kappa_weight(rs, h).coords == kappa.coords, idx
+        assert central_torus_lattice(levi) == torus, idx
+
+        report = delta_verdict(name, idx)
+        assert report.h.coords == h.coords, idx
+        assert [r.coords for r in report.roots_pairing_one] == [r.coords for r in roots], idx
+        assert report.kappa.coords == kappa.coords, idx
+        assert report.torus_basis == torus.vectors, idx
+        assert report.pairings == pairings, idx
+        assert all(type(p) is int for p in report.pairings), idx
+        assert report.verdict == verdict, idx
+        checked += 1
+    assert checked == 382

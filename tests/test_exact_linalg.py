@@ -231,6 +231,60 @@ def test_kernel_vs_bruteforce(rows):
         assert lattice_contains(k, cand) is not None, cand
 
 
+matrices = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), min_size=0, max_size=5
+    ).map(lambda rows: (rows, cols))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_kernel_is_annihilated_and_has_complementary_rank(matrix):
+    rows, cols = matrix
+    m = IntMatrix.from_rows(rows, cols=cols)
+    h, _ = hermite_normal_form(m)
+    rank = sum(1 for i in range(h.rows) if any(h.row(i)))
+    k = kernel_lattice(m)
+    assert k.rank == cols - rank
+    for v in k.vectors:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_lattice_basis_is_the_nonzero_hnf_rows(matrix):
+    rows, cols = matrix
+    h, _ = hermite_normal_form(IntMatrix.from_rows(rows, cols=cols))
+    nonzero = tuple(h.row(i) for i in range(h.rows) if any(h.row(i)))
+    assert LatticeBasis(cols, tuple(map(tuple, rows))).vectors == nonzero
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=1, max_size=4),
+    st.sampled_from([True, False, 1.0, 2.5]),
+    st.data(),
+)
+def test_every_entry_is_checked_on_the_way_in(rows, bad, data):
+    # the HNF trusts its own results; every entry a caller hands in is still checked
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, 2))
+    spoiled = [list(row) for row in rows]
+    spoiled[i][j] = bad
+    with pytest.raises(InputError):
+        IntMatrix.from_rows(spoiled)
+    with pytest.raises(InputError):
+        LatticeBasis(3, tuple(map(tuple, spoiled)))
+    with pytest.raises(InputError):
+        lattice_contains(LatticeBasis(3, ()), spoiled[i])
+    ragged = [list(row) for row in rows] + [rows[i][:j]]
+    with pytest.raises(InputError):
+        IntMatrix.from_rows(ragged)
+    with pytest.raises(InputError):
+        LatticeBasis(3, tuple(map(tuple, ragged)))
+
+
 # --- lattice bases and membership ---------------------------------------------
 
 def test_basis_canonicalizes_generating_set():

@@ -5,6 +5,8 @@ relation is then pinned by worked examples and closed under exhaustive
 roundtrips up to moderate sizes.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +114,34 @@ def test_so7_minimal_orbit_is_not_special():
     assert not is_special(orbit("B", 2, 2, 1, 1, 1))
     assert is_special(orbit("B", 3, 2, 2))
     assert is_special(orbit("B", 7))
+
+
+# parts of the transpose that need an even multiplicity in each type
+_SPECIAL_RESIDUE = {"B": 0, "C": 1, "D": 1}
+
+
+def transpose_special(o: ClassicalOrbit) -> bool:
+    """Specialness from the transpose itself: the multiplicity of every
+    transpose part of the type's residue is even."""
+    counts = Counter(transpose(o.parts))
+    return all(c % 2 == 0 for k, c in counts.items() if k % 2 == _SPECIAL_RESIDUE[o.kind])
+
+
+def test_gap_parity_specialness_matches_the_transpose_oracle_up_to_total_26():
+    checked = 0
+    for kind in ("B", "C", "D"):
+        for total in range(1 if kind == "B" else 0, 27, 2):
+            for o in valid_orbits(kind, total):
+                assert is_special(o) == transpose_special(o), o
+                checked += 1
+    assert checked == 5006
+
+
+def test_specialness_of_a_huge_part_needs_no_transpose():
+    # the transpose of (10**9 + 1,) has a billion parts
+    assert is_special(orbit("B", 10**9 + 1))
+    assert is_special(orbit("C", 10**9, 10**9))
+    assert not is_special(orbit("C", 10**9, 1, 1))
 
 
 # --- elementary steps --------------------------------------------------------------
