@@ -103,6 +103,11 @@ def roots_pairing_one(rs: RootSystem, h: QuotientVector) -> tuple[QuotientVector
 
 
 def kappa_weight(rs: RootSystem, h: QuotientVector) -> QuotientVector:
+    """Sum of the positive roots whose coroot pairs to exactly 1 against h.
+
+    ``delta_verdict`` no longer calls this; it sums the same roots in place.
+    It is kept as a public helper and as the tests' oracle for that sum.
+    """
     return _coordinate_sum(roots_pairing_one(rs, h), rs.ambient_dim)
 
 

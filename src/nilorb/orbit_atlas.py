@@ -15,6 +15,16 @@ that contradict those expectations, and check C7 re-verifies them on whatever
 records it is handed, so a single flipped flag is caught no matter how it
 enters.  Checks C1 through C7 then exercise the cross-lemma consistency of
 the whole table.
+
+At import the embedded sets are folded into one expectation table,
+``{(group, label): {field: expected}}``.  A field whose set is exhaustive
+(the e-lists, the smooth-locus failures, the codimension-4 boundary) expects
+False for every key outside it, including keys the table does not list; the
+rigidity and specialness fields expect a value only where a set names the
+key.  Conformance looks each record up once and compares its primary-source
+flags as one tuple, walking the fields one by one only to word a mismatch.
+``check_consistency`` reads every flag of every record once, in a single pass
+that fills all the C1-C7 key sets.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -191,6 +202,24 @@ _PAPER_EXPECTATIONS: dict[str, tuple[frozenset, frozenset, bool]] = {
     "is_birationally_rigid": (BIRIGID_TRUE_EXPECTED, BIRIGID_FALSE_EXPECTED, False),
 }
 
+
+def _expectation_table() -> tuple[dict[Key, dict[str, bool]], dict[str, bool]]:
+    """The expectation table, and the row of every key it does not list."""
+    unlisted = {
+        field: False for field, (_, _, exhaustive) in _PAPER_EXPECTATIONS.items() if exhaustive
+    }
+    table: dict[Key, dict[str, bool]] = {}
+    for field, (true_set, false_set, _) in _PAPER_EXPECTATIONS.items():
+        # the true set wins where a key sits in both
+        for key in false_set:
+            table.setdefault(key, dict(unlisted))[field] = False
+        for key in true_set:
+            table.setdefault(key, dict(unlisted))[field] = True
+    return table, unlisted
+
+
+_EXPECTED, _UNLISTED_EXPECTED = _expectation_table()
+
 __all__ = [
     "GROUPS",
     "FLAG_FIELDS",
@@ -257,13 +286,15 @@ def _fmt(key: Key) -> str:
     return f"{key[0]}:{key[1]}"
 
 
+def _primary_fields(provenance: Iterable[tuple[str, str]]) -> tuple[str, ...]:
+    return tuple(
+        field for field, source in provenance if source.startswith(PRIMARY_SOURCE_PREFIX)
+    )
+
+
 def paper_provenanced_fields(record: ExceptionalOrbitRecord) -> tuple[str, ...]:
     """Flag fields of the record whose provenance cites the primary source."""
-    return tuple(
-        field
-        for field, source in record.provenance
-        if source.startswith(PRIMARY_SOURCE_PREFIX)
-    )
+    return _primary_fields(record.provenance)
 
 
 def flip_field(record: ExceptionalOrbitRecord, field: str) -> ExceptionalOrbitRecord:
@@ -274,30 +305,60 @@ def flip_field(record: ExceptionalOrbitRecord, field: str) -> ExceptionalOrbitRe
     return dataclasses.replace(record, **{field: not value})
 
 
+# stands in the expected tuple for a field with no embedded expectation; it
+# equals no flag value, so such a field always takes the message-writing walk
+_NO_EXPECTATION = object()
+
+
+# 256 is four times the packaged atlas: a check over in-memory flips keeps
+# every (key, provenance) pair, while loading many user files cannot grow it
+@lru_cache(maxsize=256)
+def _paper_expectation(key: Key, provenance: tuple[tuple[str, str], ...]):
+    """(fields, getter, expected) for a record's primary-source flags, or None.
+
+    ``getter(record)`` and ``expected`` are both tuples, or both a single
+    value when only one field cites the primary source.
+    """
+    fields = _primary_fields(provenance)
+    if not fields:
+        return None
+    for field in fields:
+        if field not in FLAG_FIELDS:
+            raise InputError(f"unknown flag field {field!r}")
+    row = _EXPECTED.get(key, _UNLISTED_EXPECTED)
+    expected = tuple(row.get(field, _NO_EXPECTATION) for field in fields)
+    return fields, attrgetter(*fields), expected if len(fields) > 1 else expected[0]
+
+
+def _conform(record: ExceptionalOrbitRecord, key: Key, provenance, issues: list) -> None:
+    """Append to ``issues`` the record's primary-source flags that disagree
+    with the expectation table."""
+    entry = _paper_expectation(key, provenance)
+    if entry is None:
+        return
+    fields, getter, expected = entry
+    if getter(record) == expected:
+        return
+    row = _EXPECTED.get(key, _UNLISTED_EXPECTED)
+    for field in fields:
+        value = getattr(record, field)
+        want = row.get(field, _NO_EXPECTATION)
+        if want is _NO_EXPECTATION:
+            issues.append(
+                f"{_fmt(key)}: {field} cites the primary source but no "
+                f"expectation is embedded for it"
+            )
+        elif value != want:
+            issues.append(
+                f"{_fmt(key)}: {field}={value} contradicts embedded expectation {want}"
+            )
+
+
 def _conformance_issues(records: Iterable[ExceptionalOrbitRecord]) -> list[str]:
     """Primary-source flags that disagree with the embedded expectations."""
-    issues = []
+    issues: list[str] = []
     for record in records:
-        for field in paper_provenanced_fields(record):
-            value = record.flag(field)
-            true_set, false_set, exhaustive = _PAPER_EXPECTATIONS[field]
-            if record.key in true_set:
-                expected: Optional[bool] = True
-            elif exhaustive:
-                expected = False
-            elif record.key in false_set:
-                expected = False
-            else:
-                issues.append(
-                    f"{_fmt(record.key)}: {field} cites the primary source but no "
-                    f"expectation is embedded for it"
-                )
-                continue
-            if value != expected:
-                issues.append(
-                    f"{_fmt(record.key)}: {field}={value} contradicts embedded "
-                    f"expectation {expected}"
-                )
+        _conform(record, record.key, record.provenance, issues)
     return issues
 
 
@@ -317,28 +378,23 @@ _REQUIRED_KEYS = (
     "levi_descriptor",
     "provenance",
 )
-_ALLOWED_KEYS = frozenset(_REQUIRED_KEYS) | {"comment"}
-
-
-def _as_flag(raw: dict, key: str, nullable: bool):
-    value = raw[key]
-    if value is None:
-        if not nullable:
-            raise AtlasLoadError(f"field {key!r} must be a boolean", record=raw)
-        return None
-    if not isinstance(value, bool):
-        raise AtlasLoadError(f"field {key!r} must be a boolean or null", record=raw)
-    return value
+_REQUIRED_KEY_SET = frozenset(_REQUIRED_KEYS)
+_ALLOWED_KEYS = _REQUIRED_KEY_SET | {"comment"}
+_FLAG_SET = frozenset(FLAG_FIELDS)
+_SOURCE_PREFIXES = (PRIMARY_SOURCE_PREFIX, EXTERNAL_SOURCE_PREFIX)
+_raw_flags = itemgetter(*FLAG_FIELDS)
 
 
 def _parse_record(raw: object) -> ExceptionalOrbitRecord:
     if not isinstance(raw, dict):
         raise AtlasLoadError(f"record entries must be objects, got {type(raw).__name__}")
-    unknown = set(raw) - _ALLOWED_KEYS
-    if unknown:
-        raise AtlasLoadError(f"unknown record fields: {sorted(unknown)}", record=raw)
-    missing = [k for k in _REQUIRED_KEYS if k not in raw]
-    if missing:
+    present = raw.keys()
+    if not present <= _ALLOWED_KEYS:
+        raise AtlasLoadError(
+            f"unknown record fields: {sorted(present - _ALLOWED_KEYS)}", record=raw
+        )
+    if not present >= _REQUIRED_KEY_SET:
+        missing = [k for k in _REQUIRED_KEYS if k not in raw]
         raise AtlasLoadError(f"missing record fields: {missing}", record=raw)
 
     group = raw["group"]
@@ -348,7 +404,15 @@ def _parse_record(raw: object) -> ExceptionalOrbitRecord:
     if not isinstance(label, str) or not label:
         raise AtlasLoadError("label must be a non-empty string", record=raw)
 
-    flags = {name: _as_flag(raw, name, name in NULLABLE_FLAGS) for name in FLAG_FIELDS}
+    values = _raw_flags(raw)
+    stated = set()
+    for name, value in zip(FLAG_FIELDS, values):
+        if value is True or value is False:
+            stated.add(name)
+        elif value is not None:
+            raise AtlasLoadError(f"field {name!r} must be a boolean or null", record=raw)
+        elif name not in NULLABLE_FLAGS:
+            raise AtlasLoadError(f"field {name!r} must be a boolean", record=raw)
 
     levi = raw["levi_descriptor"]
     if levi is not None:
@@ -374,22 +438,17 @@ def _parse_record(raw: object) -> ExceptionalOrbitRecord:
     if not isinstance(prov_raw, dict):
         raise AtlasLoadError("provenance must be an object", record=raw)
     for field, source in prov_raw.items():
-        if field not in FLAG_FIELDS:
+        if field not in _FLAG_SET:
             raise AtlasLoadError(f"provenance for unknown field {field!r}", record=raw)
-        if not isinstance(source, str) or not (
-            source.startswith(PRIMARY_SOURCE_PREFIX)
-            or source.startswith(EXTERNAL_SOURCE_PREFIX)
-        ):
+        if not isinstance(source, str) or not source.startswith(_SOURCE_PREFIXES):
             raise AtlasLoadError(
                 f"provenance for {field!r} must start with "
                 f"{PRIMARY_SOURCE_PREFIX!r} or {EXTERNAL_SOURCE_PREFIX!r}",
                 record=raw,
             )
-    documented = set(prov_raw)
-    stated = {name for name, value in flags.items() if value is not None}
-    if documented != stated:
+    if prov_raw.keys() != stated:
         raise AtlasLoadError(
-            f"provenance keys {sorted(documented)} must match the non-null flags "
+            f"provenance keys {sorted(prov_raw)} must match the non-null flags "
             f"{sorted(stated)}",
             record=raw,
         )
@@ -398,18 +457,15 @@ def _parse_record(raw: object) -> ExceptionalOrbitRecord:
     if comment is not None and (not isinstance(comment, str) or not comment):
         raise AtlasLoadError("comment must be a non-empty string", record=raw)
 
-    if flags["is_rigid"] is True and flags["is_birationally_rigid"] is not True:
+    # values[1] is is_rigid and values[2] is_birationally_rigid (FLAG_FIELDS order)
+    if values[1] is True and values[2] is not True:
         raise AtlasLoadError(
             "is_rigid true requires is_birationally_rigid true", record=raw
         )
 
+    # the record's fields run group, label, FLAG_FIELDS in order, then the rest
     return ExceptionalOrbitRecord(
-        group=group,
-        label=label,
-        levi_descriptor=levi,
-        provenance=tuple(sorted(prov_raw.items())),
-        comment=comment,
-        **flags,
+        group, label, *values, levi, tuple(sorted(prov_raw.items())), comment
     )
 
 
@@ -436,14 +492,16 @@ def load_atlas(
         p = Path(path)
         try:
             text = p.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise AtlasLoadError(f"cannot read atlas file {p}: {exc}") from exc
         origin = str(p)
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise AtlasLoadError(f"{origin}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise AtlasLoadError(f"{origin}: JSON nested too deeply to parse") from exc
     if not isinstance(doc, dict) or set(doc) != {"records"}:
         raise AtlasLoadError(f"{origin}: top level must be an object with a 'records' list")
     if not isinstance(doc["records"], list):
@@ -512,10 +570,6 @@ def _cached_delta_verdict(group: str, indices: tuple[int, ...]) -> str:
     return delta_verdict(group, indices).verdict
 
 
-def _keys_where(records, predicate) -> set[Key]:
-    return {r.key for r in records if predicate(r)}
-
-
 def _set_mismatch(actual: set, expected: frozenset) -> str:
     extra = sorted(_fmt(k) for k in actual - expected)
     gone = sorted(_fmt(k) for k in expected - actual)
@@ -527,24 +581,66 @@ def _set_mismatch(actual: set, expected: frozenset) -> str:
     return "; ".join(bits)
 
 
+_check_row = attrgetter("group", "label", *FLAG_FIELDS, "levi_descriptor", "provenance")
+
+
 def check_consistency(
     records: Sequence[ExceptionalOrbitRecord], delta_runner=None
 ) -> tuple[CheckResult, ...]:
     """Run the seven cross-checks; results come back in C1..C7 order.
 
+    One pass reads every flag of every record and fills the key sets of all
+    seven checks; the checks then compare those sets.
+
     ``delta_runner(group, indices) -> verdict`` may be injected; the default
     memoizes the exact computation so repeated sweeps stay cheap.
     """
     runner = delta_runner or _cached_delta_verdict
+    both: set[Key] = set()  # birationally rigid and failing smooth-locus codim 4
+    quad: set[Key] = set()  # birationally rigid but not rigid
+    smooth: set[Key] = set()
+    c4: set[Key] = set()
+    e1: set[Key] = set()
+    e2: set[Key] = set()
+    e3: set[Key] = set()
+    rigid_not_birigid = []
+    levis = []
+    e_problems = []
+    conformance: list[str] = []
+    for record in records:
+        (
+            group, label, special, rigid, birigid, codim4, fails_smooth,
+            in_e1, in_e2, in_e3, levi, provenance,
+        ) = _check_row(record)
+        key = (group, label)
+        if birigid is True:
+            if fails_smooth is True:
+                both.add(key)
+            if rigid is False:
+                quad.add(key)
+        elif rigid is True:
+            rigid_not_birigid.append(_fmt(key))
+        if fails_smooth is True:
+            smooth.add(key)
+        if codim4 is True:
+            c4.add(key)
+        if in_e1:
+            e1.add(key)
+        if in_e2:
+            e2.add(key)
+        if in_e3:
+            e3.add(key)
+        if sum((in_e1, in_e2, in_e3)) > 1:
+            e_problems.append(f"{_fmt(key)}: in more than one e-list")
+        if (in_e2 or in_e3) and special is not True:
+            e_problems.append(f"{_fmt(key)}: e2/e3 member not marked special")
+        if levi is not None:
+            levis.append((key, levi, "non-integral" if (in_e2 or in_e3) else "integral"))
+        _conform(record, key, provenance, conformance)
+
     results = []
 
     # C1: birationally rigid orbits failing smooth-locus codim 4 are exactly e1
-    both = _keys_where(
-        records,
-        lambda r: r.is_birationally_rigid is True
-        and r.fails_smooth_locus_codim4 is True,
-    )
-    e1 = _keys_where(records, lambda r: r.in_e1)
     problems = []
     if both != e1:
         extra = sorted(_fmt(k) for k in both ^ e1)
@@ -556,21 +652,13 @@ def check_consistency(
     )
 
     # C2: the non-rigid birationally rigid orbits form the expected quadruple
-    quad = _keys_where(
-        records,
-        lambda r: r.is_birationally_rigid is True and r.is_rigid is False,
-    )
     detail = "" if quad == RIGID_FALSE_EXPECTED else _set_mismatch(quad, RIGID_FALSE_EXPECTED)
     results.append(
         CheckResult("C2", "nonrigid-birigid-quadruple", quad == RIGID_FALSE_EXPECTED, detail)
     )
 
     # C3: rigidity forces birational rigidity record by record
-    violations = sorted(
-        _fmt(r.key)
-        for r in records
-        if r.is_rigid is True and r.is_birationally_rigid is not True
-    )
+    violations = sorted(rigid_not_birigid)
     results.append(
         CheckResult(
             "C3",
@@ -581,14 +669,12 @@ def check_consistency(
     )
 
     # C4: smooth-locus failures match the embedded 13-element list
-    smooth = _keys_where(records, lambda r: r.fails_smooth_locus_codim4 is True)
     detail = "" if smooth == SMOOTH_LOCUS_FAILURES else _set_mismatch(smooth, SMOOTH_LOCUS_FAILURES)
     results.append(
         CheckResult("C4", "smooth-locus-failures", smooth == SMOOTH_LOCUS_FAILURES, detail)
     )
 
     # C5: codimension-4 boundary orbits match the embedded 36-element list
-    c4 = _keys_where(records, lambda r: r.codim4_boundary is True)
     detail = "" if c4 == CODIM4_BOUNDARY_MEMBERS else _set_mismatch(c4, CODIM4_BOUNDARY_MEMBERS)
     results.append(
         CheckResult("C5", "codim4-boundary-list", c4 == CODIM4_BOUNDARY_MEMBERS, detail)
@@ -596,35 +682,28 @@ def check_consistency(
 
     # C6: integrality verdicts agree with e2/e3 membership where a Levi is given
     problems = []
-    for record in records:
-        if record.levi_descriptor is None:
-            continue
-        expected = "non-integral" if (record.in_e2 or record.in_e3) else "integral"
+    for key, levi, expected in levis:
         try:
-            got = runner(record.group, tuple(record.levi_descriptor))
+            got = runner(key[0], tuple(levi))
         except Exception as exc:  # surface, never mask, a broken descriptor
-            problems.append(f"{_fmt(record.key)}: {exc}")
+            problems.append(f"{_fmt(key)}: {exc}")
             continue
         if got != expected:
-            problems.append(
-                f"{_fmt(record.key)}: verdict {got}, e-membership implies {expected}"
-            )
+            problems.append(f"{_fmt(key)}: verdict {got}, e-membership implies {expected}")
     results.append(
         CheckResult("C6", "delta-verdict-cross-check", not problems, "; ".join(problems))
     )
 
     # C7: e-list coherence plus conformance with the embedded expectations
-    problems = []
-    for record in records:
-        if sum((record.in_e1, record.in_e2, record.in_e3)) > 1:
-            problems.append(f"{_fmt(record.key)}: in more than one e-list")
-        if (record.in_e2 or record.in_e3) and record.is_special is not True:
-            problems.append(f"{_fmt(record.key)}: e2/e3 member not marked special")
-    for name, expected in (("e1", E1_MEMBERS), ("e2", E2_MEMBERS), ("e3", E3_MEMBERS)):
-        actual = _keys_where(records, lambda r, n=name: getattr(r, f"in_{n}"))
+    problems = e_problems
+    for name, actual, expected in (
+        ("e1", e1, E1_MEMBERS),
+        ("e2", e2, E2_MEMBERS),
+        ("e3", e3, E3_MEMBERS),
+    ):
         if actual != expected:
             problems.append(f"{name} members: {_set_mismatch(actual, expected)}")
-    problems.extend(_conformance_issues(records))
+    problems.extend(conformance)
     results.append(
         CheckResult("C7", "e-list-coherence", not problems, "; ".join(problems))
     )

@@ -252,6 +252,31 @@ def test_atlas_list_filter_and_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("via", ["--data", "ORBIT_ATLAS_PATH"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        default_atlas_text().encode("utf-8").replace("Ã".encode("utf-8"), b"\xff", 1),
+        b"[" * 200_000,
+    ],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_atlas_check_unreadable_file_is_one_line_error(
+    capsys, tmp_path, monkeypatch, via, content
+):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    argv = ["atlas", "check"]
+    if via == "--data":
+        argv += ["--data", str(path)]
+    else:
+        monkeypatch.setenv(via, str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_atlas_env_var_and_data_precedence(capsys, tmp_path, monkeypatch):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json", encoding="utf-8")

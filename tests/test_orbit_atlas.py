@@ -8,6 +8,8 @@ least one consistency check.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilorb.errors import AtlasLoadError, InputError, OrbitNotFoundError
 from nilorb.orbit_atlas import (
@@ -16,6 +18,7 @@ from nilorb.orbit_atlas import (
     E2_MEMBERS,
     E3_MEMBERS,
     SMOOTH_LOCUS_FAILURES,
+    ExceptionalOrbitRecord,
     check_consistency,
     default_atlas_text,
     flip_field,
@@ -151,6 +154,81 @@ def test_tampered_flag_rejected_at_load(tmp_path):
     with pytest.raises(AtlasLoadError) as exc:
         load_atlas(write_atlas(tmp_path, doc))
     assert "contradicts" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "content, phrase",
+    [
+        (default_atlas_text().encode("utf-8").replace(b"\xc3\x83", b"\xff", 1), "cannot read"),
+        (b"[" * 200_000, "nested too deeply"),
+        (b'{"records": [' + b"1" * 5000 + b"]}", "not valid JSON"),  # past int()'s digit limit
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_unreadable_file_rejected(tmp_path, content, phrase):
+    target = tmp_path / "atlas.json"
+    target.write_bytes(content)
+    with pytest.raises(AtlasLoadError) as exc:
+        load_atlas(target)
+    assert phrase in str(exc.value)
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 10),
+    st.floats(allow_nan=True),
+    st.text(max_size=6),
+    st.lists(st.integers(-1, 9), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.booleans(), st.text(max_size=4)), max_size=3),
+)
+BAD_UTF8 = (b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\x80", b"\xf0\x9f")
+
+
+@st.composite
+def mutated_atlas_bytes(draw):
+    """The packaged atlas with keys dropped or retyped, then perhaps truncated
+    or spliced with bytes that are not UTF-8."""
+    doc = raw_doc()
+    records = doc["records"]
+    for _ in range(draw(st.integers(0, 3))):
+        raw = records[draw(st.integers(0, len(records) - 1))]
+        key = draw(st.sampled_from(sorted(raw) + ["surprise"]))
+        if draw(st.booleans()):
+            raw.pop(key, None)
+        else:
+            raw[key] = draw(JSON_VALUES)
+    top = draw(st.sampled_from(["keep", "list", "extra", "records"]))
+    if top == "list":
+        doc = records
+    elif top == "extra":
+        doc["extra"] = draw(JSON_VALUES)
+    elif top == "records":
+        doc["records"] = draw(JSON_VALUES)
+    data = json.dumps(doc, ensure_ascii=draw(st.booleans())).encode("utf-8")
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_UTF8)) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "atlas.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_atlas_bytes())
+def test_loader_returns_records_or_atlas_load_error(fuzz_file, data):
+    fuzz_file.write_bytes(data)
+    try:
+        records = load_atlas(fuzz_file)
+    except AtlasLoadError:
+        return
+    assert isinstance(records, tuple)
+    assert all(isinstance(r, ExceptionalOrbitRecord) for r in records)
 
 
 # --- record content ----------------------------------------------------------------
