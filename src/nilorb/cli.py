@@ -56,24 +56,35 @@ def _ok(payload: dict, diagnostics: tuple[str, ...] = ()) -> CommandResult:
     return CommandResult("ok", payload, diagnostics, 0)
 
 
+def _parse_ints(text: str, option: str, expected: str) -> tuple[int, ...]:
+    """Comma-separated integers.  The error for a bad entry quotes at most
+    the first 60 characters of ``text``, and an entry past Python's digit
+    limit for ``int()`` is named as such."""
+    shown = text if len(text) <= 60 else text[:57] + "..."
+    values = []
+    for chunk in text.split(","):
+        try:
+            values.append(int(chunk))
+        except ValueError:
+            digits = chunk.strip().lstrip("+-").replace("_", "")
+            limit = sys.get_int_max_str_digits()
+            if digits.isdecimal() and len(digits) > limit:
+                raise InputError(
+                    f"{option} entries may have at most {limit} digits, "
+                    f"got one of {len(digits)} digits in {shown!r}"
+                ) from None
+            raise InputError(f"{option} must be {expected}, got {shown!r}") from None
+    return tuple(values)
+
+
 def _parse_parts(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(chunk) for chunk in text.split(","))
-    except ValueError:
-        raise InputError(
-            f"--parts must be comma-separated integers, got {text!r}"
-        ) from None
+    return _parse_ints(text, "--parts", "comma-separated integers")
 
 
 def _parse_levi(text: str, rank: int) -> tuple[int, ...]:
     if text == "all":
         return tuple(range(1, rank + 1))
-    try:
-        return tuple(int(chunk) for chunk in text.split(","))
-    except ValueError:
-        raise InputError(
-            f"--levi must be comma-separated labels or 'all', got {text!r}"
-        ) from None
+    return _parse_ints(text, "--levi", "comma-separated labels or 'all'")
 
 
 def _atlas_path(args: argparse.Namespace) -> Optional[str]:

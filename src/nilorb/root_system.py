@@ -6,12 +6,16 @@ Vectors are compared modulo rational multiples of the all-ones vector, and the
 bilinear form is the standard dot product corrected so that it descends to the
 quotient.  All arithmetic is integer or Fraction; nothing is approximated.
 
-Simple roots are not hard-coded.  They are derived from the positive roots
-(a positive root is simple iff it is not a sum of two positive roots, tested
-in the quotient) and then labeled by a deterministic rule.  Before a built
-system is returned, its Cartan matrix must pass :func:`diagram_arms` with the
-arm lengths of the E-series tree; that function is the one diagram-shape
-check in the package, and ``selftest`` criteria 1 and 2 call it too.
+Simple roots are not hard-coded.  The build works on the canonical
+representatives (last coordinate 0), which are integer tuples in both
+realizations and add like the quotient vectors they stand for.  A positive
+root is simple iff its tuple is not the sum of two positive-root tuples; the
+simples are then labeled by a deterministic rule.  Coefficient rows grow out
+from the simple roots, adding one simple root at a time, and every positive
+root must be reached.  Before a built system is returned, its Cartan matrix
+must pass :func:`diagram_arms` with the arm lengths of the E-series tree;
+that function is the one diagram-shape check in the package, and
+``selftest`` criteria 1 and 2 call it too.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapabilityError, InputError, IntegrityError
@@ -188,58 +192,66 @@ def _positive_roots_e8() -> list[QuotientVector]:
     return roots
 
 
+# name -> (ambient dimension, number of positive roots, generator)
 _REALIZATIONS = {
-    "E7": (8, _positive_roots_e7),
-    "E8": (9, _positive_roots_e8),
+    "E7": (8, 63, _positive_roots_e7),
+    "E8": (9, 120, _positive_roots_e8),
 }
 
 
-def derive_simple_roots(positive_roots: Sequence[QuotientVector], rank: int) -> tuple[QuotientVector, ...]:
+def derive_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int) -> tuple[tuple[int, ...], ...]:
     """Simple roots from first principles, in a deterministic label order.
 
-    A positive root is simple iff it is not the sum of two positive roots.
-    The sum test runs in the quotient; over raw coordinates some composites
-    would masquerade as simple.  Labels sort by support size of the canonical
-    representative, then by descending lexicographic order, which lines the
-    difference roots up as an A-chain followed by the branch root.
+    Roots come and go as canonical integer tuples, the representatives whose
+    last coordinate is 0.  Two such tuples add to the canonical tuple of the
+    sum, so a positive root is simple iff its tuple is not the sum of two
+    positive-root tuples.  (Over raw coordinates some composites would
+    masquerade as simple.)  Labels sort by support size, then by descending
+    lexicographic order, which lines the difference roots up as an A-chain
+    followed by the branch root.
     """
     pos_set = set(positive_roots)
-    composite = set()
-    for a, b in itertools.combinations_with_replacement(positive_roots, 2):
-        s = a + b
-        if s in pos_set:
-            composite.add(s)
+    composite = {
+        s
+        for a, b in itertools.combinations(positive_roots, 2)
+        if (s := tuple(map(add, a, b))) in pos_set
+    }
     simples = [r for r in positive_roots if r not in composite]
     if len(simples) != rank:
         raise IntegrityError(
             f"derived {len(simples)} simple roots, expected rank {rank}"
         )
 
-    def label_key(v: QuotientVector):
-        canon = v.canonical_coords
+    def label_key(canon: tuple[int, ...]):
         support = sum(1 for c in canon if c != 0)
         return (support, tuple(-c for c in canon))
 
     return tuple(sorted(simples, key=label_key))
 
 
-def _decompose(root: QuotientVector, simples: Sequence[QuotientVector], pos_set) -> tuple[int, ...]:
-    # peel off simple roots by descent; valid for norm-2 positive roots
-    coeffs = [0] * len(simples)
-    current = root
-    for _ in range(4 * len(pos_set)):
-        if current.is_zero():
-            return tuple(coeffs)
-        for idx, alpha in enumerate(simples):
-            if pair(current, alpha) > 0:
-                rest = current - alpha
-                if rest.is_zero() or rest in pos_set:
-                    coeffs[idx] += 1
-                    current = rest
-                    break
-        else:
-            break
-    raise IntegrityError(f"descent failed to decompose {root!r}")
+def _grow_rows(positive_roots: Sequence[tuple[int, ...]], simples: Sequence[tuple[int, ...]]) -> dict:
+    """Coefficient rows over ``simples``, grown out from the simple roots.
+
+    Each simple root starts with its unit row.  Adding simple root k to a
+    reached root that gives another positive root reaches that root, with
+    one more in column k.  Roots no chain of such steps reaches are missing
+    from the result.
+    """
+    pos_set = set(positive_roots)
+    rank = len(simples)
+    rows = {alpha: tuple(int(i == k) for i in range(rank)) for k, alpha in enumerate(simples)}
+    frontier = list(rows)
+    while frontier:
+        grown = []
+        for root in frontier:
+            row = rows[root]
+            for k, alpha in enumerate(simples):
+                s = tuple(map(add, root, alpha))
+                if s in pos_set and s not in rows:
+                    rows[s] = row[:k] + (row[k] + 1,) + row[k + 1:]
+                    grown.append(s)
+        frontier = grown
+    return rows
 
 
 _EXPECTED_ARMS = {"E7": (3, 2, 1), "E8": (4, 2, 1)}
@@ -329,24 +341,35 @@ def build_root_system(name: str) -> RootSystem:
         raise CapabilityError(
             f"unsupported root system {name!r}; available: {', '.join(ROOT_SYSTEM_NAMES)}"
         )
-    ambient_dim, generate = _REALIZATIONS[name]
+    ambient_dim, expected_count, generate = _REALIZATIONS[name]
     rank = ambient_dim - 1
     positives = tuple(generate())
+    canon = tuple(r.canonical_coords for r in positives)
 
-    expected_count = {"E7": 63, "E8": 120}[name]
-    if len(positives) != expected_count or len(set(positives)) != expected_count:
-        raise IntegrityError(f"{name}: positive root enumeration is wrong")
-    for r in positives:
-        if pair(r, r) != 2:
+    if len(positives) != expected_count:
+        raise IntegrityError(
+            f"{name}: enumerated {len(positives)} positive roots, expected {expected_count}"
+        )
+    if len(set(canon)) != expected_count:
+        raise IntegrityError(f"{name}: positive root enumeration repeats a root")
+    for r, t in zip(positives, canon):
+        if _form(t, t) != 2:
             raise IntegrityError(f"{name}: root of wrong norm: {r!r}")
 
-    simples = derive_simple_roots(positives, rank)
-    pos_set = set(positives)
-    table = {root: _decompose(root, simples, pos_set) for root in positives}
-    cartan = tuple(tuple(pair(a, b) for b in simples) for a in simples)
+    simple_canon = derive_simple_roots(canon, rank)
+    by_canon = dict(zip(canon, positives))
+    simples = tuple(by_canon[t] for t in simple_canon)
+    grown = _grow_rows(canon, simple_canon)
+    if len(grown) != expected_count:
+        raise IntegrityError(
+            f"{name}: {expected_count - len(grown)} positive roots are not reached "
+            "from the simple roots"
+        )
+    cartan = tuple(tuple(_form(a, b) for b in simple_canon) for a in simple_canon)
     if diagram_arms(cartan) != _EXPECTED_ARMS[name]:
         raise IntegrityError(f"{name}: derived diagram has the wrong shape")
-    rows = tuple(table[root] for root in positives)
+    rows = tuple(grown[t] for t in canon)
+    table = dict(zip(positives, rows))
     masks = tuple(_support_mask(i + 1 for i, c in enumerate(row) if c) for row in rows)
     return RootSystem(name, ambient_dim, rank, positives, simples, table, cartan, rows, masks)
 

@@ -85,6 +85,31 @@ def test_partition_malformed_parts(capsys):
     assert "nonincreasing" in err
     code, _, err = run_cli(capsys, "partition", "special", "--type", "B", "--parts", "x")
     assert code == 2
+    # a long malformed list is quoted only in part
+    code, _, err = run_cli(capsys, "partition", "special", "--type", "C", "--parts", "1," * 1000 + "x")
+    assert code == 2
+    assert "--parts must be comma-separated integers, got '1,1,1," in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "special", "--type", "C", "--parts", "9" * 5000],
+        ["partition", "special", "--type", "C", "--parts", "4,2," + "9" * 5000],
+        ["delta", "--system", "E7", "--levi", "1," + "9" * 5000],
+    ],
+)
+def test_integer_past_the_digit_limit_is_named(capsys, argv):
+    # int() refuses strings of more than sys.get_int_max_str_digits() digits;
+    # that is a size limit, not a malformed list, and the echo stays short
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"at most {sys.get_int_max_str_digits()} digits" in err
+    assert "5000 digits" in err
+    assert "comma-separated" not in err
+    assert len(err) < 200
 
 
 def test_partition_invalid_orbit_rejected_outside_validate(capsys):
@@ -181,6 +206,9 @@ def test_delta_argument_validation(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "delta", "--system", "E7", "--levi", "0,3")
     assert code == 2
+    code, _, err = run_cli(capsys, "delta", "--system", "E8", "--levi", "1,two")
+    assert code == 2
+    assert err == "error: --levi must be comma-separated labels or 'all', got '1,two'\n"
 
 
 def test_delta_unknown_preset_is_a_usage_error():

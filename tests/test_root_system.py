@@ -8,6 +8,7 @@ derivation code it is checking.
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,140 @@ def test_build_checks_the_diagram_shape(monkeypatch):
     monkeypatch.setitem(root_system._EXPECTED_ARMS, "E7", (2, 2, 2))
     try:
         with pytest.raises(IntegrityError):
+            build_root_system("E7")
+    finally:
+        build_root_system.cache_clear()
+
+
+# --- the quotient-vector build, kept verbatim as an oracle ----------------------------
+#
+# derive_simple_roots and _decompose below are the quotient-vector build that
+# the integer-tuple build replaced: every pairwise sum as a QuotientVector,
+# then coefficients peeled off by descent through pair().  They stay here,
+# unchanged, so the fast build always has an independent slow twin.
+
+
+def derive_simple_roots(positive_roots: Sequence[QuotientVector], rank: int) -> tuple[QuotientVector, ...]:
+    """Simple roots from first principles, in a deterministic label order.
+
+    A positive root is simple iff it is not the sum of two positive roots.
+    The sum test runs in the quotient; over raw coordinates some composites
+    would masquerade as simple.  Labels sort by support size of the canonical
+    representative, then by descending lexicographic order, which lines the
+    difference roots up as an A-chain followed by the branch root.
+    """
+    pos_set = set(positive_roots)
+    composite = set()
+    for a, b in itertools.combinations_with_replacement(positive_roots, 2):
+        s = a + b
+        if s in pos_set:
+            composite.add(s)
+    simples = [r for r in positive_roots if r not in composite]
+    if len(simples) != rank:
+        raise IntegrityError(
+            f"derived {len(simples)} simple roots, expected rank {rank}"
+        )
+
+    def label_key(v: QuotientVector):
+        canon = v.canonical_coords
+        support = sum(1 for c in canon if c != 0)
+        return (support, tuple(-c for c in canon))
+
+    return tuple(sorted(simples, key=label_key))
+
+
+def _decompose(root: QuotientVector, simples: Sequence[QuotientVector], pos_set) -> tuple[int, ...]:
+    # peel off simple roots by descent; valid for norm-2 positive roots
+    coeffs = [0] * len(simples)
+    current = root
+    for _ in range(4 * len(pos_set)):
+        if current.is_zero():
+            return tuple(coeffs)
+        for idx, alpha in enumerate(simples):
+            if pair(current, alpha) > 0:
+                rest = current - alpha
+                if rest.is_zero() or rest in pos_set:
+                    coeffs[idx] += 1
+                    current = rest
+                    break
+        else:
+            break
+    raise IntegrityError(f"descent failed to decompose {root!r}")
+
+
+def oracle_fields(name):
+    """The RootSystem fields the quotient-vector build gives."""
+    ambient_dim, _, generate = root_system._REALIZATIONS[name]
+    positives = tuple(generate())
+    simples = derive_simple_roots(positives, ambient_dim - 1)
+    pos_set = set(positives)
+    table = {root: _decompose(root, simples, pos_set) for root in positives}
+    cartan = tuple(tuple(pair(a, b) for b in simples) for a in simples)
+    rows = tuple(table[root] for root in positives)
+    masks = tuple(sum(1 << i for i, c in enumerate(row) if c) for row in rows)
+    return positives, simples, table, cartan, rows, masks
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_build_matches_the_quotient_vector_oracle(name):
+    positives, simples, table, cartan, rows, masks = oracle_fields(name)
+    rs = build_root_system(name)
+    # QuotientVector equality is modulo the all-ones line; compare the raw
+    # coordinates too, since coroot_lattice and the torus check read them
+    assert [r.coords for r in rs.positive_roots] == [r.coords for r in positives]
+    assert [r.coords for r in rs.simple_roots] == [r.coords for r in simples]
+    assert list(rs.coefficient_table.items()) == list(table.items())
+    assert rs.cartan == cartan
+    assert all(type(x) is int for row in rs.cartan for x in row)
+    assert rs.coefficient_rows == rows
+    assert rs.support_masks == masks
+
+
+# --- every guard in the build is reachable --------------------------------------------
+
+
+def e7_raw():
+    return [r.coords for r in root_system._positive_roots_e7()]
+
+
+# The A7 chain e1-e2, ..., e7-e8 with three sums added: e1-e3 = a1 + a2,
+# e3-e5 = a3 + a4 and e1-e5 = (e1-e3) + (e3-e5).  All have norm 2, seven
+# are simple, but e1-e5 is one simple root away from no member of the set,
+# so the growth loop never reaches it.
+UNREACHABLE = [eps_diff(8, i, i + 1).coords for i in range(1, 8)] + [
+    eps_diff(8, i, j).coords for i, j in ((1, 3), (3, 5), (1, 5))
+]
+
+GUARDS = {
+    "wrong count": (e7_raw()[:-1], 63, "enumerated 62 positive roots, expected 63"),
+    # the first root again in place of the last, shifted along the all-ones
+    # line: other raw coordinates, same quotient vector
+    "duplicate": (
+        e7_raw()[:-1] + [tuple(c + 1 for c in e7_raw()[0])],
+        63,
+        "repeats a root",
+    ),
+    "wrong norm": (e7_raw()[:-1] + [(1, 1, 0, 0, 0, 0, 0, 0)], 63, "root of wrong norm"),
+    "simple count": (
+        [eps_diff(8, i, i + 1).coords for i in range(1, 7)],
+        6,
+        "derived 6 simple roots, expected rank 7",
+    ),
+    "unreached": (UNREACHABLE, len(UNREACHABLE), "1 positive roots are not reached"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_build_refuses_a_broken_realization(guard, monkeypatch):
+    coords, count, message = GUARDS[guard]
+
+    def generate():
+        return [QuotientVector(c) for c in coords]
+
+    monkeypatch.setitem(root_system._REALIZATIONS, "E7", (8, count, generate))
+    build_root_system.cache_clear()
+    try:
+        with pytest.raises(IntegrityError, match=message):
             build_root_system("E7")
     finally:
         build_root_system.cache_clear()
