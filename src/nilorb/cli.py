@@ -28,6 +28,7 @@ from .errors import (
 )
 from .orbit_atlas import GROUPS, check_consistency, load_atlas, query
 from .orbit_partitions import (
+    KINDS,
     ClassicalOrbit,
     birational_sources,
     elementary_step,
@@ -36,7 +37,7 @@ from .orbit_partitions import (
     is_valid_type,
     rigid_special_source,
 )
-from .root_system import build_root_system
+from .root_system import ROOT_SYSTEM_NAMES, build_root_system
 from .selfcheck import run_all
 
 ENV_ATLAS_PATH = "ORBIT_ATLAS_PATH"
@@ -56,11 +57,16 @@ def _ok(payload: dict, diagnostics: tuple[str, ...] = ()) -> CommandResult:
     return CommandResult("ok", payload, diagnostics, 0)
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for an error message, cut to at most 60 characters."""
+    return repr(text if len(text) <= 60 else text[:57] + "...")
+
+
 def _parse_ints(text: str, option: str, expected: str) -> tuple[int, ...]:
     """Comma-separated integers.  The error for a bad entry quotes at most
     the first 60 characters of ``text``, and an entry past Python's digit
     limit for ``int()`` is named as such."""
-    shown = text if len(text) <= 60 else text[:57] + "..."
+    shown = _quoted(text)
     values = []
     for chunk in text.split(","):
         try:
@@ -71,10 +77,17 @@ def _parse_ints(text: str, option: str, expected: str) -> tuple[int, ...]:
             if digits.isdecimal() and len(digits) > limit:
                 raise InputError(
                     f"{option} entries may have at most {limit} digits, "
-                    f"got one of {len(digits)} digits in {shown!r}"
+                    f"got one of {len(digits)} digits in {shown}"
                 ) from None
-            raise InputError(f"{option} must be {expected}, got {shown!r}") from None
+            raise InputError(f"{option} must be {expected}, got {shown}") from None
     return tuple(values)
+
+
+def _parse_n(text: str) -> int:
+    values = _parse_ints(text, "--n", "an integer")
+    if len(values) != 1:
+        raise InputError(f"--n must be an integer, got {_quoted(text)}")
+    return values[0]
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
@@ -95,6 +108,7 @@ def _atlas_path(args: argparse.Namespace) -> Optional[str]:
 
 
 def cmd_partition(args: argparse.Namespace) -> CommandResult:
+    n = None if args.n is None else _parse_n(args.n)
     parts = _parse_parts(args.parts)
     base = {"type": args.type, "parts": list(parts)}
 
@@ -108,12 +122,10 @@ def cmd_partition(args: argparse.Namespace) -> CommandResult:
     if args.action == "rigid":
         return _ok({**base, "birationally_rigid": is_birationally_rigid(orbit)})
     if args.action == "step":
-        if args.n is None:
+        if n is None:
             raise InputError("'step' needs --n")
-        stepped, variant = elementary_step(orbit, args.n, args.variant)
-        return _ok(
-            {**base, "n": args.n, "result": list(stepped.parts), "variant": variant}
-        )
+        stepped, variant = elementary_step(orbit, n, args.variant)
+        return _ok({**base, "n": n, "result": list(stepped.parts), "variant": variant})
     if args.action == "sources":
         found = birational_sources(orbit)
         return _ok(
@@ -291,16 +303,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "action",
         choices=["validate", "special", "rigid", "step", "sources", "rigid-special-source"],
     )
-    p.add_argument("--type", required=True, choices=["B", "C", "D"])
+    p.add_argument("--type", required=True, choices=KINDS)
     p.add_argument("--parts", required=True, help="comma-separated parts, e.g. 3,3,2,2,1,1")
-    p.add_argument("--n", type=int, default=None, help="step index, for 'step'")
+    p.add_argument("--n", default=None, help="step index, for 'step'")
     p.add_argument("--variant", choices=["i", "ii"], default=None, help="force a step variant")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_partition)
 
     p = sub.add_parser("delta", help="integrality verdict for a Levi in E7 or E8")
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p.add_argument("--system", choices=["E7", "E8"], default=None)
+    p.add_argument("--system", choices=ROOT_SYSTEM_NAMES, default=None)
     p.add_argument("--levi", default=None, help="comma-separated simple-root labels, or 'all'")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_delta)

@@ -55,8 +55,7 @@ from .root_system import (
 Pairing = Union[int, Fraction]
 
 PRESETS: dict[str, tuple[str, tuple[int, ...]]] = {
-    "E7:A2+A1": ("E7", (1, 2, 6)),
-    "E8:A4+2A1": ("E8", (1, 2, 3, 4, 7, 8)),
+    name: (example.system, example.levi_indices) for name, example in WORKED_EXAMPLES.items()
 }
 
 __all__ = [

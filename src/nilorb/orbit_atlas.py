@@ -57,6 +57,9 @@ FLAG_FIELDS = (
     "in_e3",
 )
 NULLABLE_FLAGS = FLAG_FIELDS[:5]
+# every field a data record must state, in ExceptionalOrbitRecord's field
+# order; the record adds an optional comment after them
+_RECORD_KEYS = ("group", "label", *FLAG_FIELDS, "levi_descriptor", "provenance")
 
 _LEVI_RANK = {"E7": 7, "E8": 8}
 
@@ -184,11 +187,6 @@ SPECIAL_TRUE_EXPECTED: frozenset[Key] = frozenset(
     }
 )
 
-LEVI_DESCRIPTORS: dict[Key, tuple[int, ...]] = {
-    ("E7", "A_2+A_1"): (1, 2, 6),
-    ("E8", "A_4+2A_1"): (1, 2, 3, 4, 7, 8),
-}
-
 # expected value of each primary-source flag: (true set, false set, exhaustive);
 # exhaustive means every key outside the true set expects False
 _PAPER_EXPECTATIONS: dict[str, tuple[frozenset, frozenset, bool]] = {
@@ -235,7 +233,6 @@ __all__ = [
     "BIRIGID_TRUE_EXPECTED",
     "BIRIGID_FALSE_EXPECTED",
     "SPECIAL_TRUE_EXPECTED",
-    "LEVI_DESCRIPTORS",
     "ExceptionalOrbitRecord",
     "CheckResult",
     "load_atlas",
@@ -364,22 +361,8 @@ def _conformance_issues(records: Iterable[ExceptionalOrbitRecord]) -> list[str]:
 
 # --- loading -----------------------------------------------------------------------
 
-_REQUIRED_KEYS = (
-    "group",
-    "label",
-    "is_special",
-    "is_rigid",
-    "is_birationally_rigid",
-    "codim4_boundary",
-    "fails_smooth_locus_codim4",
-    "in_e1",
-    "in_e2",
-    "in_e3",
-    "levi_descriptor",
-    "provenance",
-)
-_REQUIRED_KEY_SET = frozenset(_REQUIRED_KEYS)
-_ALLOWED_KEYS = _REQUIRED_KEY_SET | {"comment"}
+_RECORD_KEY_SET = frozenset(_RECORD_KEYS)
+_ALLOWED_KEYS = _RECORD_KEY_SET | {"comment"}
 _FLAG_SET = frozenset(FLAG_FIELDS)
 _SOURCE_PREFIXES = (PRIMARY_SOURCE_PREFIX, EXTERNAL_SOURCE_PREFIX)
 _raw_flags = itemgetter(*FLAG_FIELDS)
@@ -393,8 +376,8 @@ def _parse_record(raw: object) -> ExceptionalOrbitRecord:
         raise AtlasLoadError(
             f"unknown record fields: {sorted(present - _ALLOWED_KEYS)}", record=raw
         )
-    if not present >= _REQUIRED_KEY_SET:
-        missing = [k for k in _REQUIRED_KEYS if k not in raw]
+    if not present >= _RECORD_KEY_SET:
+        missing = [k for k in _RECORD_KEYS if k not in raw]
         raise AtlasLoadError(f"missing record fields: {missing}", record=raw)
 
     group = raw["group"]
@@ -463,7 +446,7 @@ def _parse_record(raw: object) -> ExceptionalOrbitRecord:
             "is_rigid true requires is_birationally_rigid true", record=raw
         )
 
-    # the record's fields run group, label, FLAG_FIELDS in order, then the rest
+    # the record's fields run in _RECORD_KEYS order, then the comment
     return ExceptionalOrbitRecord(
         group, label, *values, levi, tuple(sorted(prov_raw.items())), comment
     )
@@ -581,7 +564,13 @@ def _set_mismatch(actual: set, expected: frozenset) -> str:
     return "; ".join(bits)
 
 
-_check_row = attrgetter("group", "label", *FLAG_FIELDS, "levi_descriptor", "provenance")
+def _set_check(check_id: str, name: str, actual: set, expected: frozenset) -> CheckResult:
+    """A check that passes when ``actual`` is exactly ``expected``."""
+    passed = actual == expected
+    return CheckResult(check_id, name, passed, "" if passed else _set_mismatch(actual, expected))
+
+
+_check_row = attrgetter(*_RECORD_KEYS)
 
 
 def check_consistency(
@@ -652,10 +641,7 @@ def check_consistency(
     )
 
     # C2: the non-rigid birationally rigid orbits form the expected quadruple
-    detail = "" if quad == RIGID_FALSE_EXPECTED else _set_mismatch(quad, RIGID_FALSE_EXPECTED)
-    results.append(
-        CheckResult("C2", "nonrigid-birigid-quadruple", quad == RIGID_FALSE_EXPECTED, detail)
-    )
+    results.append(_set_check("C2", "nonrigid-birigid-quadruple", quad, RIGID_FALSE_EXPECTED))
 
     # C3: rigidity forces birational rigidity record by record
     violations = sorted(rigid_not_birigid)
@@ -669,16 +655,10 @@ def check_consistency(
     )
 
     # C4: smooth-locus failures match the embedded 13-element list
-    detail = "" if smooth == SMOOTH_LOCUS_FAILURES else _set_mismatch(smooth, SMOOTH_LOCUS_FAILURES)
-    results.append(
-        CheckResult("C4", "smooth-locus-failures", smooth == SMOOTH_LOCUS_FAILURES, detail)
-    )
+    results.append(_set_check("C4", "smooth-locus-failures", smooth, SMOOTH_LOCUS_FAILURES))
 
     # C5: codimension-4 boundary orbits match the embedded 36-element list
-    detail = "" if c4 == CODIM4_BOUNDARY_MEMBERS else _set_mismatch(c4, CODIM4_BOUNDARY_MEMBERS)
-    results.append(
-        CheckResult("C5", "codim4-boundary-list", c4 == CODIM4_BOUNDARY_MEMBERS, detail)
-    )
+    results.append(_set_check("C5", "codim4-boundary-list", c4, CODIM4_BOUNDARY_MEMBERS))
 
     # C6: integrality verdicts agree with e2/e3 membership where a Levi is given
     problems = []

@@ -27,6 +27,7 @@ outer symmetry; the calculus here never needs to tell them apart, and
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Optional, Sequence
@@ -181,6 +182,13 @@ def elementary_step(
     legality rule, so a recorded script cannot replay a step that the rule
     would not have chosen.
     """
+    if isinstance(n, int) and abs(n) > sys.maxsize:
+        # no list can be that long; refuse before building one, and name the
+        # size of n rather than its digits, which may run to thousands
+        raise InputError(
+            f"step index must be a positive integer no larger than sys.maxsize = "
+            f"{sys.maxsize}, got an integer of {n.bit_length()} bits"
+        )
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"step index must be a positive integer, got {n!r}")
     if variant not in (None, "i", "ii"):
@@ -237,12 +245,7 @@ def inverse_steps(orbit: ClassicalOrbit) -> tuple[InverseStep, ...]:
 
 def is_birationally_rigid(orbit: ClassicalOrbit) -> bool:
     """No consecutive gap exceeds 1, the implicit trailing zero included."""
-    parts = orbit.parts
-    for k in range(len(parts)):
-        nxt = parts[k + 1] if k + 1 < len(parts) else 0
-        if parts[k] - nxt > 1:
-            return False
-    return True
+    return all(g <= 1 for g in _gaps(orbit.parts))
 
 
 # Whether every boundary degeneration sits in codimension at least 4.  For

@@ -112,6 +112,25 @@ def test_integer_past_the_digit_limit_is_named(capsys, argv):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize(
+    "n, phrase",
+    [
+        ("9" * 5000, f"at most {sys.get_int_max_str_digits()} digits"),
+        ("1" + "0" * 30, f"no larger than sys.maxsize = {sys.maxsize}"),
+        ("1,2", "--n must be an integer, got '1,2'"),
+    ],
+)
+def test_partition_step_n_is_one_bounded_integer(capsys, n, phrase):
+    # neither echoes a 5000-digit value nor reaches [2] * n with n = 10^30
+    # (an OverflowError)
+    code, out, err = run_cli(capsys, "partition", "step", "--type", "C", "--parts", "1,1", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert phrase in err
+    assert err.count("\n") == 1 and len(err) < 300
+    assert "Traceback" not in err
+
+
 def test_partition_invalid_orbit_rejected_outside_validate(capsys):
     # (1,1,1) has odd total, so it is not a C orbit; 'special' must refuse it
     code, _, err = run_cli(capsys, "partition", "special", "--type", "C", "--parts", "1,1,1")

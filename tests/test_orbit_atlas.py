@@ -5,6 +5,7 @@ primary-source flag on every record, when silently negated, must trip at
 least one consistency check.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from nilorb.errors import AtlasLoadError, InputError, OrbitNotFoundError
 from nilorb.orbit_atlas import (
+    _RECORD_KEYS,
     CODIM4_BOUNDARY_MEMBERS,
     E1_MEMBERS,
     E2_MEMBERS,
@@ -93,6 +95,13 @@ def test_missing_field_rejected(tmp_path):
     del doc["records"][0]["in_e1"]
     with pytest.raises(AtlasLoadError):
         load_atlas(write_atlas(tmp_path, doc))
+
+
+def test_record_fields_run_in_record_key_order():
+    # the parser builds records positionally and check_consistency unpacks
+    # them positionally, both in _RECORD_KEYS order
+    names = tuple(f.name for f in dataclasses.fields(ExceptionalOrbitRecord))
+    assert names == _RECORD_KEYS + ("comment",)
 
 
 def test_duplicate_orbit_rejected(tmp_path):

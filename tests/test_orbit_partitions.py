@@ -5,6 +5,7 @@ relation is then pinned by worked examples and closed under exhaustive
 roundtrips up to moderate sizes.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -176,6 +177,15 @@ def test_step_argument_validation():
         elementary_step(orbit("C", 2), 0)
     with pytest.raises(InputError):
         elementary_step(orbit("C", 2), 1, variant="x")
+
+
+def test_step_index_past_sys_maxsize_is_refused_before_any_list():
+    # no list can have more than sys.maxsize entries, so such an n is refused
+    # up front (no OverflowError from [2] * n) and its digits are not echoed
+    for n in (sys.maxsize + 1, 10**30, -(10**30), 10**5000):
+        with pytest.raises(InputError, match="no larger than sys.maxsize") as exc:
+            elementary_step(orbit("C", 1, 1), n)
+        assert len(str(exc.value)) < 200
 
 
 def test_step_grows_size_by_2n():
