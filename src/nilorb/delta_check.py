@@ -8,17 +8,20 @@ Given a Levi subsystem L of E7 or E8, the pipeline is:
    the positive roots whose support bitmask lies inside L's labels.
 2. The positive roots beta with pairing(h, beta-coroot) == 1.  h is paired
    with the simple coroots once; each positive coroot is the same integer
-   combination of simple coroots as its root is of simple roots, so its
-   pairing is the dot product of the root's coefficient row with those
-   values.
+   combination of simple coroots as its root is of simple roots, and the
+   system's growth tree reaches every positive root from a parent root by
+   adding one simple root, so each pairing is the parent's pairing plus one
+   of those values: one addition per root.
 3. kappa: the sum of those roots, again one column sum of raw coordinates.
 4. The central torus lattice of L: coroot-lattice vectors orthogonal to every
-   simple root of L.  In simple-coroot coordinates this is the integer kernel
-   of L's rows of the Cartan matrix, of rank rank(system) - rank(L), read
-   off one HNF of the transposed rows; each kernel vector maps to ambient
-   coordinates as the same combination of the simple roots' canonical
-   representatives (last coordinate zero), and the image is made canonical
-   as a lattice basis.
+   simple root of L, of rank rank(system) - rank(L).  These are the
+   coroot-lattice vectors in the span of the fundamental coweights omega_j
+   for labels j outside L.  The system stores each omega_j's smallest
+   multiple in the coroot lattice (the coroot lattice has index 1 in the
+   coweight lattice for E8 and 2 for E7, checked when the system is built),
+   so the torus generators are combinations of stored vectors, in the simple
+   roots' canonical ambient coordinates (last coordinate zero).  One HNF
+   makes them a canonical lattice basis.
 5. Verdict: "integral" iff kappa pairs to an even integer with every basis
    vector of that lattice.  The parity test is basis-independent (an integer
    unimodular change of basis maps even pairing vectors to even pairing
@@ -34,11 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError, IntegrityError
-from .exact_linalg import LatticeBasis, _kernel_rows
+from .exact_linalg import LatticeBasis
 from .reference import WORKED_EXAMPLES, WorkedExample
 from .root_system import (
     LeviSubsystem,
@@ -46,7 +48,6 @@ from .root_system import (
     RootSystem,
     _form,
     build_root_system,
-    cartan_matrix,
     lattice_contains_mod_ones,
     levi_subsystem,
     pair,
@@ -89,16 +90,17 @@ def roots_pairing_one(rs: RootSystem, h: QuotientVector) -> tuple[QuotientVector
     """Positive roots whose coroot pairs to exactly 1 against h, in the
     system's enumeration order.
 
-    h is paired with the simple coroots once; each positive coroot is the
+    h is paired with the simple coroots once.  Each positive coroot is the
     same integer combination of simple coroots as its root is of simple
-    roots, so its pairing is a dot product with the root's coefficient row.
+    roots, so along the system's growth tree a root's pairing is its
+    parent's plus the pairing with the one simple root added.
     """
     on_simples = [pair(h, alpha) for alpha in rs.simple_roots]
-    return tuple(
-        root
-        for root, row in zip(rs.positive_roots, rs.coefficient_rows)
-        if sum(map(mul, row, on_simples)) == 1
-    )
+    # a simple root's parent -1 reads the extra last slot, which stays 0
+    pairings = [0] * (len(rs.positive_roots) + 1)
+    for child, parent, k in rs.growth:
+        pairings[child] = pairings[parent] + on_simples[k]
+    return tuple(root for root, p in zip(rs.positive_roots, pairings) if p == 1)
 
 
 def kappa_weight(rs: RootSystem, h: QuotientVector) -> QuotientVector:
@@ -113,22 +115,32 @@ def kappa_weight(rs: RootSystem, h: QuotientVector) -> QuotientVector:
 def central_torus_lattice(levi: LeviSubsystem) -> LatticeBasis:
     """Lattice of coroot-lattice vectors centralizing the Levi.
 
-    In simple-coroot coordinates c, the vector sum(c_j * alpha_j) pairs with
-    the simple root alpha_i as row i of the Cartan matrix applied to c, so the
-    torus is the integer kernel of the Levi's Cartan rows.  That kernel is
-    mapped to ambient coordinates through the simple roots' canonical
-    representatives, whose last coordinate is zero, which matches how
-    quotient vectors canonicalize for display.
+    A coroot-lattice vector x is sum(<x, alpha_j> * omega_j) over the
+    fundamental coweights, so it centralizes the Levi iff it lies in the
+    span of the omega_j for labels j outside the Levi.  The system stores
+    each m_j * omega_j, m_j the order of omega_j modulo the coroot lattice;
+    every m_j is 1 or 2, and the omega_j of order 2 all fall in one class.
+    The torus is therefore generated by omega_j for each j of order 1, by
+    2 * omega_j0 for the first j0 of order 2, and by omega_j + omega_j0 for
+    every other j of order 2, all outside the Levi.  The vectors are in the
+    simple roots' canonical ambient coordinates (last coordinate zero),
+    which matches how quotient vectors canonicalize for display.
     """
     rs = levi.system
-    cartan = cartan_matrix(rs)
-    transposed = [[cartan[i - 1][j] for i in levi.indices] for j in range(rs.rank)]
-    ambient_columns = list(zip(*(a.canonical_coords for a in rs.simple_roots)))
-    ambient = tuple(
-        tuple(sum(map(mul, coeffs, column)) for column in ambient_columns)
-        for coeffs in _kernel_rows(transposed, levi.rank)
-    )
-    result = LatticeBasis(rs.ambient_dim, ambient)
+    inside = set(levi.indices)
+    generators = []
+    first_order_two = None
+    for j, (m, v) in enumerate(rs.coweights, start=1):
+        if j in inside:
+            continue
+        if m == 2:
+            if first_order_two is None:
+                first_order_two = v
+            else:
+                # the build checked that this half-sum is integral
+                v = tuple((a + b) // 2 for a, b in zip(v, first_order_two))
+        generators.append(v)
+    result = LatticeBasis(rs.ambient_dim, tuple(generators))
 
     expected_rank = rs.rank - levi.rank
     if result.rank != expected_rank:

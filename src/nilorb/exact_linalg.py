@@ -15,7 +15,7 @@ so two equal lattices compare equal structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 from importlib import resources
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AtlasLoadError, InputError, OrbitNotFoundError
 

@@ -13,7 +13,7 @@ Coordinate tuples are raw representatives; comparisons happen in the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["TorusMemberFixture", "WorkedExample", "WORKED_EXAMPLES"]

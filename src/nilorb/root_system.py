@@ -12,10 +12,14 @@ realizations and add like the quotient vectors they stand for.  A positive
 root is simple iff its tuple is not the sum of two positive-root tuples; the
 simples are then labeled by a deterministic rule.  Coefficient rows grow out
 from the simple roots, adding one simple root at a time, and every positive
-root must be reached.  Before a built system is returned, its Cartan matrix
-must pass :func:`diagram_arms` with the arm lengths of the E-series tree;
-that function is the one diagram-shape check in the package, and
-``selftest`` criteria 1 and 2 call it too.
+root must be reached; each such step is kept as the system's growth tree.
+Before a built system is returned, its Cartan matrix must pass
+:func:`diagram_arms` with the arm lengths of the E-series tree; that function
+is the one diagram-shape check in the package, and ``selftest`` criteria 1
+and 2 call it too.  The build also stores, per label, the smallest multiple
+of the fundamental coweight that lies in the coroot lattice, each from one
+integer kernel of the Cartan matrix; the central-torus stage of the delta
+check combines these instead of solving a kernel per Levi.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapabilityError, InputError, IntegrityError
-from .exact_linalg import LatticeBasis, lattice_contains
+from .exact_linalg import LatticeBasis, _kernel_rows, lattice_contains
 
 Scalar = Union[int, Fraction]
 
@@ -229,17 +233,22 @@ def derive_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int) ->
     return tuple(sorted(simples, key=label_key))
 
 
-def _grow_rows(positive_roots: Sequence[tuple[int, ...]], simples: Sequence[tuple[int, ...]]) -> dict:
+def _grow_rows(
+    positive_roots: Sequence[tuple[int, ...]], simples: Sequence[tuple[int, ...]]
+) -> tuple[dict, list]:
     """Coefficient rows over ``simples``, grown out from the simple roots.
 
     Each simple root starts with its unit row.  Adding simple root k to a
     reached root that gives another positive root reaches that root, with
     one more in column k.  Roots no chain of such steps reaches are missing
-    from the result.
+    from the result.  Alongside the rows come the steps ``(child, parent,
+    k)`` in the order the roots were reached, so every parent comes before
+    its children; a simple root's step has parent None.
     """
     pos_set = set(positive_roots)
     rank = len(simples)
     rows = {alpha: tuple(int(i == k) for i in range(rank)) for k, alpha in enumerate(simples)}
+    steps = [(alpha, None, k) for k, alpha in enumerate(simples)]
     frontier = list(rows)
     while frontier:
         grown = []
@@ -249,9 +258,46 @@ def _grow_rows(positive_roots: Sequence[tuple[int, ...]], simples: Sequence[tupl
                 s = tuple(map(add, root, alpha))
                 if s in pos_set and s not in rows:
                     rows[s] = row[:k] + (row[k] + 1,) + row[k + 1:]
+                    steps.append((s, root, k))
                     grown.append(s)
         frontier = grown
-    return rows
+    return rows, steps
+
+
+def _coweights(
+    cartan: Sequence[Sequence[int]], simples: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``(m_j, m_j * omega_j)`` for each label j, omega_j the fundamental
+    coweight, in the ambient coordinates of ``simples``.
+
+    m_j * omega_j is the primitive integer vector in the kernel of the
+    Cartan rows other than j, signed so that it pairs to m_j > 0 with simple
+    root j; m_j is the order of omega_j modulo the coroot lattice.  The torus
+    stage assumes that lattice has index at most 2 in the coweight lattice:
+    every m_j is 1 or 2, and every sum omega_j + omega_k of two coweights of
+    order 2 is a coroot-lattice vector.  ``IntegrityError`` if not.
+    """
+    rank = len(cartan)
+    multiples = []
+    for j in range(rank):
+        transposed = [[cartan[i][c] for i in range(rank) if i != j] for c in range(rank)]
+        (v,) = _kernel_rows(transposed, rank - 1)
+        m = sum(map(mul, cartan[j], v))
+        if m < 0:
+            m, v = -m, tuple(-x for x in v)
+        if m not in (1, 2):
+            raise IntegrityError(
+                f"fundamental coweight {j + 1} has order {m} modulo the coroot lattice"
+            )
+        multiples.append((m, v))
+    order_two = [(j, v) for j, (m, v) in enumerate(multiples) if m == 2]
+    for (j, a), (k, b) in itertools.combinations(order_two, 2):
+        if any((x + y) % 2 for x, y in zip(a, b)):
+            raise IntegrityError(
+                f"fundamental coweights {j + 1} + {k + 1} are not in the coroot lattice"
+            )
+    columns = list(zip(*simples))
+    return tuple((m, tuple(sum(map(mul, v, column)) for column in columns)) for m, v in multiples)
 
 
 _EXPECTED_ARMS = {"E7": (3, 2, 1), "E8": (4, 2, 1)}
@@ -265,9 +311,16 @@ class RootSystem:
     Two integer tables are aligned with ``positive_roots``: row k of
     ``coefficient_rows`` holds root k's coefficients over the labeled simple
     roots, and bit i - 1 of ``support_masks[k]`` is set iff simple root i
-    occurs in it.  The delta stages run on these tables and on ``cartan``;
-    every root has been checked to have norm 2, so each coroot has the same
-    coefficients as its root.
+    occurs in it.  ``growth`` holds one step ``(child, parent, k)`` per
+    positive root, as indices into ``positive_roots``: the child is the
+    parent plus simple root k (0-based), parent -1 marks a simple root, and
+    every parent comes before its children.  ``coweights[j - 1]`` is
+    ``(m_j, m_j * omega_j)`` for label j: the order m_j in {1, 2} of the
+    fundamental coweight omega_j modulo the coroot lattice, and that
+    coroot-lattice multiple in canonical ambient coordinates (last
+    coordinate 0).  ``levi_subsystem`` reads the masks and the delta stages
+    read ``growth`` and ``coweights``; every root has been checked to have
+    norm 2, so each coroot has the same coefficients as its root.
     """
 
     name: str
@@ -279,6 +332,8 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     coefficient_rows: tuple[tuple[int, ...], ...]
     support_masks: tuple[int, ...]
+    growth: tuple[tuple[int, int, int], ...]
+    coweights: tuple[tuple[int, tuple[int, ...]], ...]
 
     def coefficients(self, root: QuotientVector) -> tuple[int, ...]:
         """Coefficients of a positive root over the labeled simple roots."""
@@ -359,7 +414,7 @@ def build_root_system(name: str) -> RootSystem:
     simple_canon = derive_simple_roots(canon, rank)
     by_canon = dict(zip(canon, positives))
     simples = tuple(by_canon[t] for t in simple_canon)
-    grown = _grow_rows(canon, simple_canon)
+    grown, steps = _grow_rows(canon, simple_canon)
     if len(grown) != expected_count:
         raise IntegrityError(
             f"{name}: {expected_count - len(grown)} positive roots are not reached "
@@ -371,7 +426,12 @@ def build_root_system(name: str) -> RootSystem:
     rows = tuple(grown[t] for t in canon)
     table = dict(zip(positives, rows))
     masks = tuple(_support_mask(i + 1 for i, c in enumerate(row) if c) for row in rows)
-    return RootSystem(name, ambient_dim, rank, positives, simples, table, cartan, rows, masks)
+    index = {t: k for k, t in enumerate(canon)}
+    growth = tuple((index[c], -1 if p is None else index[p], k) for c, p, k in steps)
+    coweights = _coweights(cartan, simple_canon)
+    return RootSystem(
+        name, ambient_dim, rank, positives, simples, table, cartan, rows, masks, growth, coweights
+    )
 
 
 def _support_mask(labels: Iterable[int]) -> int:

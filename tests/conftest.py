@@ -6,16 +6,26 @@ That module imports libcst, which uses ``mypy_extensions.TypedDict`` and so
 raises a ``DeprecationWarning`` on import.  Under ``python -W error`` the
 warning becomes an exception that the plugin does not catch, and pytest
 stops with INTERNALERROR instead of printing the falsifying example.
-Importing the module here, with only that warning silenced, keeps the
-failure report intact; where libcst is not installed the import fails and
-the plugin skips the patch as usual.
+The hook below imports the module first, with only that warning silenced,
+so the failure report stays intact; where libcst is not installed the import
+fails and the plugin skips the patch as usual.  It does so only for a test
+phase that raised, since the import takes a large part of a second and a
+passing session never needs it.
 """
 
 import warnings
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import hypothesis.extra._patching  # noqa: F401
-    except ImportError:
-        pass
+import pytest
+
+
+@pytest.hookimpl(wrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    # runs before the yield, so before Hypothesis's wrapper reads the report
+    if call.excinfo is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass
+    return (yield)

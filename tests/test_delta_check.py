@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from nilorb import exact_linalg
 from nilorb.delta_check import (
     PRESETS,
     central_torus_lattice,
@@ -174,13 +175,12 @@ def test_torus_vectors_centralize_the_levi():
                 assert pair(root, w) == 0
 
 
-def test_e7_torus_lattice_is_saturated_in_small_box():
+def assert_e7_torus_saturated_in_small_box(levi_idx):
     # every box vector meeting all defining constraints must already lie in
     # the computed lattice; a finite-index error would show up here
     rs = build_root_system("E7")
-    levi = levi_subsystem(rs, (1, 2, 6))
-    torus = central_torus_lattice(levi)
-    simples = [rs.simple_roots[i - 1] for i in (1, 2, 6)]
+    torus = central_torus_lattice(levi_subsystem(rs, levi_idx))
+    simples = [rs.simple_roots[i - 1] for i in levi_idx]
     hits = 0
     for cand in itertools.product((-1, 0, 1), repeat=7):
         v = cand + (0,)
@@ -192,6 +192,17 @@ def test_e7_torus_lattice_is_saturated_in_small_box():
         hits += 1
         assert lattice_contains(torus, v) is not None, v
     assert hits > 1  # the box is not vacuous
+
+
+def test_e7_torus_lattice_is_saturated_in_small_box():
+    assert_e7_torus_saturated_in_small_box((1, 2, 6))
+
+
+def test_e7_torus_lattice_is_saturated_with_every_order_two_coweight_outside():
+    # labels 1, 3 and 7 are the coweights of order 2 modulo the coroot
+    # lattice; all three lie outside this Levi, so the torus needs the
+    # half-sums omega_3 + omega_1 and omega_7 + omega_1, not just 2 * omega_j
+    assert_e7_torus_saturated_in_small_box((2, 4, 5, 6))
 
 
 def test_verdict_is_basis_independent():
@@ -256,7 +267,10 @@ def test_every_levi_matches_the_golden_sweep():
 #
 # The stages as they ran before the integer tables: every coroot checked and
 # added as a QuotientVector, pairings through ``pair``, the torus through
-# ``kernel_lattice``, and Levi members found by scanning coefficients.
+# ``kernel_lattice``, and Levi members found by scanning coefficients.  Each
+# pairing is a dot product with a root's coefficients and the torus is the
+# integer kernel of the Levi's Cartan rows, so neither reads the growth tree
+# or the stored fundamental coweights.
 
 
 def oracle_levi_members(rs, indices):
@@ -301,6 +315,24 @@ def all_levis():
     for name, rank in (("E7", 7), ("E8", 8)):
         for k in range(1, rank + 1):
             yield from ((name, idx) for idx in itertools.combinations(range(1, rank + 1), k))
+
+
+def test_each_verdict_runs_one_untracked_hnf_and_no_tracked_one(monkeypatch):
+    # the canonical torus basis is the only HNF left on the verdict path
+    build_root_system("E7")
+    build_root_system("E8")
+    calls = Counter()
+    echelon = exact_linalg._echelon
+
+    def counting(h, cols, track):
+        calls[track] += 1
+        return echelon(h, cols, track)
+
+    monkeypatch.setattr(exact_linalg, "_echelon", counting)
+    levis = list(all_levis())
+    for name, idx in levis:
+        delta_verdict(name, idx)
+    assert calls == Counter({False: len(levis)})
 
 
 def test_table_stages_match_the_ambient_oracle_on_every_levi():

@@ -1,9 +1,11 @@
-"""Import hygiene: ``nilorb`` loads a layer only when one of its names is used.
+"""Import hygiene: ``nilorb`` loads a layer only when one of its names is
+used, and no module imports a name it never reads.
 
-Each check runs in a fresh interpreter, since this test process has long
+Each load check runs in a fresh interpreter, since this test process has long
 since imported every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -81,3 +83,32 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         nilorb.no_such_name
     assert not hasattr(nilorb, "no_such_name")
+
+
+def unused_imports(source: str) -> list:
+    """Names a module's import statements bind that no expression reads.
+
+    ``from __future__`` imports are directives, not names, and are skipped.
+    An attribute chain such as ``itertools.combinations`` reads its root name.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - read)
+
+
+def test_unused_imports_sees_a_dead_name():
+    source = "from typing import Mapping, Optional\nimport os.path\nx: Optional[int] = os.sep\n"
+    assert unused_imports(source) == ["Mapping"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = sorted(Path(SRC, "nilorb").glob("*.py"))
+    assert len(modules) >= len(LAYERS)
+    dead = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: names for name, names in dead.items() if names} == {}

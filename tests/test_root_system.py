@@ -6,8 +6,10 @@ derivation code it is checking.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 import pytest
@@ -389,6 +391,70 @@ def test_coefficients_rejects_non_root():
     rs = build_root_system("E7")
     with pytest.raises(InputError):
         rs.coefficients(qv(1, 1, 0, 0, 0, 0, 0, 0))
+
+
+# --- the growth tree and the fundamental coweights ------------------------------------
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_growth_tree_reaches_every_root_once_from_an_earlier_parent(name):
+    rs = build_root_system(name)
+    assert sorted(child for child, _, _ in rs.growth) == list(range(len(rs.positive_roots)))
+    reached = set()
+    for child, parent, k in rs.growth:
+        alpha = rs.simple_roots[k].canonical_coords
+        if parent == -1:
+            expected = alpha
+        else:
+            assert parent in reached, (child, parent)
+            expected = tuple(map(add, rs.positive_roots[parent].canonical_coords, alpha))
+        assert rs.positive_roots[child].canonical_coords == expected, (child, parent, k)
+        reached.add(child)
+
+
+COWEIGHT_ORDERS = {"E7": (2, 1, 2, 1, 1, 1, 2), "E8": (1,) * 8}
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_stored_coweights_are_primitive_coroot_lattice_multiples(name):
+    rs = build_root_system(name)
+    lattice = coroot_lattice(name)
+    assert tuple(m for m, _ in rs.coweights) == COWEIGHT_ORDERS[name]
+    for j, (m, v) in enumerate(rs.coweights):
+        w = QuotientVector(v)
+        assert w.coords == w.canonical_coords
+        assert [pair(w, alpha) for alpha in rs.simple_roots] == [m * (i == j) for i in range(rs.rank)]
+        assert lattice_contains_mod_ones(lattice, w)
+        # a proper fraction v/d of a canonical vector is integral only when d
+        # divides every entry, and then it must lie outside the lattice
+        g = math.gcd(*v)
+        for d in range(2, g + 1):
+            if g % d == 0:
+                assert not lattice_contains_mod_ones(lattice, QuotientVector(tuple(x // d for x in v))), (j, d)
+
+
+def patched_e7_cartan(drop):
+    """E7's Cartan matrix with the bond between labels ``drop`` removed."""
+    cartan = [list(row) for row in cartan_matrix(build_root_system("E7"))]
+    i, j = (label - 1 for label in drop)
+    cartan[i][j] = cartan[j][i] = 0
+    return cartan
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        # E6 + A1: the E6 coweights have order 3 modulo the coroot lattice
+        ((1, 2), "has order 3"),
+        # D6 + A1: every order is 1 or 2, but the order-2 coweights fall in
+        # more than one class
+        ((5, 6), "are not in the coroot lattice"),
+    ],
+)
+def test_coweights_refuse_a_coroot_lattice_of_index_above_two(drop, message):
+    simples = [a.canonical_coords for a in build_root_system("E7").simple_roots]
+    with pytest.raises(IntegrityError, match=message):
+        root_system._coweights(patched_e7_cartan(drop), simples)
 
 
 # --- levi subsystems --------------------------------------------------------------
