@@ -284,21 +284,24 @@ def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     is the partition whose gaps are g_n mod 2: its parts are the suffix sums
     of those parities, zeros stripped.  Descending by the smallest legal n
     each time gives the script, outermost first: floor(g_n / 2) copies of
-    ``(n, "i")`` for n = L down to 1.  A birationally rigid orbit is its own
-    source with an empty script.  The result is a 1-tuple.
+    ``(n, "i")`` for n = L down to 1.  The copies for one n are one shared
+    tuple, so a source costs O(L) objects plus one tuple of
+    sum floor(g_n / 2) references, not a fresh tuple per step.  A
+    birationally rigid orbit is its own source with an empty script.  The
+    result is a 1-tuple.
     """
     gaps = _gaps(orbit.parts)
     parts = _strip(list(accumulate(g % 2 for g in reversed(gaps)))[::-1])
-    steps = tuple(
-        (n, "i") for n in range(len(gaps), 0, -1) for _ in range(gaps[n - 1] // 2)
-    )
+    steps: list[tuple[int, str]] = []
+    for n in range(len(gaps), 0, -1):
+        steps += [(n, "i")] * (gaps[n - 1] // 2)
     # rigid by construction (every gap is 0 or 1); the type is the calculus's
     # promise, so a source outside it is an integrity fault, not bad input
     try:
         source = ClassicalOrbit(orbit.kind, parts)
     except InputError as exc:
         raise IntegrityError(f"gap-parity source of {orbit!r}: {exc}") from None
-    return (BirationalSource(source, StepScript(steps)),)
+    return (BirationalSource(source, StepScript(tuple(steps))),)
 
 
 def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:

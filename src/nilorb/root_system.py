@@ -308,17 +308,17 @@ class RootSystem:
     """A built root system: positives, labeled simples, coefficient table,
     and the Cartan matrix of the labeled simples.
 
-    Two integer tables are aligned with ``positive_roots``: row k of
-    ``coefficient_rows`` holds root k's coefficients over the labeled simple
-    roots, and bit i - 1 of ``support_masks[k]`` is set iff simple root i
-    occurs in it.  ``growth`` holds one step ``(child, parent, k)`` per
-    positive root, as indices into ``positive_roots``: the child is the
-    parent plus simple root k (0-based), parent -1 marks a simple root, and
-    every parent comes before its children.  ``coweights[j - 1]`` is
-    ``(m_j, m_j * omega_j)`` for label j: the order m_j in {1, 2} of the
-    fundamental coweight omega_j modulo the coroot lattice, and that
-    coroot-lattice multiple in canonical ambient coordinates (last
-    coordinate 0).  ``levi_subsystem`` reads the masks and the delta stages
+    ``coefficient_table`` maps each positive root, in the order of
+    ``positive_roots``, to its coefficients over the labeled simple roots.
+    ``support_masks`` is aligned with ``positive_roots``: bit i - 1 of
+    ``support_masks[k]`` is set iff simple root i occurs in root k.
+    ``growth`` holds one step ``(child, parent, k)`` per positive root, as
+    indices into ``positive_roots``: the child is the parent plus simple root
+    k (0-based), parent -1 marks a simple root, and every parent comes before
+    its children.  ``coweights[j - 1]`` is ``(m_j, m_j * omega_j)`` for
+    label j: the order m_j in {1, 2} of the fundamental coweight omega_j
+    modulo the coroot lattice, and that coroot-lattice multiple in canonical
+    ambient coordinates (last coordinate 0).  ``levi_subsystem`` reads the masks and the delta stages
     read ``growth`` and ``coweights``; every root has been checked to have
     norm 2, so each coroot has the same coefficients as its root.
     """
@@ -330,7 +330,6 @@ class RootSystem:
     simple_roots: tuple[QuotientVector, ...]
     coefficient_table: dict
     cartan: tuple[tuple[int, ...], ...]
-    coefficient_rows: tuple[tuple[int, ...], ...]
     support_masks: tuple[int, ...]
     growth: tuple[tuple[int, int, int], ...]
     coweights: tuple[tuple[int, tuple[int, ...]], ...]
@@ -430,7 +429,7 @@ def build_root_system(name: str) -> RootSystem:
     growth = tuple((index[c], -1 if p is None else index[p], k) for c, p, k in steps)
     coweights = _coweights(cartan, simple_canon)
     return RootSystem(
-        name, ambient_dim, rank, positives, simples, table, cartan, rows, masks, growth, coweights
+        name, ambient_dim, rank, positives, simples, table, cartan, masks, growth, coweights
     )
 
 

@@ -444,6 +444,8 @@ def test_long_chain_c_2400():
     result = rigid_special_source(target)
     assert result.orbit.parts == ()
     assert result.script.steps == ((1, "i"),) * 1200
+    assert type(result.script.steps) is tuple
+    assert len({id(s) for s in result.script.steps}) == 1
     assert result.script.replay(result.orbit) == target
 
 
@@ -487,6 +489,7 @@ def test_gap_formula_on_large_orbits(o):
     steps = source.script.steps
     assert len(steps) == sum(g // 2 for g in gaps)
     assert all(a[0] >= b[0] for a, b in zip(steps, steps[1:]))
+    assert len({id(s) for s in steps}) == len(set(steps))
     assert source.script.replay(source.orbit) == o
 
 
