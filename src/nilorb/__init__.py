@@ -44,7 +44,6 @@ _EXPORTS = {
     "build_root_system": "root_system",
     "pair": "root_system",
     "coroot": "root_system",
-    "cartan_matrix": "root_system",
     "coroot_lattice": "root_system",
     "lattice_contains_mod_ones": "root_system",
     "levi_subsystem": "root_system",

@@ -4,8 +4,8 @@ queries and the built-in acceptance self-test.
 Output is deterministic: JSON mode serializes with sorted keys and fixed
 indentation, so identical inputs produce byte-identical bytes, and the text
 mode renders the same payload.  Exit codes follow one convention everywhere:
-0 for success, 1 when a consistency or acceptance check fails or a data file
-fails validation, 2 for usage and input errors.
+0 for success, 1 when a consistency or acceptance check fails, a data file
+fails validation or memory runs out, 2 for usage and input errors.
 """
 
 from __future__ import annotations
@@ -348,6 +348,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         result = CommandResult("error", {"error": str(exc)}, (), 2)
     except (AtlasLoadError, IntegrityError) as exc:
         result = CommandResult("error", {"error": str(exc)}, (), 1)
+    except MemoryError:
+        # e.g. `partition step --n` near sys.maxsize: Θ(n) parts do not fit
+        result = CommandResult("error", {"error": "out of memory"}, (), 1)
 
     text = None
     if args.command == "selftest" and result.status == "ok":

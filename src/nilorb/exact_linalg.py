@@ -68,10 +68,6 @@ class IntMatrix:
         flat = tuple(x for row in rows for x in row)
         return cls(len(rows), cols, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def row(self, i: int) -> Vector:
         if not 0 <= i < self.rows:
             raise InputError(f"row index {i} out of range")

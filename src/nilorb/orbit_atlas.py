@@ -269,12 +269,6 @@ class ExceptionalOrbitRecord:
             raise InputError(f"unknown flag field {name!r}")
         return getattr(self, name)
 
-    def provenance_for(self, name: str) -> Optional[str]:
-        for field, source in self.provenance:
-            if field == name:
-                return source
-        return None
-
     def __repr__(self) -> str:
         return f"ExceptionalOrbitRecord({self.group}:{self.label})"
 

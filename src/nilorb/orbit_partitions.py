@@ -109,12 +109,11 @@ class ClassicalOrbit:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"orbit kind must be one of {KINDS}, got {self.kind!r}")
-        parts = _check_partition(self.parts)
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
+        # is_valid_type checks the parts once, before their parity
         if not is_valid_type(parts, self.kind):
-            raise InputError(
-                f"{tuple(parts)} is not a valid type-{self.kind} partition"
-            )
+            raise InputError(f"{parts} is not a valid type-{self.kind} partition")
 
     @property
     def size(self) -> int:

@@ -12,7 +12,8 @@ realizations and add like the quotient vectors they stand for.  A positive
 root is simple iff its tuple is not the sum of two positive-root tuples; the
 simples are then labeled by a deterministic rule.  Coefficient rows grow out
 from the simple roots, adding one simple root at a time, and every positive
-root must be reached; each such step is kept as the system's growth tree.
+root must be reached; each such step is kept as the system's growth tree, and
+each row's nonzero columns as the root's support mask.
 Before a built system is returned, its Cartan matrix must pass
 :func:`diagram_arms` with the arm lengths of the E-series tree; that function
 is the one diagram-shape check in the package, and ``selftest`` criteria 1
@@ -46,7 +47,6 @@ __all__ = [
     "build_root_system",
     "pair",
     "coroot",
-    "cartan_matrix",
     "diagram_arms",
     "coroot_lattice",
     "lattice_contains_mod_ones",
@@ -92,9 +92,6 @@ class QuotientVector:
     def canonical_coords(self) -> tuple[Scalar, ...]:
         return self._canon
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._canon)
-
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coords)
 
@@ -105,27 +102,6 @@ class QuotientVector:
 
     def __hash__(self) -> int:
         return hash(self._canon)
-
-    def __add__(self, other: "QuotientVector") -> "QuotientVector":
-        self._check_dim(other)
-        return QuotientVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "QuotientVector") -> "QuotientVector":
-        self._check_dim(other)
-        return QuotientVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "QuotientVector":
-        return QuotientVector(tuple(-a for a in self.coords))
-
-    def __mul__(self, scalar) -> "QuotientVector":
-        s = _normalize(scalar) if not isinstance(scalar, Fraction) else scalar
-        return QuotientVector(tuple(a * s for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def _check_dim(self, other: "QuotientVector") -> None:
-        if self.dim != other.dim:
-            raise InputError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __repr__(self) -> str:
         return f"QuotientVector({self._canon!r})"
@@ -196,10 +172,10 @@ def _positive_roots_e8() -> list[QuotientVector]:
     return roots
 
 
-# name -> (ambient dimension, number of positive roots, generator)
+# name -> (ambient dimension, number of positive roots, diagram arms, generator)
 _REALIZATIONS = {
-    "E7": (8, 63, _positive_roots_e7),
-    "E8": (9, 120, _positive_roots_e8),
+    "E7": (8, 63, (3, 2, 1), _positive_roots_e7),
+    "E8": (9, 120, (4, 2, 1), _positive_roots_e8),
 }
 
 
@@ -300,16 +276,11 @@ def _coweights(
     return tuple((m, tuple(sum(map(mul, v, column)) for column in columns)) for m, v in multiples)
 
 
-_EXPECTED_ARMS = {"E7": (3, 2, 1), "E8": (4, 2, 1)}
-
-
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """A built root system: positives, labeled simples, coefficient table,
-    and the Cartan matrix of the labeled simples.
+    """A built root system: positives, labeled simples, and the Cartan matrix
+    of the labeled simples.
 
-    ``coefficient_table`` maps each positive root, in the order of
-    ``positive_roots``, to its coefficients over the labeled simple roots.
     ``support_masks`` is aligned with ``positive_roots``: bit i - 1 of
     ``support_masks[k]`` is set iff simple root i occurs in root k.
     ``growth`` holds one step ``(child, parent, k)`` per positive root, as
@@ -318,9 +289,10 @@ class RootSystem:
     its children.  ``coweights[j - 1]`` is ``(m_j, m_j * omega_j)`` for
     label j: the order m_j in {1, 2} of the fundamental coweight omega_j
     modulo the coroot lattice, and that coroot-lattice multiple in canonical
-    ambient coordinates (last coordinate 0).  ``levi_subsystem`` reads the masks and the delta stages
-    read ``growth`` and ``coweights``; every root has been checked to have
-    norm 2, so each coroot has the same coefficients as its root.
+    ambient coordinates (last coordinate 0).  ``levi_subsystem`` reads the
+    masks and the delta stages read ``growth`` and ``coweights``; every root
+    has been checked to have norm 2, so each coroot has the same coefficients
+    as its root.
     """
 
     name: str
@@ -328,28 +300,13 @@ class RootSystem:
     rank: int
     positive_roots: tuple[QuotientVector, ...]
     simple_roots: tuple[QuotientVector, ...]
-    coefficient_table: dict
     cartan: tuple[tuple[int, ...], ...]
     support_masks: tuple[int, ...]
     growth: tuple[tuple[int, int, int], ...]
     coweights: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def coefficients(self, root: QuotientVector) -> tuple[int, ...]:
-        """Coefficients of a positive root over the labeled simple roots."""
-        try:
-            return self.coefficient_table[root]
-        except KeyError:
-            raise InputError(f"not a positive root of {self.name}: {root!r}") from None
-
-    def is_positive_root(self, v: QuotientVector) -> bool:
-        return v in self.coefficient_table
-
     def __repr__(self) -> str:
         return f"RootSystem({self.name}, {len(self.positive_roots)} positive roots)"
-
-
-def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    return rs.cartan
 
 
 def diagram_arms(cartan: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
@@ -395,7 +352,7 @@ def build_root_system(name: str) -> RootSystem:
         raise CapabilityError(
             f"unsupported root system {name!r}; available: {', '.join(ROOT_SYSTEM_NAMES)}"
         )
-    ambient_dim, expected_count, generate = _REALIZATIONS[name]
+    ambient_dim, expected_count, expected_arms, generate = _REALIZATIONS[name]
     rank = ambient_dim - 1
     positives = tuple(generate())
     canon = tuple(r.canonical_coords for r in positives)
@@ -420,17 +377,13 @@ def build_root_system(name: str) -> RootSystem:
             "from the simple roots"
         )
     cartan = tuple(tuple(_form(a, b) for b in simple_canon) for a in simple_canon)
-    if diagram_arms(cartan) != _EXPECTED_ARMS[name]:
+    if diagram_arms(cartan) != expected_arms:
         raise IntegrityError(f"{name}: derived diagram has the wrong shape")
-    rows = tuple(grown[t] for t in canon)
-    table = dict(zip(positives, rows))
-    masks = tuple(_support_mask(i + 1 for i, c in enumerate(row) if c) for row in rows)
+    masks = tuple(_support_mask(i + 1 for i, c in enumerate(grown[t]) if c) for t in canon)
     index = {t: k for k, t in enumerate(canon)}
     growth = tuple((index[c], -1 if p is None else index[p], k) for c, p, k in steps)
     coweights = _coweights(cartan, simple_canon)
-    return RootSystem(
-        name, ambient_dim, rank, positives, simples, table, cartan, masks, growth, coweights
-    )
+    return RootSystem(name, ambient_dim, rank, positives, simples, cartan, masks, growth, coweights)
 
 
 def _support_mask(labels: Iterable[int]) -> int:

@@ -40,7 +40,7 @@ from .orbit_partitions import (
     partitions_of,
     rigid_special_source,
 )
-from .root_system import QuotientVector, build_root_system, cartan_matrix, diagram_arms, pair
+from .root_system import QuotientVector, build_root_system, diagram_arms, pair
 
 __all__ = ["CriterionResult", "CRITERION_IDS", "criterion_name", "run_criterion", "run_all"]
 
@@ -81,7 +81,7 @@ def _root_system_criterion(
     n_pos = len(rs.positive_roots)
     n_simple = len(rs.simple_roots)
     bad_norms = sum(1 for r in rs.positive_roots if pair(r, r) != 2)
-    arms = diagram_arms(cartan_matrix(rs))
+    arms = diagram_arms(rs.cartan)
     simple_set = set(rs.simple_roots)
     missing = [v for v in required_simples if QuotientVector(v) not in simple_set]
 

@@ -131,6 +131,21 @@ def test_partition_step_n_is_one_bounded_integer(capsys, n, phrase):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # an --n below sys.maxsize can still need more memory than there is;
+    # stand in for that allocation rather than attempt it
+    def exhausted(orbit, n, variant=None):
+        raise MemoryError
+
+    monkeypatch.setattr("nilorb.cli.elementary_step", exhausted)
+    argv = ("partition", "step", "--type", "C", "--parts", "1,1", "--n", "1000000000")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 1 and err == ""
+    assert doc == {"status": "error", "payload": {"error": "out of memory"}, "diagnostics": []}
+
+
 def test_partition_invalid_orbit_rejected_outside_validate(capsys):
     # (1,1,1) has odd total, so it is not a C orbit; 'special' must refuse it
     code, _, err = run_cli(capsys, "partition", "special", "--type", "C", "--parts", "1,1,1")

@@ -14,6 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from oracles import coefficient_table, qadd
 
 from nilorb import exact_linalg
 from nilorb.delta_check import (
@@ -31,7 +32,6 @@ from nilorb.root_system import (
     LeviSubsystem,
     QuotientVector,
     build_root_system,
-    cartan_matrix,
     coroot,
     coroot_lattice,
     lattice_contains_mod_ones,
@@ -224,7 +224,7 @@ def test_verdict_is_basis_independent():
 
 def test_kappa_representative_does_not_change_pairings():
     report = delta_verdict("E8", (1, 2, 3, 4, 7, 8))
-    shifted = report.kappa + QuotientVector((1,) * 9)
+    shifted = qadd(report.kappa, QuotientVector((1,) * 9))
     for v, expected in zip(report.torus_basis, report.pairings):
         assert pair(shifted, QuotientVector(v)) == expected
 
@@ -267,40 +267,41 @@ def test_every_levi_matches_the_golden_sweep():
 #
 # The stages as they ran before the integer tables: every coroot checked and
 # added as a QuotientVector, pairings through ``pair``, the torus through
-# ``kernel_lattice``, and Levi members found by scanning coefficients.  Each
-# pairing is a dot product with a root's coefficients and the torus is the
-# integer kernel of the Levi's Cartan rows, so neither reads the growth tree
-# or the stored fundamental coweights.
+# ``kernel_lattice``, and Levi members found by scanning coefficients.  The
+# coefficients come from the descent in tests/oracles.py, each pairing is a
+# dot product with them, and the torus is the integer kernel of the Levi's
+# Cartan rows, so nothing here reads the growth tree, the support masks or
+# the stored fundamental coweights.
 
 
 def oracle_levi_members(rs, indices):
     allowed = set(indices)
+    table = coefficient_table(rs)
     return tuple(
         root
         for root in rs.positive_roots
-        if all(c == 0 or (k + 1) in allowed for k, c in enumerate(rs.coefficients(root)))
+        if all(c == 0 or (k + 1) in allowed for k, c in enumerate(table[root]))
     )
 
 
 def oracle_principal_h(levi):
-    acc = QuotientVector((0,) * levi.system.ambient_dim)
-    for root in levi.positive_roots:
-        acc = acc + coroot(root)
-    return acc
+    zero = QuotientVector((0,) * levi.system.ambient_dim)
+    return qadd(zero, *(coroot(root) for root in levi.positive_roots))
 
 
 def oracle_roots_pairing_one(rs, h):
     on_simples = [pair(h, coroot(alpha)) for alpha in rs.simple_roots]
+    table = coefficient_table(rs)
     return tuple(
         r
         for r in rs.positive_roots
-        if sum(c * v for c, v in zip(rs.coefficients(r), on_simples)) == 1
+        if sum(c * v for c, v in zip(table[r], on_simples)) == 1
     )
 
 
 def oracle_central_torus_lattice(levi):
     rs = levi.system
-    cartan = cartan_matrix(rs)
+    cartan = rs.cartan
     rows = [cartan[i - 1] for i in levi.indices]
     coeffs = kernel_lattice(IntMatrix.from_rows(rows, cols=rs.rank))
     simples = IntMatrix.from_rows([a.canonical_coords for a in rs.simple_roots])
@@ -345,7 +346,7 @@ def test_table_stages_match_the_ambient_oracle_on_every_levi():
 
         h = oracle_principal_h(oracle_levi)
         roots = oracle_roots_pairing_one(rs, h)
-        kappa = sum(roots, QuotientVector((0,) * rs.ambient_dim))
+        kappa = qadd(QuotientVector((0,) * rs.ambient_dim), *roots)
         torus = oracle_central_torus_lattice(oracle_levi)
         pairings = tuple(pair(kappa, QuotientVector(v)) for v in torus.vectors)
         ok = all(isinstance(p, int) and p % 2 == 0 for p in pairings)

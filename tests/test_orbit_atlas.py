@@ -277,9 +277,10 @@ def test_dedup_comment_is_recorded(atlas):
 
 def test_provenance_access(atlas):
     record = query(atlas, "E8", "A_4+2A_1")
-    assert record.provenance_for("in_e3") == "paper §1.2"
-    assert record.provenance_for("is_special") == "paper §2.3 proof"
-    assert record.provenance_for("nonexistent") is None
+    provenance = dict(record.provenance)
+    assert provenance["in_e3"] == "paper §1.2"
+    assert provenance["is_special"] == "paper §2.3 proof"
+    assert "nonexistent" not in provenance
     assert "is_rigid" in paper_provenanced_fields(record)
 
 

@@ -89,6 +89,31 @@ def test_orbit_validation():
     assert not orbit("C", 2, 2).is_very_even
 
 
+def test_construction_checks_the_parts_once(monkeypatch):
+    calls = []
+    check = orbit_partitions._check_partition
+
+    def counting(parts):
+        calls.append(parts)
+        return check(parts)
+
+    monkeypatch.setattr(orbit_partitions, "_check_partition", counting)
+    for kind, parts in (("C", (4, 2)), ("B", (5, 3, 1)), ("D", (3, 3, 2, 2, 1, 1)), ("C", ())):
+        calls.clear()
+        assert ClassicalOrbit(kind, list(parts)).parts == parts
+        assert len(calls) == 1, (kind, parts)
+    # the kind is checked first, then the parts, then their parity
+    for kind, parts, message in (
+        ("A", (1, 2), "orbit kind must be one of"),
+        ("C", (1, 2), r"partition must be nonincreasing, got \(1, 2\)"),
+        ("C", (2, True), "partition parts must be integers, got True"),
+        ("C", (3, 0), "partition parts must be positive, got 0"),
+        ("C", (3, 1), r"\(3, 1\) is not a valid type-C partition"),
+    ):
+        with pytest.raises(InputError, match=message):
+            ClassicalOrbit(kind, parts)
+
+
 # --- specialness -----------------------------------------------------------------
 
 def test_sp4_special_orbits():
