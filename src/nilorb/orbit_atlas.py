@@ -23,8 +23,16 @@ False for every key outside it, including keys the table does not list; the
 rigidity and specialness fields expect a value only where a set names the
 key.  Conformance looks each record up once and compares its primary-source
 flags as one tuple, walking the fields one by one only to word a mismatch.
-``check_consistency`` reads every flag of every record once, in a single pass
-that fills all the C1-C7 key sets.
+
+``check_consistency`` reads one row per record: its key, which of the seven
+C1-C7 key sets it joins, whether it is rigid but not birationally rigid, its
+e-list problems, its C6 entry and its conformance issues.  The row is cached
+on the record the first time a check reads it.  That is sound because records
+are frozen and the row depends on nothing but their fields, so a check of a
+list that shares records with one already checked derives only the new
+records' rows; ``flip_field`` and ``dataclasses.replace`` build new records,
+which start with no row.  The delta verdicts of C6 are not part of the row,
+so an injected runner is called on every check.
 """
 
 from __future__ import annotations
@@ -33,11 +41,11 @@ import dataclasses
 import difflib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import AtlasLoadError, InputError, OrbitNotFoundError
 
@@ -272,6 +280,11 @@ class ExceptionalOrbitRecord:
     def __repr__(self) -> str:
         return f"ExceptionalOrbitRecord({self.group}:{self.label})"
 
+    @cached_property
+    def _check_row(self) -> _CheckRow:
+        # not a dataclass field: fields(), ==, hash and the JSON views skip it
+        return _record_row(self)
+
 
 def _fmt(key: Key) -> str:
     return f"{key[0]}:{key[1]}"
@@ -301,8 +314,9 @@ def flip_field(record: ExceptionalOrbitRecord, field: str) -> ExceptionalOrbitRe
 _NO_EXPECTATION = object()
 
 
-# 256 is four times the packaged atlas: a check over in-memory flips keeps
-# every (key, provenance) pair, while loading many user files cannot grow it
+# 256 is four times the packaged atlas, whose 63 (key, provenance) pairs stay
+# cached however many files are loaded; only loads and records checked for the
+# first time reach this cache, since checks read each record's cached row
 @lru_cache(maxsize=256)
 def _paper_expectation(key: Key, provenance: tuple[tuple[str, str], ...]):
     """(fields, getter, expected) for a record's primary-source flags, or None.
@@ -564,7 +578,55 @@ def _set_check(check_id: str, name: str, actual: set, expected: frozenset) -> Ch
     return CheckResult(check_id, name, passed, "" if passed else _set_mismatch(actual, expected))
 
 
-_check_row = attrgetter(*_RECORD_KEYS)
+_row_fields = attrgetter(*_RECORD_KEYS)
+# the C1-C7 key sets; a row's ``joins`` are indices into this tuple
+_KEY_SETS = ("both", "quad", "smooth", "c4", "e1", "e2", "e3")
+
+
+class _CheckRow(NamedTuple):
+    """What ``check_consistency`` reads from one record."""
+
+    key: Key
+    joins: tuple[int, ...]  # the _KEY_SETS the record belongs to
+    rigid_not_birigid: bool
+    e_problems: tuple[str, ...]
+    levi: Optional[tuple]  # the C6 entry (key, levi, expected verdict)
+    conformance: tuple[str, ...]
+
+
+def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
+    """The record's row; it depends on nothing but the record's fields."""
+    (
+        group, label, special, rigid, birigid, codim4, fails_smooth,
+        in_e1, in_e2, in_e3, levi, provenance,
+    ) = _row_fields(record)
+    key = (group, label)
+    e_problems = []
+    if sum((in_e1, in_e2, in_e3)) > 1:
+        e_problems.append(f"{_fmt(key)}: in more than one e-list")
+    if (in_e2 or in_e3) and special is not True:
+        e_problems.append(f"{_fmt(key)}: e2/e3 member not marked special")
+    conformance: list[str] = []
+    _conform(record, key, provenance, conformance)
+    joined = (
+        birigid is True and fails_smooth is True,  # both: and failing smooth locus
+        birigid is True and rigid is False,  # quad: birationally rigid, not rigid
+        fails_smooth is True,  # smooth
+        codim4 is True,  # c4
+        in_e1,
+        in_e2,
+        in_e3,
+    )
+    return _CheckRow(
+        key,
+        tuple(index for index, member in enumerate(joined) if member),
+        birigid is not True and rigid is True,
+        tuple(e_problems),
+        None
+        if levi is None
+        else (key, levi, "non-integral" if (in_e2 or in_e3) else "integral"),
+        tuple(conformance),
+    )
 
 
 def check_consistency(
@@ -572,54 +634,29 @@ def check_consistency(
 ) -> tuple[CheckResult, ...]:
     """Run the seven cross-checks; results come back in C1..C7 order.
 
-    One pass reads every flag of every record and fills the key sets of all
-    seven checks; the checks then compare those sets.
+    One pass unions the records' cached rows into the key sets of all seven
+    checks; the checks then compare those sets.
 
     ``delta_runner(group, indices) -> verdict`` may be injected; the default
     memoizes the exact computation so repeated sweeps stay cheap.
     """
     runner = delta_runner or _cached_delta_verdict
-    both: set[Key] = set()  # birationally rigid and failing smooth-locus codim 4
-    quad: set[Key] = set()  # birationally rigid but not rigid
-    smooth: set[Key] = set()
-    c4: set[Key] = set()
-    e1: set[Key] = set()
-    e2: set[Key] = set()
-    e3: set[Key] = set()
+    key_sets: tuple[set[Key], ...] = tuple(set() for _ in _KEY_SETS)
+    both, quad, smooth, c4, e1, e2, e3 = key_sets
     rigid_not_birigid = []
     levis = []
     e_problems = []
     conformance: list[str] = []
     for record in records:
-        (
-            group, label, special, rigid, birigid, codim4, fails_smooth,
-            in_e1, in_e2, in_e3, levi, provenance,
-        ) = _check_row(record)
-        key = (group, label)
-        if birigid is True:
-            if fails_smooth is True:
-                both.add(key)
-            if rigid is False:
-                quad.add(key)
-        elif rigid is True:
+        key, joins, breaks_c3, row_e_problems, levi, row_conformance = record._check_row
+        for index in joins:
+            key_sets[index].add(key)
+        if breaks_c3:
             rigid_not_birigid.append(_fmt(key))
-        if fails_smooth is True:
-            smooth.add(key)
-        if codim4 is True:
-            c4.add(key)
-        if in_e1:
-            e1.add(key)
-        if in_e2:
-            e2.add(key)
-        if in_e3:
-            e3.add(key)
-        if sum((in_e1, in_e2, in_e3)) > 1:
-            e_problems.append(f"{_fmt(key)}: in more than one e-list")
-        if (in_e2 or in_e3) and special is not True:
-            e_problems.append(f"{_fmt(key)}: e2/e3 member not marked special")
+        e_problems += row_e_problems
         if levi is not None:
-            levis.append((key, levi, "non-integral" if (in_e2 or in_e3) else "integral"))
-        _conform(record, key, provenance, conformance)
+            levis.append(levi)
+        conformance += row_conformance
 
     results = []
 

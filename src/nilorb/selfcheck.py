@@ -452,7 +452,10 @@ def _lookup(criterion_id: str) -> tuple[str, Callable[[Optional[str]], tuple]]:
     for cid, name, runner in _CRITERIA:
         if cid == criterion_id:
             return name, runner
-    raise InputError(f"unknown criterion {criterion_id!r}; have 1..9")
+    raise InputError(
+        f"unknown criterion {criterion_id!r}; "
+        f"expected one of {', '.join(map(repr, CRITERION_IDS))}"
+    )
 
 
 def criterion_name(criterion_id: str) -> str:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilorb import orbit_atlas
+from nilorb.cli import _record_payload
 from nilorb.errors import AtlasLoadError, InputError, OrbitNotFoundError
 from nilorb.orbit_atlas import (
     _RECORD_KEYS,
@@ -98,8 +100,8 @@ def test_missing_field_rejected(tmp_path):
 
 
 def test_record_fields_run_in_record_key_order():
-    # the parser builds records positionally and check_consistency unpacks
-    # them positionally, both in _RECORD_KEYS order
+    # the parser builds records positionally and a check's row builder
+    # unpacks them positionally, both in _RECORD_KEYS order
     names = tuple(f.name for f in dataclasses.fields(ExceptionalOrbitRecord))
     assert names == _RECORD_KEYS + ("comment",)
 
@@ -381,3 +383,43 @@ def test_every_primary_flag_flip_is_caught(atlas):
             assert any(not c.passed for c in results), (target.key, field)
             flips += 1
     assert flips > 300  # the sweep really covered the table
+
+
+def test_each_record_row_is_built_once(monkeypatch):
+    builds = []
+    build = orbit_atlas._record_row
+
+    def counting(record):
+        builds.append(record.key)
+        return build(record)
+
+    monkeypatch.setattr(orbit_atlas, "_record_row", counting)
+    records = load_atlas()
+    assert builds == []  # the loader does not build rows
+    flipped = []
+    for index, record in enumerate(records):
+        for field in paper_provenanced_fields(record):
+            mutated = list(records)
+            mutated[index] = flip_field(record, field)
+            assert "_check_row" not in vars(mutated[index])
+            flipped.append(mutated)
+    assert len(flipped) == 376
+
+    check_consistency(records)
+    for mutated in flipped:
+        check_consistency(mutated)
+    assert len(builds) == 63 + 376
+    builds.clear()
+    check_consistency(records)
+    for mutated in flipped:
+        check_consistency(mutated)
+    assert builds == []
+
+    # the cached row is no field: a checked record equals, hashes and
+    # serializes as an unchecked one
+    cold = load_atlas()
+    assert "_check_row" in vars(records[0]) and "_check_row" not in vars(cold[0])
+    names = tuple(f.name for f in dataclasses.fields(records[0]))
+    assert names == _RECORD_KEYS + ("comment",)
+    assert records == cold and hash(records) == hash(cold)
+    assert [_record_payload(r) for r in records] == [_record_payload(r) for r in cold]

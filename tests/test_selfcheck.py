@@ -32,6 +32,15 @@ def test_unknown_criterion_rejected():
             run_criterion(bad)
 
 
+def test_unknown_criterion_message_lists_the_string_ids():
+    # the ids are strings, so the int 8 is unknown; the message must say why
+    expected = "unknown criterion 8; expected one of '1', '2', '3', '4', '5', '6', '7', '8', '9'"
+    for call in (criterion_name, run_criterion):
+        with pytest.raises(InputError) as caught:
+            call(8)
+        assert str(caught.value) == expected
+
+
 def test_result_carries_id_and_name():
     result = run_criterion("5")
     assert (result.criterion_id, result.name, result.passed) == ("5", "classical-fixtures", True)
