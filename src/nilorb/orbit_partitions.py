@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from operator import sub
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, IntegrityError, StepInapplicableError
@@ -132,7 +134,7 @@ _SPECIAL_RESIDUE = {"B": 0, "C": 1, "D": 1}
 
 def _gaps(parts: tuple[int, ...]) -> list[int]:
     """g_n = p_n - p_{n+1} for n = 1..L, the trailing zero counted."""
-    return [p - q for p, q in zip(parts, parts[1:] + (0,))]
+    return list(map(sub, parts, parts[1:] + (0,)))
 
 
 def is_special(orbit: ClassicalOrbit) -> bool:
@@ -145,7 +147,7 @@ def is_special(orbit: ClassicalOrbit) -> bool:
     """
     # g_k sits at index k - 1: even k are the odd indices
     first = 1 - _SPECIAL_RESIDUE[orbit.kind]
-    return all(g % 2 == 0 for g in _gaps(orbit.parts)[first::2])
+    return not any(map((1).__and__, _gaps(orbit.parts)[first::2]))
 
 
 def _strip(parts: Sequence[int]) -> tuple[int, ...]:
@@ -168,6 +170,14 @@ def _moved(
     if moved[-1] < 0 or any(a < b for a, b in zip(moved, moved[1:])):
         return None
     return _strip(moved)
+
+
+def _orbit_or_none(kind: str, parts: tuple[int, ...]) -> Optional[ClassicalOrbit]:
+    """The orbit, or None when the type refuses ``parts``."""
+    try:
+        return ClassicalOrbit(kind, parts)
+    except InputError:
+        return None
 
 
 def elementary_step(
@@ -193,19 +203,21 @@ def elementary_step(
     if variant not in (None, "i", "ii"):
         raise InputError(f"variant must be 'i' or 'ii', got {variant!r}")
 
+    # both forward moves are partitions by construction, so the one check the
+    # constructor runs can only refuse their parity
     first = _moved(orbit.parts, n, "i", 1)
-    first_ok = is_valid_type(first, orbit.kind)
+    stepped = _orbit_or_none(orbit.kind, first)
     if variant in (None, "i"):
-        if first_ok:
-            return ClassicalOrbit(orbit.kind, first), "i"
+        if stepped is not None:
+            return stepped, "i"
         if variant == "i":
             raise StepInapplicableError(
                 f"variant i at n={n} leaves type {orbit.kind}: {first}"
             )
-    if not first_ok:
-        second = _moved(orbit.parts, n, "ii", 1)
-        if is_valid_type(second, orbit.kind):
-            return ClassicalOrbit(orbit.kind, second), "ii"
+    if stepped is None:
+        second = _orbit_or_none(orbit.kind, _moved(orbit.parts, n, "ii", 1))
+        if second is not None:
+            return second, "ii"
         raise StepInapplicableError(
             f"no variant applies to {orbit.parts} at n={n} in type {orbit.kind}"
         )
@@ -273,6 +285,22 @@ class BirationalSource:
     script: StepScript
 
 
+# Distinct sources are few: selftest criterion 6 meets 112 in its 985 special
+# orbits.  256 holds all of them twice over and bounds the memory a long
+# stream of distinct sources can pin.
+_SOURCE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SOURCE_CACHE_SIZE)
+def _source(kind: str, parts: tuple[int, ...]) -> tuple[ClassicalOrbit, bool]:
+    """The validated source orbit ``(kind, parts)`` and whether it is special,
+    built and checked once per distinct key and then shared.  A source the
+    type rejects raises InputError on every call: lru_cache stores no
+    exceptions."""
+    source = ClassicalOrbit(kind, parts)
+    return source, is_special(source)
+
+
 def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     """The birationally rigid orbit reaching ``orbit`` by variant-(i) steps.
 
@@ -285,19 +313,20 @@ def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     each time gives the script, outermost first: floor(g_n / 2) copies of
     ``(n, "i")`` for n = L down to 1.  The copies for one n are one shared
     tuple, so a source costs O(L) objects plus one tuple of
-    sum floor(g_n / 2) references, not a fresh tuple per step.  A
-    birationally rigid orbit is its own source with an empty script.  The
-    result is a 1-tuple.
+    sum floor(g_n / 2) references, not a fresh tuple per step.  Each distinct
+    source orbit is built and checked once per ``(kind, parts)`` and then
+    shared, so equal sources are the same object.  A birationally rigid
+    orbit is its own source with an empty script.  The result is a 1-tuple.
     """
     gaps = _gaps(orbit.parts)
-    parts = _strip(list(accumulate(g % 2 for g in reversed(gaps)))[::-1])
+    parts = _strip(list(accumulate(map((1).__and__, reversed(gaps))))[::-1])
     steps: list[tuple[int, str]] = []
     for n in range(len(gaps), 0, -1):
         steps += [(n, "i")] * (gaps[n - 1] // 2)
     # rigid by construction (every gap is 0 or 1); the type is the calculus's
     # promise, so a source outside it is an integrity fault, not bad input
     try:
-        source = ClassicalOrbit(orbit.kind, parts)
+        source, _ = _source(orbit.kind, parts)
     except InputError as exc:
         raise IntegrityError(f"gap-parity source of {orbit!r}: {exc}") from None
     return (BirationalSource(source, StepScript(tuple(steps))),)
@@ -307,14 +336,16 @@ def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
     """The special birationally rigid source of a special orbit.
 
     The source is the gap-parity reduction of :func:`birational_sources`;
-    the gap argument there makes it unique.
+    the gap argument there makes it unique.  Its specialness is read from
+    the same per-``(kind, parts)`` cache, so each distinct source is built
+    and checked once and then shared.
     Raises InputError when the input is not special, and IntegrityError when
     the source is not special (the calculus promises it is).
     """
     if not is_special(orbit):
         raise InputError(f"{orbit!r} is not special")
     (source,) = birational_sources(orbit)
-    if not is_special(source.orbit):
+    if not _source(source.orbit.kind, source.orbit.parts)[1]:
         raise IntegrityError(f"birationally rigid source of {orbit!r} is not special")
     return source
 

@@ -221,8 +221,9 @@ def _criterion_rigid_sources(atlas_path: Optional[str]) -> tuple:
     checked = 0
     failures = []
     for total in range(1, 21):
+        partitions = tuple(partitions_of(total))  # one enumeration for all three types
         for kind in KINDS:
-            for parts in partitions_of(total):
+            for parts in partitions:
                 if not is_valid_type(parts, kind):
                     continue
                 orbit = ClassicalOrbit(kind, parts)
@@ -270,11 +271,12 @@ def _criterion_step_semantics(atlas_path: Optional[str]) -> tuple:
     except StepInapplicableError:
         pass
 
+    by_total = [tuple(partitions_of(total)) for total in range(1, 13)]
     pool = [
         ClassicalOrbit(kind, parts)
         for kind in KINDS
-        for total in range(1, 13)
-        for parts in partitions_of(total)
+        for partitions in by_total
+        for parts in partitions
         if is_valid_type(parts, kind)
     ]
     rng = random.Random(_STEP_SEED)

@@ -224,6 +224,32 @@ def test_step_grows_size_by_2n():
             assert grown.size == o.size + 2 * n
 
 
+def test_a_step_checks_each_candidate_once(monkeypatch):
+    calls = []
+    check = orbit_partitions._check_partition
+
+    def counting(parts):
+        calls.append(parts)
+        return check(parts)
+
+    monkeypatch.setattr(orbit_partitions, "_check_partition", counting)
+    # variant i lands at once; variant ii first checks the refused variant-i
+    # candidate; a forced variant ii checks variant i's to refuse the force
+    for o, n, variant, candidates in (
+        (orbit("C", 2), 2, None, [(4, 2)]),
+        (orbit("C", 1, 1), 1, None, [(3, 1), (2, 2)]),
+        (orbit("B", 2, 2, 1), 1, "ii", [(4, 2, 1), (3, 3, 1)]),
+        (orbit("C", 1, 1), 1, "i", [(3, 1)]),
+        (orbit("C", 2), 1, "ii", [(4,)]),
+    ):
+        calls.clear()
+        try:
+            elementary_step(o, n, variant)
+        except StepInapplicableError:
+            pass
+        assert calls == candidates, (o, n, variant)
+
+
 # --- inverse steps -----------------------------------------------------------------
 
 def test_inverse_steps_of_c_44():
@@ -360,12 +386,73 @@ def test_sources_of_b_311():
     assert sources[0].script.replay(orbit("B", 1, 1, 1)) == orbit("B", 3, 1, 1)
 
 
-def test_source_outside_the_type_is_an_integrity_fault(monkeypatch):
+@pytest.fixture
+def cold_sources():
+    """The source cache, empty at the start and emptied again at the end, so
+    that no entry built under a test's patches outlives the test."""
+    orbit_partitions._source.cache_clear()
+    yield orbit_partitions._source
+    orbit_partitions._source.cache_clear()
+
+
+def test_source_outside_the_type_is_an_integrity_fault(monkeypatch, cold_sources):
     # a source the type rejects is the calculus's fault, not bad input
     target = orbit("C", 4, 4)
+    # a cached ("C", ()) source would skip the patched check: warm the cache
+    # and see it hit, then empty it before the patch (the fixture empties it
+    # again afterwards)
+    birational_sources(target)
+    birational_sources(target)
+    assert cold_sources.cache_info().hits == 1
+    cold_sources.cache_clear()
     monkeypatch.setattr(orbit_partitions, "is_valid_type", lambda parts, kind: parts != ())
     with pytest.raises(IntegrityError):
         birational_sources(target)
+
+
+def test_a_rejected_source_raises_on_every_call(monkeypatch, cold_sources):
+    # lru_cache stores no exceptions, so a second call checks again
+    monkeypatch.setattr(orbit_partitions, "is_valid_type", lambda parts, kind: parts != ())
+    for _ in range(2):
+        with pytest.raises(IntegrityError, match=r"source of ClassicalOrbit\('C', \(4, 4\)\)"):
+            rigid_special_source(orbit("C", 4, 4))
+    assert cold_sources.cache_info().currsize == 0
+
+
+def test_a_source_that_is_not_special_is_an_integrity_fault(monkeypatch, cold_sources):
+    # the source's specialness is read from the cache, which stores the
+    # patched answer; the fixture drops that entry afterwards
+    monkeypatch.setattr(orbit_partitions, "is_special", lambda o: o.parts != ())
+    for _ in range(2):
+        with pytest.raises(IntegrityError, match=r"\('C', \(4, 4\)\) is not special"):
+            rigid_special_source(orbit("C", 4, 4))
+    assert cold_sources.cache_info().misses == 1
+
+
+def test_each_distinct_source_is_checked_once(monkeypatch, cold_sources):
+    specials = [
+        o
+        for kind in KINDS
+        for total in range(13)
+        for o in valid_orbits(kind, total)
+        if is_special(o)
+    ]
+    orbits = specials + specials[::-1]
+    distinct = {(o.kind, gap_parity_reduction(o.parts)) for o in orbits}
+    assert len(distinct) < len(specials)  # sources repeat even in one pass
+    calls = []
+    check = orbit_partitions._check_partition
+
+    def counting(parts):
+        calls.append(parts)
+        return check(parts)
+
+    monkeypatch.setattr(orbit_partitions, "_check_partition", counting)
+    results = [rigid_special_source(o) for o in orbits]
+    assert len(calls) == len(distinct)
+    assert cold_sources.cache_info().misses == len(distinct)
+    # equal sources are one shared object
+    assert len({id(r.orbit) for r in results}) == len(distinct)
 
 
 def test_rigid_orbit_is_its_own_source():
@@ -462,6 +549,27 @@ def test_walk_matches_the_dfs_oracle_up_to_total_26():
                 assert source.orbit.parts == gap_parity_reduction(o.parts), o
                 checked += 1
     assert checked == 5006
+
+
+def test_cold_and_warm_sources_match_fresh_builds_and_the_dfs_oracle(cold_sources):
+    specials = [
+        o
+        for kind in KINDS
+        for total in range(1 if kind == "B" else 0, 21, 2)
+        for o in valid_orbits(kind, total)
+        if is_special(o)
+    ]
+    cold = [rigid_special_source(o) for o in specials]
+    assert cold_sources.cache_info().hits > 0  # sources repeat within one pass
+    warm = [rigid_special_source(o) for o in specials]
+    for o, first, second in zip(specials, cold, warm):
+        fresh = ClassicalOrbit(o.kind, gap_parity_reduction(o.parts))
+        assert first == second and second.orbit is first.orbit, o
+        assert first.orbit == fresh and repr(first.orbit) == repr(fresh), o
+        assert hash(first.orbit) == hash(fresh), o
+        assert is_special(fresh), o
+        assert (first,) == dfs_sources(o), o
+    assert len(specials) == 987  # criterion 6's 985 and the zero orbits of C and D
 
 
 def test_long_chain_c_2400():
