@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Iterator, Optional
 
 from .delta_check import PRESETS, delta_verdict, preset_report
@@ -125,7 +126,8 @@ def cmd_partition(args: argparse.Namespace) -> CommandResult:
         if n is None:
             raise InputError("'step' needs --n")
         stepped, variant = elementary_step(orbit, n, args.variant)
-        return _ok({**base, "n": n, "result": list(stepped.parts), "variant": variant})
+        # the parts tuple itself: both renderings take a tuple for a list
+        return _ok({**base, "n": n, "result": stepped.parts, "variant": variant})
     if args.action == "sources":
         found = birational_sources(orbit)
         return _ok(
@@ -223,8 +225,21 @@ def _scalar_text(value) -> str:
 
 
 def _is_scalar_list(value) -> bool:
-    return isinstance(value, list) and all(
+    return isinstance(value, (list, tuple)) and all(
         not isinstance(x, (dict, list)) for x in value
+    )
+
+
+# output is joined this many entries or JSON chunks at a time, so that a long
+# list is rendered holding one block of small strings rather than one per entry
+_JOIN_BLOCK = 4096
+_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _scalar_list_text(items) -> str:
+    return ", ".join(
+        ", ".join(map(_scalar_text, items[start : start + _JOIN_BLOCK]))
+        for start in range(0, len(items), _JOIN_BLOCK)
     )
 
 
@@ -235,7 +250,7 @@ def _text_lines(value, indent: int = 0) -> Iterator[str]:
         for key in sorted(value):
             item = value[key]
             if _is_scalar_list(item):
-                yield f"{pad}{key}: [{', '.join(_scalar_text(x) for x in item)}]"
+                yield f"{pad}{key}: [{_scalar_list_text(item)}]"
             elif isinstance(item, (dict, list)) and item:
                 yield f"{pad}{key}:"
                 yield from _text_lines(item, indent + 1)
@@ -246,7 +261,7 @@ def _text_lines(value, indent: int = 0) -> Iterator[str]:
     elif isinstance(value, list):
         for item in value:
             if _is_scalar_list(item):
-                yield f"{pad}- [{', '.join(_scalar_text(x) for x in item)}]"
+                yield f"{pad}- [{_scalar_list_text(item)}]"
             elif isinstance(item, (dict, list)):
                 yield f"{pad}-"
                 yield from _text_lines(item, indent + 1)
@@ -275,7 +290,12 @@ def _emit(result: CommandResult, json_mode: bool, text: Optional[str] = None) ->
             "payload": result.payload,
             "diagnostics": list(result.diagnostics),
         }
-        print(json.dumps(document, indent=2, sort_keys=True))
+        # written a block of chunks at a time: a long list is never held as
+        # one string, nor as one chunk per entry
+        chunks = _JSON_ENCODER.iterencode(document)
+        for first in chunks:
+            sys.stdout.write(first + "".join(islice(chunks, _JOIN_BLOCK - 1)))
+        print()
         return
     if result.status == "error":
         print(f"error: {result.payload.get('error', 'unknown error')}", file=sys.stderr)

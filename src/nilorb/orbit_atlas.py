@@ -16,6 +16,16 @@ records it is handed, so a single flipped flag is caught no matter how it
 enters.  Checks C1 through C7 then exercise the cross-lemma consistency of
 the whole table.
 
+The loader keeps the raw JSON object and the frozen record of every record in
+the last atlas it accepted, by key.  A raw record strictly equal to the stored
+one (``==``, with every flag the same ``true``/``false``/``null`` object and
+every Levi label an ``int``, since JSON's ``1`` equals ``true`` and ``3.0``
+equals ``3`` in Python) returns the stored record without being parsed again,
+and it skips conformance, which it passed in that atlas and which depends on
+nothing but its fields.  Only a successful load replaces what is kept, so it
+is always one whole accepted atlas.  Equal records from successive loads are
+therefore one shared frozen object; nothing but ``is`` can tell.
+
 At import the embedded sets are folded into one expectation table,
 ``{(group, label): {field: expected}}``.  A field whose set is exhaustive
 (the e-lists, the smooth-locus failures, the codimension-4 boundary) expects
@@ -43,7 +53,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -315,8 +325,9 @@ _NO_EXPECTATION = object()
 
 
 # 256 is four times the packaged atlas, whose 63 (key, provenance) pairs stay
-# cached however many files are loaded; only loads and records checked for the
-# first time reach this cache, since checks read each record's cached row
+# cached however many files are loaded; only records a load parses rather than
+# reuses, and records checked for the first time, reach this cache, since
+# checks read each record's cached row
 @lru_cache(maxsize=256)
 def _paper_expectation(key: Key, provenance: tuple[tuple[str, str], ...]):
     """(fields, getter, expected) for a record's primary-source flags, or None.
@@ -460,6 +471,36 @@ def _parse_record(raw: object) -> ExceptionalOrbitRecord:
     )
 
 
+# (raw, record) of every record in the last atlas load_atlas accepted, by key.
+# A load reads it once and, only on success, rebinds it to a new table, never
+# changing one in place, so concurrent loads each see one whole accepted atlas
+_last_accepted: dict[Key, tuple[dict, ExceptionalOrbitRecord]] = {}
+
+
+def _reused(raw: object, accepted: dict) -> Optional[ExceptionalOrbitRecord]:
+    """The accepted record that ``raw`` restates exactly, or None.
+
+    Among JSON values only numbers and booleans compare equal across types,
+    so ``==`` plus identical flags and ``int`` Levi labels is strict equality.
+    """
+    if type(raw) is not dict:
+        return None
+    group = raw.get("group")
+    label = raw.get("label")
+    if type(group) is not str or type(label) is not str:
+        return None
+    entry = accepted.get((group, label))
+    if entry is None:
+        return None
+    stored, record = entry
+    if raw != stored or not all(map(is_, _raw_flags(raw), _raw_flags(stored))):
+        return None
+    levi = raw["levi_descriptor"]
+    if levi is not None and not all(type(i) is int for i in levi):
+        return None
+    return record
+
+
 def default_atlas_text() -> str:
     return (
         resources.files("nilorb")
@@ -475,7 +516,10 @@ def load_atlas(
 
     Structural problems, provenance problems, duplicate orbits and
     contradictions with the embedded expectations all raise AtlasLoadError.
+    A record strictly equal to one of the last accepted atlas comes back as
+    that atlas's record object, neither parsed nor conformance-checked again.
     """
+    global _last_accepted
     if path is None:
         text = default_atlas_text()
         origin = "packaged atlas"
@@ -498,20 +542,27 @@ def load_atlas(
     if not isinstance(doc["records"], list):
         raise AtlasLoadError(f"{origin}: 'records' must be a list")
 
+    accepted = _last_accepted
     records = []
-    seen: set[Key] = set()
+    parsed = []  # a reused record passed conformance in the accepted atlas
+    table: dict[Key, tuple[dict, ExceptionalOrbitRecord]] = {}
     for raw in doc["records"]:
-        record = _parse_record(raw)
-        if record.key in seen:
-            raise AtlasLoadError(f"duplicate orbit {_fmt(record.key)}")
-        seen.add(record.key)
+        record = _reused(raw, accepted)
+        if record is None:
+            record = _parse_record(raw)
+            parsed.append(record)
+        key = record.key
+        if key in table:
+            raise AtlasLoadError(f"duplicate orbit {_fmt(key)}")
+        table[key] = (raw, record)
         records.append(record)
 
-    issues = _conformance_issues(records)
+    issues = _conformance_issues(parsed)
     if issues:
         raise AtlasLoadError(
             f"{origin}: data contradicts embedded expectations: " + "; ".join(issues[:5])
         )
+    _last_accepted = table
     return tuple(records)
 
 

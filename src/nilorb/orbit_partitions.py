@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import lt, sub
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, IntegrityError, StepInapplicableError
@@ -167,7 +167,7 @@ def _moved(
     moved = list(parts) + [0] * max(0, len(increments) - len(parts))
     for k, d in enumerate(increments):
         moved[k] += sign * d
-    if moved[-1] < 0 or any(a < b for a, b in zip(moved, moved[1:])):
+    if moved[-1] < 0 or any(map(lt, moved, moved[1:])):
         return None
     return _strip(moved)
 

@@ -1,5 +1,9 @@
 """Shared test setup.
 
+``cold_atlas`` empties the atlas loader's table of the last accepted atlas
+around a test, so that the test's first load builds fresh records and no
+record it loaded is reused by a later test.
+
 When a ``@given`` test fails, Hypothesis's pytest plugin imports
 ``hypothesis.extra._patching`` to write a patch for the failing example.
 That module imports libcst, which uses ``mypy_extensions.TypedDict`` and so
@@ -29,3 +33,17 @@ def pytest_runtest_makereport(item, call):
             except ImportError:
                 pass
     return (yield)
+
+
+@pytest.fixture
+def cold_atlas():
+    """Empties the table before and after the test; the yielded function
+    empties it again mid-test."""
+    from nilorb import orbit_atlas
+
+    def empty():
+        orbit_atlas._last_accepted = {}
+
+    empty()
+    yield empty
+    empty()

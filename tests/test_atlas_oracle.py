@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilorb import orbit_atlas
 from nilorb.errors import AtlasLoadError
 from nilorb.orbit_atlas import (
     BIRIGID_FALSE_EXPECTED,
@@ -485,6 +486,101 @@ def test_flipped_file_refusal_matches_oracle(tmp_path):
         outcome = load_outcome(load_atlas, target)
         assert outcome[0] == "refused", (index, field)
         assert outcome == load_outcome(oracle_load_atlas, target)
+
+
+# --- reuse of the last accepted atlas ---------------------------------------------
+
+def strict_load_outcome(load, path):
+    # the refused raw as JSON text, which tells 1 from true and 3.0 from 3
+    try:
+        return "loaded", load(path)
+    except AtlasLoadError as exc:
+        raw = exc.record
+        return "refused", str(exc), None if raw is None else json.dumps(raw)
+
+
+def restated(changes):
+    """Fresh copies of the packaged raw records with ``changes``, (index,
+    key, value) triples, applied."""
+    records = json.loads(json.dumps(RAW_RECORDS))
+    for index, key, value in changes:
+        records[index][key] = value
+    return records
+
+
+def equal_but_retyped():
+    """Records that == the packaged ones but are other JSON: a flag restated
+    as a number or a null as false (every value of every flag, once), a Levi
+    label as a float, or a leading 1 as true."""
+    substitute = {True: 1, False: 0, None: False}
+    for field in FLAG_FIELDS:
+        for value in (True, False, None):
+            index = next((i for i, r in enumerate(RAW_RECORDS) if r[field] is value), None)
+            if index is not None:
+                yield restated([(index, field, substitute[value])])
+    for index, raw in enumerate(RAW_RECORDS):
+        levi = raw["levi_descriptor"]
+        if levi is None:
+            continue
+        for position in range(len(levi)):
+            floats = [float(i) if k == position else i for k, i in enumerate(levi)]
+            yield restated([(index, "levi_descriptor", floats)])
+        assert levi[0] == 1
+        yield restated([(index, "levi_descriptor", [True, *levi[1:]])])
+
+
+def load_warm_and_oracle(tmp_path, records):
+    """Warm the table with the packaged atlas, load ``records`` from a file,
+    and require the oracle's outcome; returns the warm table and the outcome."""
+    target = tmp_path / "restated.json"
+    target.write_text(json.dumps({"records": records}, ensure_ascii=False), encoding="utf-8")
+    load_atlas()
+    warm = orbit_atlas._last_accepted
+    outcome = strict_load_outcome(load_atlas, target)
+    assert outcome == strict_load_outcome(oracle_load_atlas, target)
+    return warm, outcome
+
+
+def test_retyped_records_are_refused_as_the_oracle_refuses_them(tmp_path, cold_atlas):
+    cases = list(equal_but_retyped())
+    assert len(cases) == 18 + 11  # the flags' values, then the Levi labels
+    # a primary citation where no expectation is embedded: the edited record
+    # is parsed and conformance-checked again
+    target = next(i for i, r in enumerate(ATLAS) if r.key == ("G2", "A_1"))
+    provenance = {**RAW_RECORDS[target]["provenance"], "is_rigid": "paper §4, restated"}
+    cases.append(restated([(target, "provenance", provenance)]))
+    for records in cases:
+        warm, outcome = load_warm_and_oracle(tmp_path, records)
+        assert outcome[0] == "refused"
+        # a refused load keeps the table it found and stores none of its raws
+        assert orbit_atlas._last_accepted is warm
+
+
+def test_restated_records_are_loaded_as_the_oracle_loads_them(tmp_path, cold_atlas):
+    commented = next(i for i, raw in enumerate(RAW_RECORDS) if "comment" not in raw)
+    cited = next(i for i, r in enumerate(ATLAS) if "in_e1" in paper_provenanced_fields(r))
+    provenance = {**RAW_RECORDS[cited]["provenance"], "in_e1": "paper §1.2, restated"}
+    swapped = list(range(len(RAW_RECORDS)))
+    swapped[0], swapped[-1] = swapped[-1], swapped[0]
+    cases = [
+        # (records, indices of the records that must be parsed again)
+        (restated([(commented, "comment", None)]), {commented}),
+        (restated([(cited, "provenance", provenance)]), {cited}),
+        ([RAW_RECORDS[i] for i in swapped], set()),
+    ]
+    for records, changed in cases:
+        warm, outcome = load_warm_and_oracle(tmp_path, records)
+        assert outcome[0] == "loaded"
+        loaded = outcome[1]
+        # an accepted file, packaged or not, replaces the table with its own records
+        table = orbit_atlas._last_accepted
+        assert table is not warm
+        assert [record for _, record in table.values()] == list(loaded)
+        assert all(a is b for (_, a), b in zip(table.values(), loaded))
+        for index, record in enumerate(loaded):
+            assert (record is warm[record.key][1]) is (index not in changed), index
+    # the packaged atlas after the edited provenance parses that record again
+    assert load_atlas() == ATLAS == oracle_load_atlas(None)
 
 
 # --- the record parser ------------------------------------------------------------
