@@ -95,7 +95,9 @@ def roots_pairing_one(rs: RootSystem, h: QuotientVector) -> tuple[QuotientVector
     roots, so along the system's growth tree a root's pairing is its
     parent's plus the pairing with the one simple root added.
     """
-    on_simples = [pair(h, alpha) for alpha in rs.simple_roots]
+    if h.dim != rs.ambient_dim:
+        raise InputError(f"dimension mismatch: {h.dim} vs {rs.ambient_dim}")
+    on_simples = [_form(h.coords, alpha.coords) for alpha in rs.simple_roots]
     # a simple root's parent -1 reads the extra last slot, which stays 0
     pairings = [0] * (len(rs.positive_roots) + 1)
     for child, parent, k in rs.growth:

@@ -32,6 +32,8 @@ __all__ = [
 
 
 def _as_int(value: object) -> int:
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"matrix entries must be plain integers, got {value!r}")
     return value
@@ -102,23 +104,16 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=b.cols)
 
 
-def _negate(row: list[int]) -> None:
-    for j in range(len(row)):
-        row[j] = -row[j]
-
-
-def _submul(target: list[int], source: list[int], q: int) -> None:
-    if q:
-        for j in range(len(target)):
-            target[j] -= q * source[j]
-
-
 def _echelon(h: list[list[int]], cols: int, track: bool) -> Optional[list[list[int]]]:
     """Bring the rows ``h`` to row-style Hermite normal form in place.
 
     With ``track`` the unimodular transform ``u`` (``u @ original == h``) is
     built alongside and returned; without it only ``h`` changes.  Entries
-    must already be checked integers.
+    must already be checked integers.  Each column runs Euclid on the rows
+    from the pivot row down: the first row of least absolute value becomes
+    the pivot and the others drop by floor quotients of it.  A changed row
+    is rebuilt as a new list, so callers read the result from ``h``, not
+    from row objects they held before the call.
     """
     n = len(h)
     u = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
@@ -128,37 +123,48 @@ def _echelon(h: list[list[int]], cols: int, track: bool) -> Optional[list[list[i
             break
         # Euclid on column c, rows r..end, until at most one nonzero survives.
         while True:
-            live = [i for i in range(r, n) if h[i][c] != 0]
-            if not live:
+            i0 = -1
+            least = 0
+            for i in range(r, n):
+                x = h[i][c]
+                if x:
+                    x = abs(x)
+                    if i0 < 0 or x < least:
+                        i0, least = i, x
+            if i0 < 0:
                 break
-            i0 = min(live, key=lambda i: (abs(h[i][c]), i))
             if i0 != r:
                 h[r], h[i0] = h[i0], h[r]
                 if track:
                     u[r], u[i0] = u[i0], u[r]
-            if h[r][c] < 0:
-                _negate(h[r])
+            prow = h[r]
+            if prow[c] < 0:
+                prow = h[r] = [-a for a in prow]
                 if track:
-                    _negate(u[r])
+                    u[r] = [-a for a in u[r]]
+            pivot = prow[c]
             reduced_all = True
             for i in range(r + 1, n):
-                if h[i][c]:
-                    q = h[i][c] // h[r][c]
-                    _submul(h[i], h[r], q)
+                row = h[i]
+                if row[c]:
+                    q = row[c] // pivot
+                    row = h[i] = [a - q * b for a, b in zip(row, prow)]
                     if track:
-                        _submul(u[i], u[r], q)
-                    if h[i][c]:
+                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                    if row[c]:
                         reduced_all = False
             if reduced_all:
                 break
-        if h[r][c] == 0:
+        prow = h[r]
+        pivot = prow[c]
+        if pivot == 0:
             continue
-        pivot = h[r][c]
         for i in range(r):
             q = h[i][c] // pivot
-            _submul(h[i], h[r], q)
-            if track:
-                _submul(u[i], u[r], q)
+            if q:
+                h[i] = [a - q * b for a, b in zip(h[i], prow)]
+                if track:
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
         r += 1
     return u
 

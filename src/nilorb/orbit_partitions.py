@@ -61,7 +61,7 @@ def _check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     out = []
     prev = None
     for p in parts:
-        if isinstance(p, bool) or not isinstance(p, int):
+        if type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
             raise InputError(f"partition parts must be integers, got {p!r}")
         if p <= 0:
             raise InputError(f"partition parts must be positive, got {p}")

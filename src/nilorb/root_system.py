@@ -55,6 +55,8 @@ __all__ = [
 
 
 def _normalize(value) -> Scalar:
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise InputError(f"coordinates must be numbers, got {value!r}")
     if isinstance(value, int):

@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from oracles import coefficient_table, qadd
+from oracles import coefficient_table, qadd, reference_echelon
 
 from nilorb import exact_linalg
 from nilorb.delta_check import (
@@ -103,6 +103,13 @@ def test_e8_h_and_root_count():
     assert len(roots) == 14
     assert qv(0, 0, 0, 0, 0, 1, 0, -1, 0) in roots
     assert qv(0, 0, -1, 0, 0, 0, 0, -1, -1) in roots
+
+
+def test_roots_pairing_one_refuses_an_h_of_the_other_system():
+    # the one dimension check in front of the raw-coordinate pairings
+    h7 = principal_h(levi_subsystem(build_root_system("E7"), (1, 2, 6)))
+    with pytest.raises(InputError, match=r"^dimension mismatch: 8 vs 9$"):
+        roots_pairing_one(build_root_system("E8"), h7)
 
 
 def test_e8_kappa_matches_reference_mod_ones():
@@ -334,6 +341,30 @@ def test_each_verdict_runs_one_untracked_hnf_and_no_tracked_one(monkeypatch):
     for name, idx in levis:
         delta_verdict(name, idx)
     assert calls == Counter({False: len(levis)})
+
+
+def test_echelon_matches_the_reference_kernel_on_every_torus(monkeypatch):
+    # the torus generators of each Levi, reduced tracked and untracked by
+    # both kernels; h and u must be identical, not merely span one lattice
+    build_root_system("E7")
+    build_root_system("E8")
+    echelon = exact_linalg._echelon
+    seen = []
+
+    def compared(h, cols, track):
+        for tracked in (False, True):
+            fast = [list(row) for row in h]
+            slow = [list(row) for row in h]
+            assert echelon(fast, cols, tracked) == reference_echelon(slow, cols, tracked)
+            assert fast == slow
+        seen.append(len(h))
+        return echelon(h, cols, track)
+
+    monkeypatch.setattr(exact_linalg, "_echelon", compared)
+    levis = list(all_levis())
+    for name, idx in levis:
+        central_torus_lattice(levi_subsystem(build_root_system(name), idx))
+    assert len(seen) == len(levis) == 382
 
 
 def test_table_stages_match_the_ambient_oracle_on_every_levi():

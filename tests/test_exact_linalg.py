@@ -8,21 +8,26 @@ with them on every randomized instance.
 
 import itertools
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_echelon
 
 from nilorb.errors import InputError
 from nilorb.exact_linalg import (
     IntMatrix,
     LatticeBasis,
+    _echelon,
     hermite_normal_form,
     kernel_lattice,
     lattice_contains,
     mat_mul,
 )
+from nilorb.orbit_partitions import ClassicalOrbit
+from nilorb.root_system import QuotientVector
 
 
 # --- oracles -----------------------------------------------------------------
@@ -182,6 +187,27 @@ def test_hnf_properties(rows):
     assert is_hnf_shape(h)
 
 
+kernel_inputs = st.integers(0, 6).flatmap(
+    lambda cols: st.tuples(
+        st.lists(
+            st.lists(st.integers(-40, 40), min_size=cols, max_size=cols), min_size=0, max_size=7
+        ),
+        st.just(cols),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs, st.booleans())
+def test_echelon_matches_the_reference_kernel(matrix, track):
+    # same pivots, same floor quotients: identical h and u, not just equal lattices
+    rows, cols = matrix
+    fast = [list(row) for row in rows]
+    slow = [list(row) for row in rows]
+    assert _echelon(fast, cols, track) == reference_echelon(slow, cols, track)
+    assert fast == slow
+
+
 # --- kernels -----------------------------------------------------------------
 
 def test_kernel_of_sum_functional():
@@ -283,6 +309,48 @@ def test_every_entry_is_checked_on_the_way_in(rows, bad, data):
         IntMatrix.from_rows(ragged)
     with pytest.raises(InputError):
         LatticeBasis(3, tuple(map(tuple, ragged)))
+
+
+# --- what each checked constructor accepts ---------------------------------------
+
+class Two(IntEnum):
+    TWO = 2
+
+
+_ENTRY = "matrix entries must be plain integers, got {!r}"
+_PART = "partition parts must be integers, got {!r}"
+
+# each row: a constructor around one scalar, reading that scalar back, and the
+# message for True, for 1.0 and for Fraction(4, 2) (None: accepted)
+ENTRY_CHECKS = {
+    "QuotientVector": (
+        lambda x: QuotientVector((x, 0)).coords[0],
+        ("coordinates must be numbers, got True", "coordinates must be int or Fraction, got 1.0", None),
+    ),
+    "IntMatrix.from_rows": (lambda x: IntMatrix.from_rows([[x]]).entries[0], (_ENTRY,) * 3),
+    "LatticeBasis": (lambda x: LatticeBasis(1, ((x,),)).vectors[0][0], (_ENTRY,) * 3),
+    "lattice_contains": (
+        lambda x: lattice_contains(LatticeBasis(1, ((1,),)), (x,))[0],
+        (_ENTRY,) * 3,
+    ),
+    "ClassicalOrbit": (lambda x: ClassicalOrbit("C", (x,)).parts[0], (_PART,) * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_CHECKS))
+def test_entry_checks_accept_ints_and_refuse_the_rest(name):
+    # a plain int takes the short path; everything else meets the full chain
+    build, messages = ENTRY_CHECKS[name]
+    assert build(2) == 2 and type(build(2)) is int
+    assert build(Two.TWO) == 2
+    for value, message in zip((True, 1.0, Fraction(4, 2)), messages):
+        if message is None:
+            # an integral Fraction becomes an int
+            assert build(value) == 2 and type(build(value)) is int
+            continue
+        with pytest.raises(InputError) as excinfo:
+            build(value)
+        assert str(excinfo.value) == message.format(value)
 
 
 # --- lattice bases and membership ---------------------------------------------
