@@ -35,12 +35,11 @@ to disagree with the exact recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError, IntegrityError
-from .exact_linalg import LatticeBasis
+from .exact_linalg import LatticeBasis, _Frozen
 from .reference import WORKED_EXAMPLES, WorkedExample
 from .root_system import (
     LeviSubsystem,
@@ -152,15 +151,14 @@ def central_torus_lattice(levi: LeviSubsystem) -> LatticeBasis:
     return result
 
 
-@dataclass(frozen=True)
-class MemberCheck:
+class MemberCheck(_Frozen):
     """One reference torus vector re-verified against the computed lattice."""
 
-    coords: tuple[int, ...]
-    in_lattice: bool
-    pairing: Pairing
-    expected_pairing: Optional[int] = None
-    note: str = ""
+    __slots__ = ("coords", "in_lattice", "pairing", "expected_pairing", "note")
+
+    def __init__(self, coords: tuple[int, ...], in_lattice: bool, pairing: Pairing,
+                 expected_pairing: Optional[int] = None, note: str = ""):
+        self._fill(coords, in_lattice, pairing, expected_pairing, note)
 
     @property
     def matches(self) -> Optional[bool]:
@@ -169,15 +167,15 @@ class MemberCheck:
         return self.pairing == self.expected_pairing
 
 
-@dataclass(frozen=True)
-class ReferenceComparison:
-    preset: str
-    h_matches: bool
-    roots_match: bool
-    kappa_matches: bool
-    verdict_matches: bool
-    torus_rank_matches: bool
-    member_checks: tuple[MemberCheck, ...]
+class ReferenceComparison(_Frozen):
+    __slots__ = ("preset", "h_matches", "roots_match", "kappa_matches", "verdict_matches",
+                 "torus_rank_matches", "member_checks")
+
+    def __init__(self, preset: str, h_matches: bool, roots_match: bool, kappa_matches: bool,
+                 verdict_matches: bool, torus_rank_matches: bool,
+                 member_checks: tuple[MemberCheck, ...]):
+        self._fill(preset, h_matches, roots_match, kappa_matches, verdict_matches,
+                   torus_rank_matches, member_checks)
 
     @property
     def clean(self) -> bool:
@@ -193,17 +191,24 @@ class ReferenceComparison:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaReport:
-    system: str
-    levi_indices: tuple[int, ...]
-    h: QuotientVector
-    roots_pairing_one: tuple[QuotientVector, ...]
-    kappa: QuotientVector
-    torus_basis: tuple[tuple[int, ...], ...]
-    pairings: tuple[Pairing, ...]
-    verdict: str
-    reference: Optional[ReferenceComparison] = None
+class DeltaReport(_Frozen):
+    __slots__ = ("system", "levi_indices", "h", "roots_pairing_one", "kappa", "torus_basis",
+                 "pairings", "verdict", "reference")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, system: str, levi_indices: tuple[int, ...], h: QuotientVector,
+                 roots_pairing_one: tuple[QuotientVector, ...], kappa: QuotientVector,
+                 torus_basis: tuple[tuple[int, ...], ...], pairings: tuple[Pairing, ...],
+                 verdict: str, reference: Optional[ReferenceComparison] = None):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "levi_indices", levi_indices)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "roots_pairing_one", roots_pairing_one)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "torus_basis", torus_basis)
+        object.__setattr__(self, "pairings", pairings)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reference", reference)
 
     @property
     def is_integral(self) -> bool:
@@ -311,6 +316,6 @@ def preset_report(preset: str) -> DeltaReport:
         raise InputError(
             f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    system, indices = PRESETS[preset]
-    report = delta_verdict(system, indices)
-    return replace(report, reference=_compare(report, WORKED_EXAMPLES[preset]))
+    r = delta_verdict(*PRESETS[preset])
+    return DeltaReport(r.system, r.levi_indices, r.h, r.roots_pairing_one, r.kappa, r.torus_basis,
+                       r.pairings, r.verdict, _compare(r, WORKED_EXAMPLES[preset]))

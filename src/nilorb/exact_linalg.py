@@ -14,7 +14,6 @@ so two equal lattices compare equal structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -39,21 +38,64 @@ def _as_int(value: object) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+def _as_dim(value: object, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise InputError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+class _Frozen:
+    """Base of the package's immutable records, in place of a frozen dataclass.
+
+    A subclass lists its fields, in order, as ``__slots__`` and sets each once
+    in ``__init__`` with ``object.__setattr__``.  ``repr``, ``==`` and ``hash``
+    follow the field tuple as a frozen dataclass's do; a record compared by
+    identity sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
+    ``copy`` and ``pickle`` rebuild a record by calling its class on the fields.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+
+class IntMatrix(_Frozen):
     """An immutable rows x cols integer matrix (row-major entries)."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        rows, cols = _as_dim(rows, "row count"), _as_dim(cols, "column count")
+        entries = tuple(map(_as_int, entries))
+        if len(entries) != rows * cols:
+            raise InputError(f"expected {rows * cols} entries, got {len(entries)}")
+        self._fill(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -205,8 +247,7 @@ def _pivot_column(row: Vector) -> int:
     return -1
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(_Frozen):
     """Canonical basis of an integer lattice inside Z^ambient_dim.
 
     The constructor accepts any finite generating set (dependent or redundant
@@ -214,12 +255,15 @@ class LatticeBasis:
     generate, so structural equality coincides with lattice equality.
     """
 
-    ambient_dim: int
-    vectors: tuple[Vector, ...] = field(default=())
+    __slots__ = ("ambient_dim", "vectors")
+
+    def __init__(self, ambient_dim: int, vectors: tuple[Vector, ...] = ()):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "vectors", vectors)
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.ambient_dim < 0:
-            raise InputError("ambient dimension must be nonnegative")
+        _as_dim(self.ambient_dim, "ambient dimension")
         rows = []
         for v in self.vectors:
             row = [_as_int(x) for x in v]

@@ -13,33 +13,32 @@ Coordinate tuples are raw representatives; comparisons happen in the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
+
+from .exact_linalg import _Frozen
 
 __all__ = ["TorusMemberFixture", "WorkedExample", "WORKED_EXAMPLES"]
 
 
-@dataclass(frozen=True)
-class TorusMemberFixture:
+class TorusMemberFixture(_Frozen):
     """A vector expected to lie in the central torus lattice (mod all-ones),
     with its recorded kappa-pairing."""
 
-    coords: tuple[int, ...]
-    expected_pairing: Optional[int] = None
-    note: str = ""
+    __slots__ = ("coords", "expected_pairing", "note")
+
+    def __init__(self, coords: tuple[int, ...], expected_pairing: Optional[int] = None, note: str = ""):
+        self._fill(coords, expected_pairing, note)
 
 
-@dataclass(frozen=True)
-class WorkedExample:
-    preset: str
-    system: str
-    levi_indices: tuple[int, ...]
-    h: tuple[int, ...]
-    roots_pairing_one: tuple[tuple[int, ...], ...]
-    kappa: tuple[int, ...]
-    torus_members: tuple[TorusMemberFixture, ...]
-    verdict: str
-    torus_rank: int
+class WorkedExample(_Frozen):
+    __slots__ = ("preset", "system", "levi_indices", "h", "roots_pairing_one", "kappa",
+                 "torus_members", "verdict", "torus_rank")
+
+    def __init__(self, preset: str, system: str, levi_indices: tuple[int, ...], h: tuple[int, ...],
+                 roots_pairing_one: tuple[tuple[int, ...], ...], kappa: tuple[int, ...],
+                 torus_members: tuple[TorusMemberFixture, ...], verdict: str, torus_rank: int):
+        self._fill(preset, system, levi_indices, h, roots_pairing_one, kappa, torus_members,
+                   verdict, torus_rank)
 
 
 _E7_EXAMPLE = WorkedExample(

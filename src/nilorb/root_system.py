@@ -9,7 +9,9 @@ quotient.  All arithmetic is integer or Fraction; nothing is approximated.
 Simple roots are not hard-coded.  The build works on the canonical
 representatives (last coordinate 0), which are integer tuples in both
 realizations and add like the quotient vectors they stand for.  A positive
-root is simple iff its tuple is not the sum of two positive-root tuples; the
+root is simple iff its tuple is not the sum of two positive-root tuples,
+which the build asks of each root r as "is r - a a positive root?" over the
+positives a of smallest support first, stopping at the first hit; the
 simples are then labeled by a deterministic rule.  Coefficient rows grow out
 from the simple roots, adding one simple root at a time, and every positive
 root must be reached; each such step is kept as the system's growth tree, and
@@ -26,14 +28,13 @@ check combines these instead of solving a kernel per Levi.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapabilityError, InputError, IntegrityError
-from .exact_linalg import LatticeBasis, _kernel_rows, lattice_contains
+from .exact_linalg import LatticeBasis, _Frozen, _kernel_rows, lattice_contains
 
 Scalar = Union[int, Fraction]
 
@@ -66,8 +67,7 @@ def _normalize(value) -> Scalar:
     raise InputError(f"coordinates must be int or Fraction, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientVector:
+class QuotientVector(_Frozen):
     """A vector in R^d considered modulo rational multiples of all-ones.
 
     Equality and hashing use the canonical representative whose last
@@ -75,7 +75,11 @@ class QuotientVector:
     of the all-ones vector compare equal.
     """
 
-    coords: tuple[Scalar, ...]
+    __slots__ = ("coords", "_canon")
+
+    def __init__(self, coords: tuple[Scalar, ...]):
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         coords = tuple(_normalize(c) for c in self.coords)
@@ -104,6 +108,9 @@ class QuotientVector:
 
     def __hash__(self) -> int:
         return hash(self._canon)
+
+    def __reduce__(self):
+        return QuotientVector, (self.coords,)
 
     def __repr__(self) -> str:
         return f"QuotientVector({self._canon!r})"
@@ -188,27 +195,27 @@ def derive_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int) ->
     last coordinate is 0.  Two such tuples add to the canonical tuple of the
     sum, so a positive root is simple iff its tuple is not the sum of two
     positive-root tuples.  (Over raw coordinates some composites would
-    masquerade as simple.)  Labels sort by support size, then by descending
-    lexicographic order, which lines the difference roots up as an A-chain
-    followed by the branch root.
+    masquerade as simple.)  For each root r the search asks whether r - a is
+    a positive root for some positive a, trying the a of smallest support
+    first, and stops at the first hit; only the simple roots run through
+    every a.  Labels sort by support size, then by descending lexicographic
+    order, which lines the difference roots up as an A-chain followed by the
+    branch root.
     """
     pos_set = set(positive_roots)
-    composite = {
-        s
-        for a, b in itertools.combinations(positive_roots, 2)
-        if (s := tuple(map(add, a, b))) in pos_set
-    }
-    simples = [r for r in positive_roots if r not in composite]
+    by_support = sorted(positive_roots, key=_support)
+    simples = [
+        r for r in positive_roots if not any(tuple(map(sub, r, a)) in pos_set for a in by_support)
+    ]
     if len(simples) != rank:
         raise IntegrityError(
             f"derived {len(simples)} simple roots, expected rank {rank}"
         )
+    return tuple(sorted(simples, key=lambda canon: (_support(canon), tuple(-c for c in canon))))
 
-    def label_key(canon: tuple[int, ...]):
-        support = sum(1 for c in canon if c != 0)
-        return (support, tuple(-c for c in canon))
 
-    return tuple(sorted(simples, key=label_key))
+def _support(canon: tuple[int, ...]) -> int:
+    return len(canon) - canon.count(0)
 
 
 def _grow_rows(
@@ -278,8 +285,7 @@ def _coweights(
     return tuple((m, tuple(sum(map(mul, v, column)) for column in columns)) for m, v in multiples)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(_Frozen):
     """A built root system: positives, labeled simples, and the Cartan matrix
     of the labeled simples.
 
@@ -297,15 +303,17 @@ class RootSystem:
     as its root.
     """
 
-    name: str
-    ambient_dim: int
-    rank: int
-    positive_roots: tuple[QuotientVector, ...]
-    simple_roots: tuple[QuotientVector, ...]
-    cartan: tuple[tuple[int, ...], ...]
-    support_masks: tuple[int, ...]
-    growth: tuple[tuple[int, int, int], ...]
-    coweights: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("name", "ambient_dim", "rank", "positive_roots", "simple_roots", "cartan",
+                 "support_masks", "growth", "coweights")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, name: str, ambient_dim: int, rank: int,
+                 positive_roots: tuple[QuotientVector, ...],
+                 simple_roots: tuple[QuotientVector, ...], cartan: tuple[tuple[int, ...], ...],
+                 support_masks: tuple[int, ...], growth: tuple[tuple[int, int, int], ...],
+                 coweights: tuple[tuple[int, tuple[int, ...]], ...]):
+        self._fill(name, ambient_dim, rank, positive_roots, simple_roots, cartan, support_masks,
+                   growth, coweights)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name}, {len(self.positive_roots)} positive roots)"
@@ -392,13 +400,17 @@ def _support_mask(labels: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in labels)
 
 
-@dataclass(frozen=True, eq=False)
-class LeviSubsystem:
+class LeviSubsystem(_Frozen):
     """Positive roots supported on a subset of simple-root labels."""
 
-    system: RootSystem
-    indices: tuple[int, ...]
-    positive_roots: tuple[QuotientVector, ...]
+    __slots__ = ("system", "indices", "positive_roots")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, system: RootSystem, indices: tuple[int, ...],
+                 positive_roots: tuple[QuotientVector, ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "positive_roots", positive_roots)
 
     @property
     def rank(self) -> int:

@@ -9,11 +9,20 @@ helpers below add and subtract raw coordinates, which is what its operators
 did.
 
 ``reference_echelon`` is the HNF kernel as it was before it rebuilt rows:
-a ``min`` pivot search and in-place row updates.
+a ``min`` pivot search and in-place row updates.  ``reference_simple_roots``
+is the simple-root search as it was before it stopped at the first hit: the
+set of every pairwise sum.
+
+``record_twin`` maps a record of the Levi stack to a ``dataclasses``
+twin with the same fields, defaults and ``eq`` flag, for the record
+semantics the plain ``__slots__`` classes must keep.
 """
 
+import dataclasses
 import itertools
+from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Optional, Sequence
 
 from nilorb.errors import IntegrityError
@@ -152,3 +161,117 @@ def reference_echelon(h: list[list[int]], cols: int, track: bool) -> Optional[li
                 _submul(u[i], u[r], q)
         r += 1
     return u
+
+
+# --- simple roots from every pairwise sum ------------------------------------------
+
+def reference_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int) -> tuple[tuple[int, ...], ...]:
+    """``derive_simple_roots`` on canonical integer tuples as it was before
+    the early-exit search: the composites are the set of all pairwise sums."""
+    pos_set = set(positive_roots)
+    composite = {
+        s
+        for a, b in itertools.combinations(positive_roots, 2)
+        if (s := tuple(map(add, a, b))) in pos_set
+    }
+    simples = [r for r in positive_roots if r not in composite]
+    if len(simples) != rank:
+        raise IntegrityError(
+            f"derived {len(simples)} simple roots, expected rank {rank}"
+        )
+
+    def label_key(canon: tuple[int, ...]):
+        support = sum(1 for c in canon if c != 0)
+        return (support, tuple(-c for c in canon))
+
+    return tuple(sorted(simples, key=label_key))
+
+
+# --- frozen-dataclass twins of the Levi-stack records ------------------------------
+
+def _twin_canon(self) -> tuple:
+    t = self.coords[-1]
+    shifted = (c - t for c in self.coords)
+    return tuple(int(c) if isinstance(c, Fraction) and c.denominator == 1 else c for c in shifted)
+
+
+_QUOTIENT_VECTOR = {
+    "__post_init__": lambda self: object.__setattr__(self, "canon", _twin_canon(self)),
+    "__eq__": lambda self, other: (
+        self.canon == other.canon if type(other) is type(self) else NotImplemented
+    ),
+    "__hash__": lambda self: hash(self.canon),
+    "__repr__": lambda self: f"QuotientVector({self.canon!r})",
+}
+
+# class name -> (eq flag, fields as names or (name, default), extra namespace)
+_TWIN_SPECS = {
+    "IntMatrix": (True, ("rows", "cols", "entries"), {}),
+    "LatticeBasis": (True, ("ambient_dim", ("vectors", ())), {}),
+    "TorusMemberFixture": (True, ("coords", ("expected_pairing", None), ("note", "")), {}),
+    "WorkedExample": (
+        True,
+        ("preset", "system", "levi_indices", "h", "roots_pairing_one", "kappa",
+         "torus_members", "verdict", "torus_rank"),
+        {},
+    ),
+    "QuotientVector": (False, ("coords",), _QUOTIENT_VECTOR),
+    "RootSystem": (
+        False,
+        ("name", "ambient_dim", "rank", "positive_roots", "simple_roots", "cartan",
+         "support_masks", "growth", "coweights"),
+        {"__repr__": lambda self: f"RootSystem({self.name}, {len(self.positive_roots)} positive roots)"},
+    ),
+    "LeviSubsystem": (
+        False,
+        ("system", "indices", "positive_roots"),
+        {"__repr__": lambda self: f"LeviSubsystem({self.system.name}, indices={self.indices})"},
+    ),
+    "MemberCheck": (
+        True,
+        ("coords", "in_lattice", "pairing", ("expected_pairing", None), ("note", "")),
+        {},
+    ),
+    "ReferenceComparison": (
+        True,
+        ("preset", "h_matches", "roots_match", "kappa_matches", "verdict_matches",
+         "torus_rank_matches", "member_checks"),
+        {},
+    ),
+    "DeltaReport": (
+        False,
+        ("system", "levi_indices", "h", "roots_pairing_one", "kappa", "torus_basis",
+         "pairings", "verdict", ("reference", None)),
+        {},
+    ),
+}
+
+
+def _twin_field(spec):
+    if isinstance(spec, str):
+        return spec
+    name, default = spec
+    return (name, object, dataclasses.field(default=default))
+
+
+TWINS = {
+    name: dataclasses.make_dataclass(
+        name, [_twin_field(f) for f in fields], namespace=namespace, frozen=True, eq=eq
+    )
+    for name, (eq, fields, namespace) in _TWIN_SPECS.items()
+}
+
+
+def record_twin(value, memo: Optional[dict] = None):
+    """The twin of a record, with nested records and tuples of them twinned
+    too; the same record always maps to the same twin."""
+    memo = {} if memo is None else memo
+    if isinstance(value, tuple):
+        return tuple(record_twin(v, memo) for v in value)
+    twin_cls = TWINS.get(type(value).__name__)
+    if twin_cls is None or not type(value).__module__.startswith("nilorb."):
+        return value
+    if id(value) not in memo:
+        values = (record_twin(getattr(value, f.name), memo) for f in dataclasses.fields(twin_cls))
+        memo[id(value)] = twin_cls(*values)
+    return memo[id(value)]

@@ -327,6 +327,7 @@ ENTRY_CHECKS = {
         lambda x: QuotientVector((x, 0)).coords[0],
         ("coordinates must be numbers, got True", "coordinates must be int or Fraction, got 1.0", None),
     ),
+    "IntMatrix": (lambda x: IntMatrix(1, 1, (x,)).entries[0], (_ENTRY,) * 3),
     "IntMatrix.from_rows": (lambda x: IntMatrix.from_rows([[x]]).entries[0], (_ENTRY,) * 3),
     "LatticeBasis": (lambda x: LatticeBasis(1, ((x,),)).vectors[0][0], (_ENTRY,) * 3),
     "lattice_contains": (
@@ -351,6 +352,30 @@ def test_entry_checks_accept_ints_and_refuse_the_rest(name):
         with pytest.raises(InputError) as excinfo:
             build(value)
         assert str(excinfo.value) == message.format(value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMatrix(True, 1, (1,)), "row count must be a nonnegative integer, got True"),
+        (lambda: IntMatrix(1, 1.0, (1,)), "column count must be a nonnegative integer, got 1.0"),
+        (lambda: IntMatrix(-1, 0, ()), "row count must be a nonnegative integer, got -1"),
+        (lambda: IntMatrix(2, 1, (1,)), "expected 2 entries, got 1"),
+        (lambda: LatticeBasis(True, ((1,),)), "ambient dimension must be a nonnegative integer, got True"),
+        (lambda: LatticeBasis(2.0, ()), "ambient dimension must be a nonnegative integer, got 2.0"),
+        (lambda: LatticeBasis(-1), "ambient dimension must be a nonnegative integer, got -1"),
+    ],
+)
+def test_dimensions_must_be_plain_nonnegative_ints(build, message):
+    with pytest.raises(InputError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_matrix_entries_are_stored_as_a_hashable_tuple():
+    m = IntMatrix(1, 2, [3, 4])
+    assert m.entries == (3, 4) and type(m.entries) is tuple
+    assert hash(m) == hash(IntMatrix(1, 2, (3, 4)))
 
 
 # --- lattice bases and membership ---------------------------------------------

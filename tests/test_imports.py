@@ -61,6 +61,19 @@ def test_partition_import_builds_no_root_system():
     assert not loaded & {"root_system", "orbit_atlas"}
 
 
+def test_verdict_stack_loads_without_dataclasses():
+    # the levi_sweep worker's import; dataclasses costs about 11 ms, through inspect
+    code = (
+        "import sys\n"
+        "from nilorb import build_root_system, coroot_lattice, delta_verdict, preset_report\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_import_loads_every_layer():
     # a traced benchmark run imports nilorb.cli to have every module there to wrap
     assert set(LAYERS) <= loaded_after("import nilorb.cli")

@@ -14,7 +14,7 @@ from operator import add, mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decompose, derive_simple_roots, qadd
+from oracles import decompose, derive_simple_roots, qadd, reference_simple_roots
 
 from nilorb import root_system
 from nilorb.errors import CapabilityError, InputError, IntegrityError
@@ -275,6 +275,30 @@ def test_build_matches_the_quotient_vector_oracle(name):
     assert all(type(x) is int for row in rs.cartan for x in row)
     assert growth_rows(rs) == rows
     assert rs.support_masks == masks
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_early_exit_simple_roots_match_the_pairwise_oracle(name):
+    ambient_dim, _, _, generate = root_system._REALIZATIONS[name]
+    canon = [r.canonical_coords for r in generate()]
+    rank = ambient_dim - 1
+    expected = reference_simple_roots(canon, rank)
+    assert root_system.derive_simple_roots(canon, rank) == expected
+    rng = random.Random(104729)
+    for _ in range(5):
+        order = rng.sample(canon, len(canon))
+        assert root_system.derive_simple_roots(order, rank) == expected
+    # without one root the sets change: some composites lose their only
+    # decomposition; both searches must agree on the outcome there too
+    for dropped in rng.sample(range(len(canon)), 6):
+        rest = canon[:dropped] + canon[dropped + 1:]
+        outcomes = []
+        for derive in (root_system.derive_simple_roots, reference_simple_roots):
+            try:
+                outcomes.append(derive(rest, rank))
+            except IntegrityError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 # --- every guard in the build is reachable --------------------------------------------
