@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -26,8 +25,9 @@ from .errors import (
     IntegrityError,
     OrbitNotFoundError,
     StepInapplicableError,
+    _Frozen,
 )
-from .orbit_atlas import GROUPS, check_consistency, load_atlas, query
+from .orbit_atlas import _RECORD_KEYS, GROUPS, check_consistency, load_atlas, query
 from .orbit_partitions import (
     KINDS,
     ClassicalOrbit,
@@ -46,12 +46,13 @@ ENV_ATLAS_PATH = "ORBIT_ATLAS_PATH"
 __all__ = ["CommandResult", "main"]
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    status: str
-    payload: dict
-    diagnostics: tuple[str, ...] = ()
-    exit_code: int = 0
+class CommandResult(_Frozen):
+    __slots__ = ("status", "payload", "diagnostics", "exit_code")
+
+    def __init__(
+        self, status: str, payload: dict, diagnostics: tuple[str, ...] = (), exit_code: int = 0
+    ):
+        self._fill(status, payload, diagnostics, exit_code)
 
 
 def _ok(payload: dict, diagnostics: tuple[str, ...] = ()) -> CommandResult:
@@ -166,7 +167,7 @@ def cmd_delta(args: argparse.Namespace) -> CommandResult:
 
 
 def _record_payload(record) -> dict:
-    payload = {f.name: getattr(record, f.name) for f in fields(record)}
+    payload = {name: getattr(record, name) for name in _RECORD_KEYS + ("comment",)}
     levi = record.levi_descriptor
     payload["levi_descriptor"] = list(levi) if levi else None
     payload["provenance"] = dict(record.provenance)

@@ -38,8 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InputError, IntegrityError
-from .exact_linalg import LatticeBasis, _Frozen
+from .errors import InputError, IntegrityError, _Frozen
+from .exact_linalg import LatticeBasis
 from .reference import WORKED_EXAMPLES, WorkedExample
 from .root_system import (
     LeviSubsystem,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the records, shared across the package."""
 
 from __future__ import annotations
 
@@ -37,3 +37,48 @@ class OrbitNotFoundError(NilorbError):
     def __init__(self, message: str, suggestions: tuple[str, ...] = ()):
         super().__init__(message)
         self.suggestions = suggestions
+
+
+class _Frozen:
+    """Base of the package's immutable records, in place of a frozen dataclass.
+
+    A subclass lists its fields, in order, as ``__slots__`` and sets each once
+    in ``__init__`` with ``object.__setattr__``.  ``repr``, ``==`` and ``hash``
+    follow the field tuple as a frozen dataclass's do; a record compared by
+    identity sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
+    ``copy`` and ``pickle`` rebuild a record by calling its class on the fields.
+    A record that keeps a derived value beside its fields, in a further slot or
+    a ``__dict__``, overrides these methods so that the value stays out of
+    them.  The base lives here, in the one module every layer imports, so that
+    no layer loads ``dataclasses`` or another layer for its records.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, _Frozen
 
 Vector = tuple[int, ...]
 
@@ -42,47 +42,6 @@ def _as_dim(value: object, what: str) -> int:
     if type(value) is not int or value < 0:
         raise InputError(f"{what} must be a nonnegative integer, got {value!r}")
     return value
-
-
-class _Frozen:
-    """Base of the package's immutable records, in place of a frozen dataclass.
-
-    A subclass lists its fields, in order, as ``__slots__`` and sets each once
-    in ``__init__`` with ``object.__setattr__``.  ``repr``, ``==`` and ``hash``
-    follow the field tuple as a frozen dataclass's do; a record compared by
-    identity sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
-    ``copy`` and ``pickle`` rebuild a record by calling its class on the fields.
-    """
-
-    __slots__ = ()
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._astuple()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
 
 
 class IntMatrix(_Frozen):

@@ -40,24 +40,21 @@ e-list problems, its C6 entry and its conformance issues.  The row is cached
 on the record the first time a check reads it.  That is sound because records
 are frozen and the row depends on nothing but their fields, so a check of a
 list that shares records with one already checked derives only the new
-records' rows; ``flip_field`` and ``dataclasses.replace`` build new records,
+records' rows; ``flip_field`` and the record constructor build new records,
 which start with no row.  The delta verdicts of C6 are not part of the row,
 so an injected runner is called on every check.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import difflib
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import AtlasLoadError, InputError, OrbitNotFoundError
+from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen
 
 GROUPS = ("G2", "F4", "E6", "E7", "E8")
 
@@ -262,21 +259,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=True)
-class ExceptionalOrbitRecord:
-    group: str
-    label: str
-    is_special: Optional[bool]
-    is_rigid: Optional[bool]
-    is_birationally_rigid: Optional[bool]
-    codim4_boundary: Optional[bool]
-    fails_smooth_locus_codim4: Optional[bool]
-    in_e1: bool
-    in_e2: bool
-    in_e3: bool
-    levi_descriptor: Optional[tuple[int, ...]]
-    provenance: tuple[tuple[str, str], ...]
-    comment: Optional[str] = None
+class ExceptionalOrbitRecord(_Frozen):
+    # the fields, then a __dict__ that holds only the cached check row
+    __slots__ = (*_RECORD_KEYS, "comment", "__dict__")
+
+    def __init__(
+        self,
+        group: str,
+        label: str,
+        is_special: Optional[bool],
+        is_rigid: Optional[bool],
+        is_birationally_rigid: Optional[bool],
+        codim4_boundary: Optional[bool],
+        fails_smooth_locus_codim4: Optional[bool],
+        in_e1: bool,
+        in_e2: bool,
+        in_e3: bool,
+        levi_descriptor: Optional[tuple[int, ...]],
+        provenance: tuple[tuple[str, str], ...],
+        comment: Optional[str] = None,
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "is_special", is_special)
+        object.__setattr__(self, "is_rigid", is_rigid)
+        object.__setattr__(self, "is_birationally_rigid", is_birationally_rigid)
+        object.__setattr__(self, "codim4_boundary", codim4_boundary)
+        object.__setattr__(self, "fails_smooth_locus_codim4", fails_smooth_locus_codim4)
+        object.__setattr__(self, "in_e1", in_e1)
+        object.__setattr__(self, "in_e2", in_e2)
+        object.__setattr__(self, "in_e3", in_e3)
+        object.__setattr__(self, "levi_descriptor", levi_descriptor)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "comment", comment)
+
+    def _astuple(self) -> tuple:
+        return _record_fields(self)
 
     @property
     def key(self) -> Key:
@@ -292,8 +310,12 @@ class ExceptionalOrbitRecord:
 
     @cached_property
     def _check_row(self) -> _CheckRow:
-        # not a dataclass field: fields(), ==, hash and the JSON views skip it
+        # kept in the __dict__, not a field: ==, hash, pickle and the JSON
+        # views skip it
         return _record_row(self)
+
+
+_record_fields = attrgetter(*_RECORD_KEYS, "comment")
 
 
 def _fmt(key: Key) -> str:
@@ -316,7 +338,9 @@ def flip_field(record: ExceptionalOrbitRecord, field: str) -> ExceptionalOrbitRe
     value = record.flag(field)
     if not isinstance(value, bool):
         raise InputError(f"cannot flip null flag {field!r} on {record!r}")
-    return dataclasses.replace(record, **{field: not value})
+    values = list(_record_fields(record))
+    values[_RECORD_KEYS.index(field)] = not value
+    return ExceptionalOrbitRecord(*values)
 
 
 # stands in the expected tuple for a field with no embedded expectation; it
@@ -575,6 +599,8 @@ def query(
     for record in records:
         if record.group == group and record.label == label:
             return record
+    import difflib  # only a miss needs it, so a load or a hit does not import it
+
     local = [r.label for r in records if r.group == group]
     near = difflib.get_close_matches(label, local, n=5, cutoff=0.3)
     elsewhere = [
@@ -589,12 +615,14 @@ def query(
 
 # --- consistency checks ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    name: str
-    passed: bool
-    details: str = ""
+class CheckResult(_Frozen):
+    __slots__ = ("check_id", "name", "passed", "details")
+
+    def __init__(self, check_id: str, name: str, passed: bool, details: str = ""):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "details", details)
 
     def to_payload(self) -> dict:
         return {
@@ -629,7 +657,6 @@ def _set_check(check_id: str, name: str, actual: set, expected: frozenset) -> Ch
     return CheckResult(check_id, name, passed, "" if passed else _set_mismatch(actual, expected))
 
 
-_row_fields = attrgetter(*_RECORD_KEYS)
 # the C1-C7 key sets; a row's ``joins`` are indices into this tuple
 _KEY_SETS = ("both", "quad", "smooth", "c4", "e1", "e2", "e3")
 
@@ -649,8 +676,8 @@ def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
     """The record's row; it depends on nothing but the record's fields."""
     (
         group, label, special, rigid, birigid, codim4, fails_smooth,
-        in_e1, in_e2, in_e3, levi, provenance,
-    ) = _row_fields(record)
+        in_e1, in_e2, in_e3, levi, provenance, _comment,
+    ) = _record_fields(record)
     key = (group, label)
     e_problems = []
     if sum((in_e1, in_e2, in_e3)) > 1:

@@ -28,13 +28,12 @@ outer symmetry; the calculus here never needs to tell them apart, and
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import lt, sub
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError, IntegrityError, StepInapplicableError
+from .errors import InputError, IntegrityError, StepInapplicableError, _Frozen
 
 KINDS = ("B", "C", "D")
 
@@ -58,7 +57,8 @@ __all__ = [
 
 
 def _check_partition(parts: Sequence[int]) -> tuple[int, ...]:
-    out = []
+    # a tuple comes back as itself, so checking a long partition copies nothing
+    parts = tuple(parts)
     prev = None
     for p in parts:
         if type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
@@ -66,10 +66,9 @@ def _check_partition(parts: Sequence[int]) -> tuple[int, ...]:
         if p <= 0:
             raise InputError(f"partition parts must be positive, got {p}")
         if prev is not None and p > prev:
-            raise InputError(f"partition must be nonincreasing, got {tuple(parts)}")
+            raise InputError(f"partition must be nonincreasing, got {parts}")
         prev = p
-        out.append(p)
-    return tuple(out)
+    return parts
 
 
 def _parity_multiplicities_even(parts: Sequence[int], residue: int) -> bool:
@@ -101,21 +100,20 @@ def transpose(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p > k) for k in range(parts[0]))
 
 
-@dataclass(frozen=True)
-class ClassicalOrbit:
+class ClassicalOrbit(_Frozen):
     """A validated nilpotent orbit of type B, C or D."""
 
-    kind: str
-    parts: tuple[int, ...]
+    __slots__ = ("kind", "parts")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(f"orbit kind must be one of {KINDS}, got {self.kind!r}")
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, kind: str, parts: tuple[int, ...]):
+        if kind not in KINDS:
+            raise InputError(f"orbit kind must be one of {KINDS}, got {kind!r}")
+        parts = tuple(parts)
         # is_valid_type checks the parts once, before their parity
-        if not is_valid_type(parts, self.kind):
-            raise InputError(f"{parts} is not a valid type-{self.kind} partition")
+        if not is_valid_type(parts, kind):
+            raise InputError(f"{parts} is not a valid type-{kind} partition")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def size(self) -> int:
@@ -150,11 +148,11 @@ def is_special(orbit: ClassicalOrbit) -> bool:
     return not any(map((1).__and__, _gaps(orbit.parts)[first::2]))
 
 
-def _strip(parts: Sequence[int]) -> tuple[int, ...]:
-    out = list(parts)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _strip(parts: list[int]) -> tuple[int, ...]:
+    """``parts`` without its trailing zeros, which are popped off in place."""
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return tuple(parts)
 
 
 def _moved(
@@ -162,12 +160,18 @@ def _moved(
 ) -> Optional[tuple[int, ...]]:
     """``parts`` with a variant-``variant`` step at ``n`` added (sign 1) or
     removed (sign -1), missing parts counted as zeros; None when the result
-    is not a partition."""
-    increments = [2] * n if variant == "i" else [2] * (n - 1) + [1, 1]
-    moved = list(parts) + [0] * max(0, len(increments) - len(parts))
-    for k, d in enumerate(increments):
-        moved[k] += sign * d
-    if moved[-1] < 0 or any(map(lt, moved, moved[1:])):
+    is not a partition.  The step is applied to one list in place, so a step
+    of any length builds that list and the result tuple and nothing more."""
+    ii = variant == "ii"
+    moved = [0] * max(len(parts), n + ii)
+    moved[: len(parts)] = parts
+    two = 2 * sign
+    for k in range(n - ii):
+        moved[k] += two
+    if ii:
+        moved[n - 1] += sign
+        moved[n] += sign
+    if moved[-1] < 0 or any(map(lt, moved, islice(moved, 1, None))):
         return None
     return _strip(moved)
 
@@ -226,11 +230,11 @@ def elementary_step(
     )
 
 
-@dataclass(frozen=True)
-class InverseStep:
-    source: ClassicalOrbit
-    n: int
-    variant: str
+class InverseStep(_Frozen):
+    __slots__ = ("source", "n", "variant")
+
+    def __init__(self, source: ClassicalOrbit, n: int, variant: str):
+        self._fill(source, n, variant)
 
 
 def inverse_steps(orbit: ClassicalOrbit) -> tuple[InverseStep, ...]:
@@ -266,11 +270,13 @@ def is_birationally_rigid(orbit: ClassicalOrbit) -> bool:
 has_codim4_boundary = is_birationally_rigid
 
 
-@dataclass(frozen=True)
-class StepScript:
+class StepScript(_Frozen):
     """A replayable sequence of elementary steps, outermost first."""
 
-    steps: tuple[tuple[int, str], ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[tuple[int, str], ...]):
+        object.__setattr__(self, "steps", steps)
 
     def replay(self, source: ClassicalOrbit) -> ClassicalOrbit:
         current = source
@@ -279,10 +285,12 @@ class StepScript:
         return current
 
 
-@dataclass(frozen=True)
-class BirationalSource:
-    orbit: ClassicalOrbit
-    script: StepScript
+class BirationalSource(_Frozen):
+    __slots__ = ("orbit", "script")
+
+    def __init__(self, orbit: ClassicalOrbit, script: StepScript):
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "script", script)
 
 
 # Distinct sources are few: selftest criterion 6 meets 112 in its 985 special

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .exact_linalg import _Frozen
+from .errors import _Frozen
 
 __all__ = ["TorusMemberFixture", "WorkedExample", "WORKED_EXAMPLES"]
 

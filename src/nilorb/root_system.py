@@ -33,8 +33,8 @@ from functools import lru_cache
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import CapabilityError, InputError, IntegrityError
-from .exact_linalg import LatticeBasis, _Frozen, _kernel_rows, lattice_contains
+from .errors import CapabilityError, InputError, IntegrityError, _Frozen
+from .exact_linalg import LatticeBasis, _kernel_rows, lattice_contains
 
 Scalar = Union[int, Fraction]
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .delta_check import preset_report
-from .errors import InputError, StepInapplicableError
+from .errors import InputError, StepInapplicableError, _Frozen
 from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains, mat_mul
 from .orbit_atlas import (
     check_consistency,
@@ -48,16 +47,21 @@ _STEP_SEED = 74207281
 _LATTICE_SEED = 57885161
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(_Frozen):
     """Outcome of one acceptance criterion, with comparable summaries."""
 
-    criterion_id: str
-    name: str
-    passed: bool
-    expected: str
-    actual: str
-    notes: tuple[str, ...] = field(default=())
+    __slots__ = ("criterion_id", "name", "passed", "expected", "actual", "notes")
+
+    def __init__(
+        self,
+        criterion_id: str,
+        name: str,
+        passed: bool,
+        expected: str,
+        actual: str,
+        notes: tuple[str, ...] = (),
+    ):
+        self._fill(criterion_id, name, passed, expected, actual, notes)
 
     def to_payload(self) -> dict:
         return {

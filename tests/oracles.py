@@ -13,9 +13,9 @@ a ``min`` pivot search and in-place row updates.  ``reference_simple_roots``
 is the simple-root search as it was before it stopped at the first hit: the
 set of every pairwise sum.
 
-``record_twin`` maps a record of the Levi stack to a ``dataclasses``
-twin with the same fields, defaults and ``eq`` flag, for the record
-semantics the plain ``__slots__`` classes must keep.
+``record_twin`` maps a record of the package to a ``dataclasses`` twin
+with the same fields, defaults and ``eq`` flag, for the record semantics
+the plain ``__slots__`` classes must keep.
 """
 
 import dataclasses
@@ -187,7 +187,7 @@ def reference_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int)
     return tuple(sorted(simples, key=label_key))
 
 
-# --- frozen-dataclass twins of the Levi-stack records ------------------------------
+# --- frozen-dataclass twins of the package's records -------------------------------
 
 def _twin_canon(self) -> tuple:
     t = self.coords[-1]
@@ -242,6 +242,32 @@ _TWIN_SPECS = {
         False,
         ("system", "levi_indices", "h", "roots_pairing_one", "kappa", "torus_basis",
          "pairings", "verdict", ("reference", None)),
+        {},
+    ),
+    "ClassicalOrbit": (
+        True,
+        ("kind", "parts"),
+        {"__repr__": lambda self: f"ClassicalOrbit({self.kind!r}, {self.parts!r})"},
+    ),
+    "InverseStep": (True, ("source", "n", "variant"), {}),
+    "StepScript": (True, ("steps",), {}),
+    "BirationalSource": (True, ("orbit", "script"), {}),
+    "ExceptionalOrbitRecord": (
+        True,
+        ("group", "label", "is_special", "is_rigid", "is_birationally_rigid",
+         "codim4_boundary", "fails_smooth_locus_codim4", "in_e1", "in_e2", "in_e3",
+         "levi_descriptor", "provenance", ("comment", None)),
+        {"__repr__": lambda self: f"ExceptionalOrbitRecord({self.group}:{self.label})"},
+    ),
+    "CheckResult": (True, ("check_id", "name", "passed", ("details", "")), {}),
+    "CriterionResult": (
+        True,
+        ("criterion_id", "name", "passed", "expected", "actual", ("notes", ())),
+        {},
+    ),
+    "CommandResult": (
+        True,
+        ("status", "payload", ("diagnostics", ()), ("exit_code", 0)),
         {},
     ),
 }

@@ -61,17 +61,48 @@ def test_partition_import_builds_no_root_system():
     assert not loaded & {"root_system", "orbit_atlas"}
 
 
-def test_verdict_stack_loads_without_dataclasses():
-    # the levi_sweep worker's import; dataclasses costs about 11 ms, through inspect
-    code = (
-        "import sys\n"
-        "from nilorb import build_root_system, coroot_lattice, delta_verdict, preset_report\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-    )
+# stdlib modules no nilorb import may load: dataclasses costs about 10 ms,
+# through inspect, and difflib about 2 ms, which only a missed query needs
+HEAVY = ("dataclasses", "inspect", "difflib")
+
+
+def heavy_loaded_after(statement: str) -> str:
+    """Which of HEAVY a fresh ``python -S`` holds after ``statement``."""
+    code = f"import sys\n{statement}\nprint(sorted(set({HEAVY!r}) & set(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_verdict_stack_loads_without_dataclasses():
+    # the levi_sweep worker's import
+    statement = "from nilorb import build_root_system, coroot_lattice, delta_verdict, preset_report"
+    assert heavy_loaded_after(statement) == "[]"
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "from nilorb import ClassicalOrbit, rigid_special_source",  # the source_search worker
+        "from nilorb import check_consistency, flip_field, load_atlas",  # the atlas_faults worker
+        "import nilorb.cli",
+    ],
+)
+def test_no_import_loads_dataclasses_inspect_or_difflib(statement):
+    assert heavy_loaded_after(statement) == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(Path(SRC, "nilorb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {name.partition(".")[0] for name in names}, path.name
 
 
 def test_cli_import_loads_every_layer():

@@ -5,7 +5,7 @@ primary-source flag on every record, when silently negated, must trip at
 least one consistency check.
 """
 
-import dataclasses
+import inspect
 import json
 
 import pytest
@@ -102,8 +102,10 @@ def test_missing_field_rejected(tmp_path):
 def test_record_fields_run_in_record_key_order():
     # the parser builds records positionally and a check's row builder
     # unpacks them positionally, both in _RECORD_KEYS order
-    names = tuple(f.name for f in dataclasses.fields(ExceptionalOrbitRecord))
+    names = tuple(inspect.signature(ExceptionalOrbitRecord).parameters)
     assert names == _RECORD_KEYS + ("comment",)
+    record = ExceptionalOrbitRecord(*names)
+    assert tuple(getattr(record, name) for name in names) == names
 
 
 def test_duplicate_orbit_rejected(tmp_path):
@@ -420,7 +422,9 @@ def test_each_record_row_is_built_once(monkeypatch, cold_atlas):
     cold_atlas()
     cold = load_atlas()
     assert "_check_row" in vars(records[0]) and "_check_row" not in vars(cold[0])
-    names = tuple(f.name for f in dataclasses.fields(records[0]))
+    names = tuple(inspect.signature(type(records[0])).parameters)
     assert names == _RECORD_KEYS + ("comment",)
+    copy = type(records[0])(*(getattr(records[0], name) for name in names))
+    assert copy == records[0] and "_check_row" not in vars(copy)
     assert records == cold and hash(records) == hash(cold)
     assert [_record_payload(r) for r in records] == [_record_payload(r) for r in cold]

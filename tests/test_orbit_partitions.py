@@ -6,6 +6,7 @@ roundtrips up to moderate sizes.
 """
 
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -211,6 +212,20 @@ def test_step_index_past_sys_maxsize_is_refused_before_any_list():
         with pytest.raises(InputError, match="no larger than sys.maxsize") as exc:
             elementary_step(orbit("C", 1, 1), n)
         assert len(str(exc.value)) < 200
+
+
+def test_a_long_step_peaks_at_one_list_and_its_result():
+    # the step is applied to one list in place and checked without a copy:
+    # no increments list, padding list, slice or second copy of n entries
+    start = orbit("C", 1, 1)
+    tracemalloc.start()
+    try:
+        grown, variant = elementary_step(start, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert variant == "i" and grown.parts == (3, 3) + (2,) * 199_998
+    assert peak <= 2.5 * sys.getsizeof(grown.parts)
 
 
 def test_step_grows_size_by_2n():

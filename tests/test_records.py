@@ -1,12 +1,14 @@
-"""The Levi stack's records keep a frozen dataclass's semantics.
+"""The package's records keep a frozen dataclass's semantics.
 
-The ten record classes of ``exact_linalg``, ``reference``, ``root_system``
-and ``delta_check`` are plain ``__slots__`` classes.  Each sample here is
-compared with its ``dataclasses`` twin from tests/oracles.py: the same
-``repr``, the same ``==`` and ``!=`` against every other sample, the same
-``hash`` where equality is by value, and no assignment or deletion.
+The eighteen record classes of every layer, the CLI and selftest are plain
+``__slots__`` classes.  Each sample here is compared with its ``dataclasses``
+twin from tests/oracles.py: the same ``repr``, the same ``==`` and ``!=``
+against every other sample, the same ``hash`` where equality is by value (or
+the same ``TypeError`` where a field cannot be hashed), and no assignment or
+deletion.
 """
 
+import copy
 import itertools
 import pickle
 from fractions import Fraction
@@ -14,10 +16,21 @@ from fractions import Fraction
 import pytest
 from oracles import TWINS, record_twin
 
+from nilorb.cli import CommandResult
 from nilorb.delta_check import PRESETS, preset_report
 from nilorb.exact_linalg import IntMatrix, LatticeBasis
+from nilorb.orbit_atlas import (
+    _RECORD_KEYS,
+    CheckResult,
+    ExceptionalOrbitRecord,
+    check_consistency,
+    flip_field,
+    load_atlas,
+)
+from nilorb.orbit_partitions import ClassicalOrbit, birational_sources, inverse_steps
 from nilorb.reference import WORKED_EXAMPLES
 from nilorb.root_system import QuotientVector, build_root_system, levi_subsystem
+from nilorb.selfcheck import CriterionResult, run_criterion
 
 
 def samples() -> list:
@@ -42,6 +55,18 @@ def samples() -> list:
         QuotientVector((0, 1, 2)),
         QuotientVector((Fraction(1, 2), Fraction(3, 2))),
     ]
+    orbits = [ClassicalOrbit("B", (3, 1, 1)), ClassicalOrbit("C", (4, 4)), ClassicalOrbit("D", [3, 3])]
+    # equal fields, separate objects
+    out += [*orbits, ClassicalOrbit("C", (4, 4)), ClassicalOrbit("C", (2, 2))]
+    (source,) = birational_sources(orbits[1])
+    out += [source, source.script, birational_sources(ClassicalOrbit("C", (4, 4)))[0]]
+    out += [*inverse_steps(orbits[1])]
+    records = load_atlas()
+    commented = next(r for r in records if r.comment is not None)
+    out += [records[0], records[1], commented, flip_field(commented, "in_e1")]
+    out += [*check_consistency(records), *check_consistency([flip_field(records[0], "in_e1")])]
+    out += [run_criterion("5"), CriterionResult("0", "none", False, "1", "2", ("a note",))]
+    out += [CommandResult("ok", {"count": 0}), CommandResult("error", {"error": "x"}, (), 2)]
     return out
 
 
@@ -70,9 +95,16 @@ def by_value(twin) -> bool:
     return type(twin).__hash__ is not object.__hash__
 
 
+def hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:  # a field, such as a CLI payload, is a dict
+        return str(exc)
+
+
 def test_hash_matches_the_twin():
     for x, twin in PAIRS:
-        assert hash(x) == (hash(twin) if by_value(twin) else object.__hash__(x)), x
+        assert hash_or_error(x) == (hash_or_error(twin) if by_value(twin) else object.__hash__(x)), x
 
 
 def test_fields_can_be_neither_assigned_nor_deleted():
@@ -90,7 +122,7 @@ def test_pickle_round_trip_keeps_repr_and_equality():
         back = pickle.loads(pickle.dumps(x))
         assert repr(back) == repr(x)
         if by_value(twin):
-            assert back == x and hash(back) == hash(x)
+            assert back == x and hash_or_error(back) == hash_or_error(x)
 
 
 def test_defaults_and_keywords_match_the_twin():
@@ -102,6 +134,38 @@ def test_defaults_and_keywords_match_the_twin():
     report = preset_report("E8:A4+2A1")
     fields = {name: getattr(report, name) for name in type(report).__slots__ if name != "reference"}
     assert type(report)(**fields).reference is None
+    for args in (("C1", "x", True), ("C1", "x", False, "why")):
+        assert repr(CheckResult(*args)) == repr(TWINS["CheckResult"](*args))
+    args = ("9", "x", True, "1", "1")
+    assert repr(CriterionResult(*args)) == repr(TWINS["CriterionResult"](*args))
+    assert repr(CommandResult("ok", {})) == repr(TWINS["CommandResult"]("ok", {}))
+    assert repr(CommandResult(status="ok", payload={}, exit_code=1)) == (
+        "CommandResult(status='ok', payload={}, diagnostics=(), exit_code=1)"
+    )
+    orbit = ClassicalOrbit(kind="C", parts=[2, 2])
+    assert orbit.parts == (2, 2) and repr(orbit) == "ClassicalOrbit('C', (2, 2))"
+    record = load_atlas()[0]
+    names = _RECORD_KEYS + ("comment",)
+    values = [getattr(record, name) for name in names]
+    assert ExceptionalOrbitRecord(*values[:-1]).comment is None
+    assert ExceptionalOrbitRecord(**dict(zip(names, values))) == record
+
+
+def test_a_copy_keeps_repr_and_equality():
+    for x, twin in PAIRS:
+        for back in (copy.copy(x), copy.deepcopy(x)):
+            assert repr(back) == repr(x) and type(back) is type(x)
+            assert (back == x) is (copy.copy(twin) == twin)
+
+
+def test_an_atlas_record_pickles_and_compares_without_its_check_row():
+    records = load_atlas()
+    check_consistency(records)
+    record = records[0]
+    assert "_check_row" in vars(record)
+    for back in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert back == record and hash(back) == hash(record)
+        assert "_check_row" not in vars(back)
 
 
 @pytest.mark.parametrize("cls, args", [(LatticeBasis, (2, ((1, 2), (2, 4)))), (QuotientVector, ((1, 2),))])
