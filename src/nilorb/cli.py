@@ -14,8 +14,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator, Optional
 
 from .delta_check import PRESETS, delta_verdict, preset_report
 from .errors import (
@@ -102,7 +102,7 @@ def _parse_levi(text: str, rank: int) -> tuple[int, ...]:
     return _parse_ints(text, "--levi", "comma-separated labels or 'all'")
 
 
-def _atlas_path(args: argparse.Namespace) -> Optional[str]:
+def _atlas_path(args: argparse.Namespace) -> str | None:
     explicit = getattr(args, "data", None)
     if explicit:
         return explicit
@@ -284,7 +284,7 @@ def _selftest_table(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(result: CommandResult, json_mode: bool, text: Optional[str] = None) -> None:
+def _emit(result: CommandResult, json_mode: bool, text: str | None = None) -> None:
     if json_mode:
         document = {
             "status": result.status,
@@ -357,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = args.handler(args)

@@ -35,8 +35,8 @@ to disagree with the exact recomputation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError, IntegrityError, _Frozen
 from .exact_linalg import LatticeBasis
@@ -52,7 +52,7 @@ from .root_system import (
     pair,
 )
 
-Pairing = Union[int, Fraction]
+Pairing = int | Fraction
 
 PRESETS: dict[str, tuple[str, tuple[int, ...]]] = {
     name: (example.system, example.levi_indices) for name, example in WORKED_EXAMPLES.items()
@@ -157,11 +157,11 @@ class MemberCheck(_Frozen):
     __slots__ = ("coords", "in_lattice", "pairing", "expected_pairing", "note")
 
     def __init__(self, coords: tuple[int, ...], in_lattice: bool, pairing: Pairing,
-                 expected_pairing: Optional[int] = None, note: str = ""):
+                 expected_pairing: int | None = None, note: str = ""):
         self._fill(coords, in_lattice, pairing, expected_pairing, note)
 
     @property
-    def matches(self) -> Optional[bool]:
+    def matches(self) -> bool | None:
         if self.expected_pairing is None:
             return None
         return self.pairing == self.expected_pairing
@@ -199,7 +199,7 @@ class DeltaReport(_Frozen):
     def __init__(self, system: str, levi_indices: tuple[int, ...], h: QuotientVector,
                  roots_pairing_one: tuple[QuotientVector, ...], kappa: QuotientVector,
                  torus_basis: tuple[tuple[int, ...], ...], pairings: tuple[Pairing, ...],
-                 verdict: str, reference: Optional[ReferenceComparison] = None):
+                 verdict: str, reference: ReferenceComparison | None = None):
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "levi_indices", levi_indices)
         object.__setattr__(self, "h", h)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class NilorbError(Exception):
     """Base class for package-specific errors."""
@@ -42,25 +44,29 @@ class OrbitNotFoundError(NilorbError):
 class _Frozen:
     """Base of the package's immutable records, in place of a frozen dataclass.
 
-    A subclass lists its fields, in order, as ``__slots__`` and sets each once
-    in ``__init__`` with ``object.__setattr__``.  ``repr``, ``==`` and ``hash``
-    follow the field tuple as a frozen dataclass's do; a record compared by
-    identity sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
-    ``copy`` and ``pickle`` rebuild a record by calling its class on the fields.
-    A record that keeps a derived value beside its fields, in a further slot or
-    a ``__dict__``, overrides these methods so that the value stays out of
-    them.  The base lives here, in the one module every layer imports, so that
-    no layer loads ``dataclasses`` or another layer for its records.
+    A subclass's fields are its public slots, in ``__slots__`` order, and
+    ``__init__`` sets each once with ``object.__setattr__``.  A slot whose name
+    starts with ``_``, such as a derived value or the ``__dict__`` that holds a
+    cached one, is no field.  ``repr``, ``==`` and ``hash`` follow the field
+    tuple as a frozen dataclass's do; a record compared by identity sets
+    ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.  ``copy``
+    and ``pickle`` rebuild a record by calling its class on the fields.  The
+    base lives here, in the one module every layer imports, so that no layer
+    loads ``dataclasses`` or another layer for its records.
     """
 
     __slots__ = ()
 
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        get = attrgetter(*fields)
+        # _field_values(record) is the field tuple, a 1-tuple for one field
+        cls._field_values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
 
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def _fill(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,16 +75,19 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._astuple()
+        return type(self), self._field_values(self)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple()))
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._field_values(self))
+        )
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
+            values = self._field_values
+            return values(self) == values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._field_values(self))

@@ -14,7 +14,7 @@ so two equal lattices compare equal structurally.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import InputError, _Frozen
 
@@ -57,7 +57,7 @@ class IntMatrix(_Frozen):
         self._fill(rows, cols, entries)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         rows = [tuple(_as_int(x) for x in row) for row in rows]
         if rows:
             width = len(rows[0])
@@ -105,7 +105,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=b.cols)
 
 
-def _echelon(h: list[list[int]], cols: int, track: bool) -> Optional[list[list[int]]]:
+def _echelon(h: list[list[int]], cols: int, track: bool) -> list[list[int]] | None:
     """Bring the rows ``h`` to row-style Hermite normal form in place.
 
     With ``track`` the unimodular transform ``u`` (``u @ original == h``) is
@@ -244,7 +244,7 @@ def kernel_lattice(m: IntMatrix) -> LatticeBasis:
     return LatticeBasis(m.cols, tuple(_kernel_rows(m.transpose().to_rows(), m.rows)))
 
 
-def lattice_contains(basis: LatticeBasis, v: Sequence[int]) -> Optional[Vector]:
+def lattice_contains(basis: LatticeBasis, v: Sequence[int]) -> Vector | None:
     """Decide membership of ``v`` in the lattice, with certificate.
 
     Returns the unique integer coefficient vector ``c`` with

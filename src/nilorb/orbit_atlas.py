@@ -11,48 +11,43 @@ or "external: " (companion tabulations).
 The module embeds its own expectations for every primary-source flag: the
 e-lists, the smooth-locus failure list, the codimension-4 boundary list, the
 rigidity tables and the special-orbit list.  The loader refuses data files
-that contradict those expectations, and check C7 re-verifies them on whatever
-records it is handed, so a single flipped flag is caught no matter how it
-enters.  Checks C1 through C7 then exercise the cross-lemma consistency of
-the whole table.
+that contradict those expectations, and check C7 reports the same
+contradictions on whatever records it is handed, so a single flipped flag is
+caught no matter how it enters.  Checks C1 through C7 then exercise the
+cross-lemma consistency of the whole table.
 
 The loader keeps the raw JSON object and the frozen record of every record in
 the last atlas it accepted, by key.  A raw record strictly equal to the stored
 one (``==``, with every flag the same ``true``/``false``/``null`` object and
 every Levi label an ``int``, since JSON's ``1`` equals ``true`` and ``3.0``
 equals ``3`` in Python) returns the stored record without being parsed again,
-and it skips conformance, which it passed in that atlas and which depends on
-nothing but its fields.  Only a successful load replaces what is kept, so it
-is always one whole accepted atlas.  Equal records from successive loads are
-therefore one shared frozen object; nothing but ``is`` can tell.
+with the row it already holds.  Only a successful load replaces what is
+kept, so it is always one whole accepted atlas.  Equal records from
+successive loads are therefore one shared frozen object; nothing but ``is``
+can tell.
 
-At import the embedded sets are folded into one expectation table,
-``{(group, label): {field: expected}}``.  A field whose set is exhaustive
-(the e-lists, the smooth-locus failures, the codimension-4 boundary) expects
-False for every key outside it, including keys the table does not list; the
-rigidity and specialness fields expect a value only where a set names the
-key.  Conformance looks each record up once and compares its primary-source
-flags as one tuple, walking the fields one by one only to word a mismatch.
-
-``check_consistency`` reads one row per record: its key, which of the seven
-C1-C7 key sets it joins, whether it is rigid but not birationally rigid, its
-e-list problems, its C6 entry and its conformance issues.  The row is cached
-on the record the first time a check reads it.  That is sound because records
-are frozen and the row depends on nothing but their fields, so a check of a
-list that shares records with one already checked derives only the new
-records' rows; ``flip_field`` and the record constructor build new records,
-which start with no row.  The delta verdicts of C6 are not part of the row,
-so an injected runner is called on every check.
+Each record has one row, cached on the record the first time the loader or
+a check reads it: its key, which of the seven C1-C7 key sets it joins,
+whether it is rigid but not birationally rigid, its e-list problems, its C6
+entry and its conformance issues.  The row is the one place conformance runs,
+so it runs once per record: the loader refuses a file by its records' row
+issues, and C7 reports the same issues.  That is sound because records are
+frozen and the row depends on nothing but their fields, so a reload reuses
+the accepted records with their rows and a check derives only the rows of
+records no load or check has seen; ``flip_field`` and the record constructor
+build new records, which start with no row.  The delta verdicts of C6 are not
+part of the row, so an injected runner is called on every check.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from importlib import resources
-from operator import attrgetter, is_, itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple
 
 from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen
 
@@ -215,24 +210,6 @@ _PAPER_EXPECTATIONS: dict[str, tuple[frozenset, frozenset, bool]] = {
     "is_birationally_rigid": (BIRIGID_TRUE_EXPECTED, BIRIGID_FALSE_EXPECTED, False),
 }
 
-
-def _expectation_table() -> tuple[dict[Key, dict[str, bool]], dict[str, bool]]:
-    """The expectation table, and the row of every key it does not list."""
-    unlisted = {
-        field: False for field, (_, _, exhaustive) in _PAPER_EXPECTATIONS.items() if exhaustive
-    }
-    table: dict[Key, dict[str, bool]] = {}
-    for field, (true_set, false_set, _) in _PAPER_EXPECTATIONS.items():
-        # the true set wins where a key sits in both
-        for key in false_set:
-            table.setdefault(key, dict(unlisted))[field] = False
-        for key in true_set:
-            table.setdefault(key, dict(unlisted))[field] = True
-    return table, unlisted
-
-
-_EXPECTED, _UNLISTED_EXPECTED = _expectation_table()
-
 __all__ = [
     "GROUPS",
     "FLAG_FIELDS",
@@ -267,17 +244,17 @@ class ExceptionalOrbitRecord(_Frozen):
         self,
         group: str,
         label: str,
-        is_special: Optional[bool],
-        is_rigid: Optional[bool],
-        is_birationally_rigid: Optional[bool],
-        codim4_boundary: Optional[bool],
-        fails_smooth_locus_codim4: Optional[bool],
+        is_special: bool | None,
+        is_rigid: bool | None,
+        is_birationally_rigid: bool | None,
+        codim4_boundary: bool | None,
+        fails_smooth_locus_codim4: bool | None,
         in_e1: bool,
         in_e2: bool,
         in_e3: bool,
-        levi_descriptor: Optional[tuple[int, ...]],
+        levi_descriptor: tuple[int, ...] | None,
         provenance: tuple[tuple[str, str], ...],
-        comment: Optional[str] = None,
+        comment: str | None = None,
     ):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "label", label)
@@ -293,14 +270,11 @@ class ExceptionalOrbitRecord(_Frozen):
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "comment", comment)
 
-    def _astuple(self) -> tuple:
-        return _record_fields(self)
-
     @property
     def key(self) -> Key:
         return (self.group, self.label)
 
-    def flag(self, name: str) -> Optional[bool]:
+    def flag(self, name: str) -> bool | None:
         if name not in FLAG_FIELDS:
             raise InputError(f"unknown flag field {name!r}")
         return getattr(self, name)
@@ -315,22 +289,15 @@ class ExceptionalOrbitRecord(_Frozen):
         return _record_row(self)
 
 
-_record_fields = attrgetter(*_RECORD_KEYS, "comment")
-
-
 def _fmt(key: Key) -> str:
     return f"{key[0]}:{key[1]}"
 
 
-def _primary_fields(provenance: Iterable[tuple[str, str]]) -> tuple[str, ...]:
-    return tuple(
-        field for field, source in provenance if source.startswith(PRIMARY_SOURCE_PREFIX)
-    )
-
-
 def paper_provenanced_fields(record: ExceptionalOrbitRecord) -> tuple[str, ...]:
     """Flag fields of the record whose provenance cites the primary source."""
-    return _primary_fields(record.provenance)
+    return tuple(
+        field for field, source in record.provenance if source.startswith(PRIMARY_SOURCE_PREFIX)
+    )
 
 
 def flip_field(record: ExceptionalOrbitRecord, field: str) -> ExceptionalOrbitRecord:
@@ -338,67 +305,38 @@ def flip_field(record: ExceptionalOrbitRecord, field: str) -> ExceptionalOrbitRe
     value = record.flag(field)
     if not isinstance(value, bool):
         raise InputError(f"cannot flip null flag {field!r} on {record!r}")
-    values = list(_record_fields(record))
+    values = list(record._field_values(record))
     values[_RECORD_KEYS.index(field)] = not value
     return ExceptionalOrbitRecord(*values)
 
 
-# stands in the expected tuple for a field with no embedded expectation; it
-# equals no flag value, so such a field always takes the message-writing walk
-_NO_EXPECTATION = object()
-
-
-# 256 is four times the packaged atlas, whose 63 (key, provenance) pairs stay
-# cached however many files are loaded; only records a load parses rather than
-# reuses, and records checked for the first time, reach this cache, since
-# checks read each record's cached row
-@lru_cache(maxsize=256)
-def _paper_expectation(key: Key, provenance: tuple[tuple[str, str], ...]):
-    """(fields, getter, expected) for a record's primary-source flags, or None.
-
-    ``getter(record)`` and ``expected`` are both tuples, or both a single
-    value when only one field cites the primary source.
-    """
-    fields = _primary_fields(provenance)
-    if not fields:
-        return None
-    for field in fields:
-        if field not in FLAG_FIELDS:
+def _conform(record: ExceptionalOrbitRecord, key: Key, provenance) -> list[str]:
+    """The record's primary-source flags that disagree with the embedded
+    expectations, in provenance order."""
+    issues = []
+    for field, source in provenance:
+        if not source.startswith(PRIMARY_SOURCE_PREFIX):
+            continue
+        expectation = _PAPER_EXPECTATIONS.get(field)
+        if expectation is None:
             raise InputError(f"unknown flag field {field!r}")
-    row = _EXPECTED.get(key, _UNLISTED_EXPECTED)
-    expected = tuple(row.get(field, _NO_EXPECTATION) for field in fields)
-    return fields, attrgetter(*fields), expected if len(fields) > 1 else expected[0]
-
-
-def _conform(record: ExceptionalOrbitRecord, key: Key, provenance, issues: list) -> None:
-    """Append to ``issues`` the record's primary-source flags that disagree
-    with the expectation table."""
-    entry = _paper_expectation(key, provenance)
-    if entry is None:
-        return
-    fields, getter, expected = entry
-    if getter(record) == expected:
-        return
-    row = _EXPECTED.get(key, _UNLISTED_EXPECTED)
-    for field in fields:
-        value = getattr(record, field)
-        want = row.get(field, _NO_EXPECTATION)
-        if want is _NO_EXPECTATION:
+        true_set, false_set, exhaustive = expectation
+        # the true set wins where a key sits in both
+        if key in true_set:
+            want = True
+        elif exhaustive or key in false_set:
+            want = False
+        else:
             issues.append(
                 f"{_fmt(key)}: {field} cites the primary source but no "
                 f"expectation is embedded for it"
             )
-        elif value != want:
+            continue
+        value = getattr(record, field)
+        if value != want:
             issues.append(
                 f"{_fmt(key)}: {field}={value} contradicts embedded expectation {want}"
             )
-
-
-def _conformance_issues(records: Iterable[ExceptionalOrbitRecord]) -> list[str]:
-    """Primary-source flags that disagree with the embedded expectations."""
-    issues: list[str] = []
-    for record in records:
-        _conform(record, record.key, record.provenance, issues)
     return issues
 
 
@@ -501,7 +439,7 @@ def _parse_record(raw: object) -> ExceptionalOrbitRecord:
 _last_accepted: dict[Key, tuple[dict, ExceptionalOrbitRecord]] = {}
 
 
-def _reused(raw: object, accepted: dict) -> Optional[ExceptionalOrbitRecord]:
+def _reused(raw: object, accepted: dict) -> ExceptionalOrbitRecord | None:
     """The accepted record that ``raw`` restates exactly, or None.
 
     Among JSON values only numbers and booleans compare equal across types,
@@ -527,21 +465,20 @@ def _reused(raw: object, accepted: dict) -> Optional[ExceptionalOrbitRecord]:
 
 def default_atlas_text() -> str:
     return (
-        resources.files("nilorb")
+        resources.files(__package__)
         .joinpath("data/exceptional_orbits.json")
         .read_text(encoding="utf-8")
     )
 
 
-def load_atlas(
-    path: Optional[Union[str, Path]] = None,
-) -> tuple[ExceptionalOrbitRecord, ...]:
+def load_atlas(path: str | Path | None = None) -> tuple[ExceptionalOrbitRecord, ...]:
     """Load and validate the atlas; the packaged data file is the default.
 
     Structural problems, provenance problems, duplicate orbits and
     contradictions with the embedded expectations all raise AtlasLoadError.
     A record strictly equal to one of the last accepted atlas comes back as
-    that atlas's record object, neither parsed nor conformance-checked again.
+    that atlas's record object, not parsed again, with the row that holds its
+    conformance issues.
     """
     global _last_accepted
     if path is None:
@@ -568,20 +505,17 @@ def load_atlas(
 
     accepted = _last_accepted
     records = []
-    parsed = []  # a reused record passed conformance in the accepted atlas
+    issues: list[str] = []
     table: dict[Key, tuple[dict, ExceptionalOrbitRecord]] = {}
     for raw in doc["records"]:
-        record = _reused(raw, accepted)
-        if record is None:
-            record = _parse_record(raw)
-            parsed.append(record)
+        record = _reused(raw, accepted) or _parse_record(raw)
         key = record.key
         if key in table:
             raise AtlasLoadError(f"duplicate orbit {_fmt(key)}")
         table[key] = (raw, record)
         records.append(record)
+        issues += record._check_row.conformance
 
-    issues = _conformance_issues(parsed)
     if issues:
         raise AtlasLoadError(
             f"{origin}: data contradicts embedded expectations: " + "; ".join(issues[:5])
@@ -668,7 +602,7 @@ class _CheckRow(NamedTuple):
     joins: tuple[int, ...]  # the _KEY_SETS the record belongs to
     rigid_not_birigid: bool
     e_problems: tuple[str, ...]
-    levi: Optional[tuple]  # the C6 entry (key, levi, expected verdict)
+    levi: tuple | None  # the C6 entry (key, levi, expected verdict)
     conformance: tuple[str, ...]
 
 
@@ -677,15 +611,13 @@ def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
     (
         group, label, special, rigid, birigid, codim4, fails_smooth,
         in_e1, in_e2, in_e3, levi, provenance, _comment,
-    ) = _record_fields(record)
+    ) = record._field_values(record)
     key = (group, label)
     e_problems = []
     if sum((in_e1, in_e2, in_e3)) > 1:
         e_problems.append(f"{_fmt(key)}: in more than one e-list")
     if (in_e2 or in_e3) and special is not True:
         e_problems.append(f"{_fmt(key)}: e2/e3 member not marked special")
-    conformance: list[str] = []
-    _conform(record, key, provenance, conformance)
     joined = (
         birigid is True and fails_smooth is True,  # both: and failing smooth locus
         birigid is True and rigid is False,  # quad: birationally rigid, not rigid
@@ -703,7 +635,7 @@ def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
         None
         if levi is None
         else (key, levi, "non-integral" if (in_e2 or in_e3) else "integral"),
-        tuple(conformance),
+        tuple(_conform(record, key, provenance)),
     )
 
 

@@ -28,10 +28,10 @@ outer symmetry; the calculus here never needs to tell them apart, and
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import lt, sub
-from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, IntegrityError, StepInapplicableError, _Frozen
 
@@ -157,7 +157,7 @@ def _strip(parts: list[int]) -> tuple[int, ...]:
 
 def _moved(
     parts: tuple[int, ...], n: int, variant: str, sign: int
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """``parts`` with a variant-``variant`` step at ``n`` added (sign 1) or
     removed (sign -1), missing parts counted as zeros; None when the result
     is not a partition.  The step is applied to one list in place, so a step
@@ -176,7 +176,7 @@ def _moved(
     return _strip(moved)
 
 
-def _orbit_or_none(kind: str, parts: tuple[int, ...]) -> Optional[ClassicalOrbit]:
+def _orbit_or_none(kind: str, parts: tuple[int, ...]) -> ClassicalOrbit | None:
     """The orbit, or None when the type refuses ``parts``."""
     try:
         return ClassicalOrbit(kind, parts)
@@ -185,7 +185,7 @@ def _orbit_or_none(kind: str, parts: tuple[int, ...]) -> Optional[ClassicalOrbit
 
 
 def elementary_step(
-    orbit: ClassicalOrbit, n: int, variant: Optional[str] = None
+    orbit: ClassicalOrbit, n: int, variant: str | None = None
 ) -> tuple[ClassicalOrbit, str]:
     """Grow the orbit by 2n.  Returns the new orbit and the variant applied.
 
@@ -358,7 +358,7 @@ def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
     return source
 
 
-def partitions_of(total: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+def partitions_of(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of ``total``, largest part first, lexicographically
     descending."""
     if total < 0:

@@ -13,8 +13,6 @@ Coordinate tuples are raw representatives; comparisons happen in the quotient.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import _Frozen
 
 __all__ = ["TorusMemberFixture", "WorkedExample", "WORKED_EXAMPLES"]
@@ -26,7 +24,7 @@ class TorusMemberFixture(_Frozen):
 
     __slots__ = ("coords", "expected_pairing", "note")
 
-    def __init__(self, coords: tuple[int, ...], expected_pairing: Optional[int] = None, note: str = ""):
+    def __init__(self, coords: tuple[int, ...], expected_pairing: int | None = None, note: str = ""):
         self._fill(coords, expected_pairing, note)
 
 

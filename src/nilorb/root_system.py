@@ -28,15 +28,15 @@ check combines these instead of solving a kernel per Levi.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapabilityError, InputError, IntegrityError, _Frozen
 from .exact_linalg import LatticeBasis, _kernel_rows, lattice_contains
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 ROOT_SYSTEM_NAMES = ("E7", "E8")
 
@@ -108,9 +108,6 @@ class QuotientVector(_Frozen):
 
     def __hash__(self) -> int:
         return hash(self._canon)
-
-    def __reduce__(self):
-        return QuotientVector, (self.coords,)
 
     def __repr__(self) -> str:
         return f"QuotientVector({self._canon!r})"
@@ -319,7 +316,7 @@ class RootSystem(_Frozen):
         return f"RootSystem({self.name}, {len(self.positive_roots)} positive roots)"
 
 
-def diagram_arms(cartan: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+def diagram_arms(cartan: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     """Arm lengths, longest first, of a T-shaped simply-laced Dynkin diagram.
 
     Returns None unless the Cartan matrix is symmetric with diagonal 2 and

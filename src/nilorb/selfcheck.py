@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .delta_check import preset_report
 from .errors import InputError, StepInapplicableError, _Frozen
@@ -112,11 +112,11 @@ def _root_system_criterion(
     return passed, expected, actual
 
 
-def _criterion_e7_roots(atlas_path: Optional[str]) -> tuple:
+def _criterion_e7_roots(atlas_path: str | None) -> tuple:
     return _root_system_criterion("E7", 63, 7, (3, 2, 1))
 
 
-def _criterion_e8_roots(atlas_path: Optional[str]) -> tuple:
+def _criterion_e8_roots(atlas_path: str | None) -> tuple:
     # epsilon_7 - epsilon_8 and epsilon_6 + epsilon_7 + epsilon_8 in R^9
     return _root_system_criterion(
         "E8",
@@ -130,7 +130,7 @@ def _criterion_e8_roots(atlas_path: Optional[str]) -> tuple:
     )
 
 
-def _criterion_e7_preset(atlas_path: Optional[str]) -> tuple:
+def _criterion_e7_preset(atlas_path: str | None) -> tuple:
     report = preset_report("E7:A2+A1")
     ref = report.reference
     members = ref.member_checks
@@ -171,7 +171,7 @@ def _criterion_e7_preset(atlas_path: Optional[str]) -> tuple:
     return not failing, expected, actual, tuple(notes)
 
 
-def _criterion_e8_preset(atlas_path: Optional[str]) -> tuple:
+def _criterion_e8_preset(atlas_path: str | None) -> tuple:
     report = preset_report("E8:A4+2A1")
     ref = report.reference
     sub = {
@@ -200,7 +200,7 @@ def _criterion_e8_preset(atlas_path: Optional[str]) -> tuple:
     return not failing, expected, actual, notes
 
 
-def _criterion_classical_fixtures(atlas_path: Optional[str]) -> tuple:
+def _criterion_classical_fixtures(atlas_path: str | None) -> tuple:
     small = ClassicalOrbit("D", (2, 2) + (1,) * 10)
     medium = ClassicalOrbit("D", (3, 3, 2, 2, 1, 1))
     gapped = ClassicalOrbit("C", (4, 2))
@@ -221,7 +221,7 @@ def _criterion_classical_fixtures(atlas_path: Optional[str]) -> tuple:
     return not failing, expected, actual
 
 
-def _criterion_rigid_sources(atlas_path: Optional[str]) -> tuple:
+def _criterion_rigid_sources(atlas_path: str | None) -> tuple:
     checked = 0
     failures = []
     for total in range(1, 21):
@@ -261,7 +261,7 @@ def _criterion_rigid_sources(atlas_path: Optional[str]) -> tuple:
     return checked > 0 and not failures, expected, actual, tuple(failures[:5])
 
 
-def _criterion_step_semantics(atlas_path: Optional[str]) -> tuple:
+def _criterion_step_semantics(atlas_path: str | None) -> tuple:
     failures = []
 
     stepped, variant = elementary_step(ClassicalOrbit("C", (1, 1)), 1)
@@ -312,7 +312,7 @@ def _criterion_step_semantics(atlas_path: Optional[str]) -> tuple:
     return not failures, expected, actual, tuple(failures[:5])
 
 
-def _criterion_atlas(atlas_path: Optional[str]) -> tuple:
+def _criterion_atlas(atlas_path: str | None) -> tuple:
     records = load_atlas(atlas_path)
 
     delta_calls: list[tuple[str, tuple[int, ...]]] = []
@@ -382,7 +382,7 @@ def _box_search(basis: LatticeBasis, radius: int) -> dict[tuple[int, ...], tuple
     return dict(zip(_combinations(basis, box), box))
 
 
-def _criterion_lattice_oracle(atlas_path: Optional[str]) -> tuple:
+def _criterion_lattice_oracle(atlas_path: str | None) -> tuple:
     rng = random.Random(_LATTICE_SEED)
     radius = 4
     kernel_vectors = 0
@@ -439,7 +439,7 @@ def _criterion_lattice_oracle(atlas_path: Optional[str]) -> tuple:
 # criteria in report order: (id, name, runner).  Every runner takes the atlas
 # path, which all but the atlas criterion ignore, and returns (passed,
 # expected, actual[, notes]); run_criterion adds the id and the name.
-_CRITERIA: tuple[tuple[str, str, Callable[[Optional[str]], tuple]], ...] = (
+_CRITERIA: tuple[tuple[str, str, Callable[[str | None], tuple]], ...] = (
     ("1", "e7-root-system", _criterion_e7_roots),
     ("2", "e8-root-system", _criterion_e8_roots),
     ("3", "e7-preset-replay", _criterion_e7_preset),
@@ -454,7 +454,7 @@ _CRITERIA: tuple[tuple[str, str, Callable[[Optional[str]], tuple]], ...] = (
 CRITERION_IDS = tuple(cid for cid, _, _ in _CRITERIA)
 
 
-def _lookup(criterion_id: str) -> tuple[str, Callable[[Optional[str]], tuple]]:
+def _lookup(criterion_id: str) -> tuple[str, Callable[[str | None], tuple]]:
     for cid, name, runner in _CRITERIA:
         if cid == criterion_id:
             return name, runner
@@ -468,7 +468,7 @@ def criterion_name(criterion_id: str) -> str:
     return _lookup(criterion_id)[0]
 
 
-def run_criterion(criterion_id: str, atlas_path: Optional[str] = None) -> CriterionResult:
+def run_criterion(criterion_id: str, atlas_path: str | None = None) -> CriterionResult:
     """Run one criterion.  A crash inside a criterion becomes a failed result
     carrying the exception text, so the suite always reports all nine."""
     name, runner = _lookup(criterion_id)
@@ -484,5 +484,5 @@ def run_criterion(criterion_id: str, atlas_path: Optional[str] = None) -> Criter
         )
 
 
-def run_all(atlas_path: Optional[str] = None) -> tuple[CriterionResult, ...]:
+def run_all(atlas_path: str | None = None) -> tuple[CriterionResult, ...]:
     return tuple(run_criterion(cid, atlas_path) for cid in CRITERION_IDS)

@@ -9,10 +9,11 @@ the same results, the same messages and the same message order.
 """
 
 import json
+import re
 from pathlib import Path
 from typing import Iterable, Optional
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilorb import orbit_atlas
@@ -37,7 +38,6 @@ from nilorb.orbit_atlas import (
     CheckResult,
     ExceptionalOrbitRecord,
     _cached_delta_verdict,
-    _conformance_issues,
     _parse_record,
     check_consistency,
     default_atlas_text,
@@ -395,13 +395,18 @@ def rebuilt(record, **changes):
     return ExceptionalOrbitRecord(*(changes.get(name, getattr(record, name)) for name in names))
 
 
+def row_conformance(records):
+    """The conformance issues of the records' rows, in record order."""
+    return [issue for record in records for issue in record._check_row.conformance]
+
+
 def assert_same_checks(records):
     # fresh copies start with no cached row; the second comparison reads the
     # rows the first one cached on those same objects
     fresh = [rebuilt(record) for record in records]
     for _ in range(2):
         assert payloads(check_consistency(fresh)) == payloads(oracle_check_consistency(fresh))
-        assert _conformance_issues(fresh) == oracle_conformance_issues(fresh)
+        assert row_conformance(fresh) == oracle_conformance_issues(fresh)
 
 
 def test_packaged_atlas_matches_oracle():
@@ -449,7 +454,7 @@ def test_primary_citation_of_an_unknown_field_matches_oracle():
     records = [ATLAS[0], rebuilt(record, provenance=provenance)]
     expected = outcome(oracle_conformance_issues, records)
     assert expected[0] == "raised"
-    assert outcome(_conformance_issues, records) == expected
+    assert outcome(row_conformance, records) == expected
     assert outcome(check_consistency, records) == outcome(oracle_check_consistency, records)
 
 
@@ -475,7 +480,7 @@ def test_unlisted_keys_and_uncovered_fields_match_oracle():
     uncovered = rebuilt(record, provenance=provenance)
     for records in ([renamed], [uncovered], [renamed, uncovered], list(ATLAS) + [renamed]):
         assert_same_checks(records)
-    assert any("no expectation is embedded" in i for i in _conformance_issues([uncovered]))
+    assert any("no expectation is embedded" in i for i in row_conformance([uncovered]))
 
 
 def load_outcome(load, path):
@@ -494,6 +499,35 @@ def test_flipped_file_refusal_matches_oracle(tmp_path):
         outcome = load_outcome(load_atlas, target)
         assert outcome[0] == "refused", (index, field)
         assert outcome == load_outcome(oracle_load_atlas, target)
+
+
+EXTERNAL_FLIPS = sorted(set(BOOLEAN_FLAGS) - set(PRIMARY_FLIPS))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    primary=st.lists(st.sampled_from(PRIMARY_FLIPS), min_size=6, max_size=12, unique=True).filter(
+        lambda flips: len({index for index, _ in flips}) > 1
+    ),
+    external=st.lists(st.sampled_from(EXTERNAL_FLIPS), max_size=4, unique=True),
+)
+def test_multi_flip_file_refusal_matches_oracle_cold_and_warm(tmp_path, cold_atlas, primary, external):
+    # issues come in record order across reused and parsed records, and the
+    # message keeps the first five
+    doc = {"records": [dict(raw) for raw in RAW_RECORDS]}
+    for index, field in primary + external:
+        doc["records"][index][field] = not doc["records"][index][field]
+    target = tmp_path / "flipped.json"
+    target.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    expected = load_outcome(oracle_load_atlas, target)
+    assert expected[0] == "refused"
+    if "data contradicts embedded expectations" in expected[1]:
+        assert len(re.findall(r"contradicts embedded expectation (True|False)", expected[1])) == 5
+    for warm in (False, True):
+        cold_atlas()
+        if warm:
+            load_atlas()
+        assert load_outcome(load_atlas, target) == expected, warm
 
 
 # --- reuse of the last accepted atlas ---------------------------------------------

@@ -64,11 +64,14 @@ def test_partition_import_builds_no_root_system():
 # stdlib modules no nilorb import may load: dataclasses costs about 10 ms,
 # through inspect, and difflib about 2 ms, which only a missed query needs
 HEAVY = ("dataclasses", "inspect", "difflib")
+# the benchmark workers' imports
+LEVI_WORKER = "from nilorb import build_root_system, coroot_lattice, delta_verdict, preset_report"
+SOURCE_WORKER = "from nilorb import ClassicalOrbit, rigid_special_source"
 
 
-def heavy_loaded_after(statement: str) -> str:
-    """Which of HEAVY a fresh ``python -S`` holds after ``statement``."""
-    code = f"import sys\n{statement}\nprint(sorted(set({HEAVY!r}) & set(sys.modules)))\n"
+def heavy_loaded_after(statement: str, heavy: tuple = HEAVY) -> str:
+    """Which of ``heavy`` a fresh ``python -S`` holds after ``statement``."""
+    code = f"import sys\n{statement}\nprint(sorted(set({heavy!r}) & set(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -76,15 +79,19 @@ def heavy_loaded_after(statement: str) -> str:
 
 
 def test_verdict_stack_loads_without_dataclasses():
-    # the levi_sweep worker's import
-    statement = "from nilorb import build_root_system, coroot_lattice, delta_verdict, preset_report"
-    assert heavy_loaded_after(statement) == "[]"
+    assert heavy_loaded_after(LEVI_WORKER) == "[]"
+
+
+@pytest.mark.parametrize("statement", [LEVI_WORKER, SOURCE_WORKER])
+def test_verdict_and_partition_imports_load_no_typing(statement):
+    # only orbit_atlas imports typing, whose importlib.resources loads it anyway
+    assert heavy_loaded_after(statement, ("typing",)) == "[]"
 
 
 @pytest.mark.parametrize(
     "statement",
     [
-        "from nilorb import ClassicalOrbit, rigid_special_source",  # the source_search worker
+        SOURCE_WORKER,
         "from nilorb import check_consistency, flip_field, load_atlas",  # the atlas_faults worker
         "import nilorb.cli",
     ],

@@ -7,6 +7,12 @@ least one consistency check.
 
 import inspect
 import json
+import os
+import pickle
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +56,27 @@ def raw_doc():
 
 
 # --- loading ---------------------------------------------------------------------
+
+def test_a_renamed_copy_of_the_package_reads_its_own_data_file(tmp_path):
+    # the copy is importable beside nilorb under another name; it must read
+    # the data file it carries, not nilorb's
+    package = Path(orbit_atlas.__file__).parent
+    copy = tmp_path / "nilorb_copy"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    data = copy / "data" / "exceptional_orbits.json"
+    text = data.read_text(encoding="utf-8")
+    edited = text.replace('"A_4+2A_1"', '"A_4+2A_1, edited"', 1)
+    assert edited != text
+    data.write_text(edited, encoding="utf-8")
+    code = (
+        "import sys\nfrom nilorb_copy.orbit_atlas import default_atlas_text\n"
+        "sys.stdout.buffer.write(default_atlas_text().encode('utf-8'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(package.parent)]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert proc.stdout.decode("utf-8") == edited
+
 
 def test_default_atlas_shape(atlas):
     assert len(atlas) == 63
@@ -396,8 +423,17 @@ def test_each_record_row_is_built_once(monkeypatch, cold_atlas):
         return build(record)
 
     monkeypatch.setattr(orbit_atlas, "_record_row", counting)
+    # a cold load builds every record's row, for its conformance issues
     records = load_atlas()
-    assert builds == []  # the loader does not build rows
+    assert sorted(builds) == sorted(r.key for r in records) and len(builds) == 63
+    assert all("_check_row" in vars(r) for r in records)
+    builds.clear()
+    # a reload of the same file reuses the records with their rows, and
+    # checks read those rows
+    assert all(a is b for a, b in zip(load_atlas(), records))
+    check_consistency(records)
+    assert builds == []
+
     flipped = []
     for index, record in enumerate(records):
         for field in paper_provenanced_fields(record):
@@ -406,25 +442,25 @@ def test_each_record_row_is_built_once(monkeypatch, cold_atlas):
             assert "_check_row" not in vars(mutated[index])
             flipped.append(mutated)
     assert len(flipped) == 376
+    for _ in range(2):
+        for mutated in flipped:
+            check_consistency(mutated)
+    # each flipped copy's row once, in the first round
+    assert len(builds) == 376
 
-    check_consistency(records)
-    for mutated in flipped:
-        check_consistency(mutated)
-    assert len(builds) == 63 + 376
-    builds.clear()
-    check_consistency(records)
-    for mutated in flipped:
-        check_consistency(mutated)
-    assert builds == []
-
-    # the cached row is no field: a checked record equals, hashes and
-    # serializes as an unchecked one; an emptied table makes the load fresh
-    cold_atlas()
-    cold = load_atlas()
-    assert "_check_row" in vars(records[0]) and "_check_row" not in vars(cold[0])
+    # the cached row is no field: a record with its row equals, hashes,
+    # pickles and serializes as a copy without one
     names = tuple(inspect.signature(type(records[0])).parameters)
     assert names == _RECORD_KEYS + ("comment",)
-    copy = type(records[0])(*(getattr(records[0], name) for name in names))
-    assert copy == records[0] and "_check_row" not in vars(copy)
+    for record in records:
+        copy = type(record)(*(getattr(record, name) for name in names))
+        back = pickle.loads(pickle.dumps(record))
+        assert "_check_row" in vars(record)
+        assert "_check_row" not in vars(copy) and "_check_row" not in vars(back)
+        assert copy == record == back and hash(copy) == hash(record) == hash(back)
+        assert _record_payload(copy) == _record_payload(record)
+    # an emptied table makes the load fresh: new records, equal to the old
+    cold_atlas()
+    cold = load_atlas()
+    assert not any(a is b for a, b in zip(cold, records))
     assert records == cold and hash(records) == hash(cold)
-    assert [_record_payload(r) for r in records] == [_record_payload(r) for r in cold]
