@@ -27,7 +27,7 @@ from .errors import (
     StepInapplicableError,
     _Frozen,
 )
-from .orbit_atlas import _RECORD_KEYS, GROUPS, check_consistency, load_atlas, query
+from .orbit_atlas import _RECORD_KEYS, _check_group, check_consistency, load_atlas, query
 from .orbit_partitions import (
     KINDS,
     ClassicalOrbit,
@@ -183,10 +183,8 @@ def cmd_atlas(args: argparse.Namespace) -> CommandResult:
         return _ok(_record_payload(query(records, args.group, args.label)))
 
     if args.action == "list":
-        if args.group is not None and args.group not in GROUPS:
-            raise InputError(
-                f"unknown group {args.group!r}; expected one of {', '.join(GROUPS)}"
-            )
+        if args.group is not None:
+            _check_group(args.group)
         chosen = [r for r in records if args.group is None or r.group == args.group]
         return _ok(
             {

@@ -6,7 +6,8 @@ distinguished e-lists) plus an optional Levi descriptor for the integrality
 criterion.  Flags may be null when the curated sources leave them open; every
 non-null flag carries a provenance string that names where the value comes
 from.  Provenance strings start with either "paper §" (the primary source)
-or "external: " (companion tabulations).
+or "external: " (companion tabulations).  One ``open`` reads the data file
+beside this module, or a given one; a fault raises AtlasLoadError.
 
 The module embeds its own expectations for every primary-source flag: the
 e-lists, the smooth-locus failure list, the codimension-4 boundary list, the
@@ -42,12 +43,11 @@ part of the row, so an injected runner is called on every check.
 from __future__ import annotations
 
 import json
+import os
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from importlib import resources
 from operator import is_, itemgetter
-from pathlib import Path
-from typing import NamedTuple
 
 from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen
 
@@ -72,6 +72,8 @@ NULLABLE_FLAGS = FLAG_FIELDS[:5]
 _RECORD_KEYS = ("group", "label", *FLAG_FIELDS, "levi_descriptor", "provenance")
 
 _LEVI_RANK = {"E7": 7, "E8": 8}
+
+_DATA_FILE = os.path.join(os.path.dirname(__file__), "data", "exceptional_orbits.json")
 
 Key = tuple[str, str]
 
@@ -463,19 +465,25 @@ def _reused(raw: object, accepted: dict) -> ExceptionalOrbitRecord | None:
     return record
 
 
+def _read_atlas_file(name: str) -> str:
+    """The file's UTF-8 text; the one place an atlas file is opened."""
+    try:
+        with open(name, encoding="utf-8") as file:
+            return file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AtlasLoadError(f"cannot read atlas file {name}: {exc}") from exc
+
+
 def default_atlas_text() -> str:
-    return (
-        resources.files(__package__)
-        .joinpath("data/exceptional_orbits.json")
-        .read_text(encoding="utf-8")
-    )
+    """The data file beside this module, read by the one ``open``; faults raise AtlasLoadError."""
+    return _read_atlas_file(_DATA_FILE)
 
 
-def load_atlas(path: str | Path | None = None) -> tuple[ExceptionalOrbitRecord, ...]:
-    """Load and validate the atlas; the packaged data file is the default.
+def load_atlas(path: str | os.PathLike | None = None) -> tuple[ExceptionalOrbitRecord, ...]:
+    """Load and validate the atlas, read by one ``open``; default: the file beside this module.
 
-    Structural problems, provenance problems, duplicate orbits and
-    contradictions with the embedded expectations all raise AtlasLoadError.
+    Unreadable or non-UTF-8 files, structural and provenance problems, duplicate
+    orbits and contradictions with the embedded expectations all raise AtlasLoadError.
     A record strictly equal to one of the last accepted atlas comes back as
     that atlas's record object, not parsed again, with the row that holds its
     conformance issues.
@@ -485,12 +493,9 @@ def load_atlas(path: str | Path | None = None) -> tuple[ExceptionalOrbitRecord, 
         text = default_atlas_text()
         origin = "packaged atlas"
     else:
-        p = Path(path)
-        try:
-            text = p.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise AtlasLoadError(f"cannot read atlas file {p}: {exc}") from exc
-        origin = str(p)
+        from pathlib import Path  # only to spell the path in messages: ./a.json as a.json
+        origin = str(Path(path))
+        text = _read_atlas_file(origin)
 
     try:
         doc = json.loads(text)
@@ -524,12 +529,16 @@ def load_atlas(path: str | Path | None = None) -> tuple[ExceptionalOrbitRecord, 
     return tuple(records)
 
 
+def _check_group(group: str) -> None:
+    if group not in GROUPS:
+        raise InputError(f"unknown group {group!r}; expected one of {', '.join(GROUPS)}")
+
+
 def query(
     records: Sequence[ExceptionalOrbitRecord], group: str, label: str
 ) -> ExceptionalOrbitRecord:
     """Exact lookup by group and orbit label, with suggestions on a miss."""
-    if group not in GROUPS:
-        raise InputError(f"unknown group {group!r}; expected one of {', '.join(GROUPS)}")
+    _check_group(group)
     for record in records:
         if record.group == group and record.label == label:
             return record
@@ -595,15 +604,8 @@ def _set_check(check_id: str, name: str, actual: set, expected: frozenset) -> Ch
 _KEY_SETS = ("both", "quad", "smooth", "c4", "e1", "e2", "e3")
 
 
-class _CheckRow(NamedTuple):
-    """What ``check_consistency`` reads from one record."""
-
-    key: Key
-    joins: tuple[int, ...]  # the _KEY_SETS the record belongs to
-    rigid_not_birigid: bool
-    e_problems: tuple[str, ...]
-    levi: tuple | None  # the C6 entry (key, levi, expected verdict)
-    conformance: tuple[str, ...]
+# what check_consistency reads from one record; levi is its C6 entry or None
+_CheckRow = namedtuple("_CheckRow", "key joins rigid_not_birigid e_problems levi conformance")
 
 
 def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:

@@ -314,6 +314,14 @@ def test_atlas_list_filter_and_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("action", [("list",), ("query", "--label", "A_1")])
+def test_atlas_unknown_group_is_one_usage_error(capsys, action):
+    # list and query share one group check, and so one message
+    code, out, err = run_cli(capsys, "atlas", *action, "--group", "E9")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown group 'E9'; expected one of G2, F4, E6, E7, E8\n"
+
+
 @pytest.mark.parametrize("via", ["--data", "ORBIT_ATLAS_PATH"])
 @pytest.mark.parametrize(
     "content",

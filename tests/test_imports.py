@@ -84,7 +84,7 @@ def test_verdict_stack_loads_without_dataclasses():
 
 @pytest.mark.parametrize("statement", [LEVI_WORKER, SOURCE_WORKER])
 def test_verdict_and_partition_imports_load_no_typing(statement):
-    # only orbit_atlas imports typing, whose importlib.resources loads it anyway
+    # no module of the package imports typing (see the AST scan below)
     assert heavy_loaded_after(statement, ("typing",)) == "[]"
 
 
@@ -100,16 +100,67 @@ def test_no_import_loads_dataclasses_inspect_or_difflib(statement):
     assert heavy_loaded_after(statement) == "[]"
 
 
-def test_no_module_imports_dataclasses():
-    for path in sorted(Path(SRC, "nilorb").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert "dataclasses" not in {name.partition(".")[0] for name in names}, path.name
+# importlib.resources and what it imports to read a package's data file: the
+# CLI, an atlas load and a check read the data file without any of them
+READ_PATH_HEAVY = (
+    "importlib.resources", "importlib.readers", "zipfile", "tempfile", "typing", "pathlib"
+)
+
+
+def test_cli_atlas_load_and_check_load_no_resources_typing_or_pathlib():
+    statement = (
+        "import nilorb.cli\nfrom nilorb import check_consistency, load_atlas\n"
+        "check_consistency(load_atlas())"
+    )
+    assert heavy_loaded_after(statement, READ_PATH_HEAVY) == "[]"
+
+
+# no module of the package may import these anywhere, nor pathlib at module
+# level: load_atlas imports it only to spell a given path
+BANNED = ("dataclasses", "typing", "importlib.resources")
+
+
+def banned_imports(source: str) -> list:
+    """The banned modules a module's source imports, in ``ast.walk`` order.
+
+    ``from a import b`` names both ``a`` and ``a.b``, since ``b`` may be a
+    submodule.
+    """
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        banned = BANNED + ("pathlib",) if node in tree.body else BANNED
+        found += [n for n in names if any(n == b or n.startswith(f"{b}.") for b in banned)]
+    return found
+
+
+def test_banned_imports_sees_each_spelling():
+    source = (
+        "import dataclasses\nfrom typing import NamedTuple\nfrom importlib import resources\n"
+        "import importlib.resources.abc\nfrom pathlib import Path\nfrom . import errors\n"
+        "def f():\n    from pathlib import Path\n    import importlib\n"
+    )
+    assert banned_imports(source) == [
+        "dataclasses",
+        "typing",
+        "typing.NamedTuple",
+        "importlib.resources",
+        "importlib.resources.abc",
+        "pathlib",
+        "pathlib.Path",
+    ]
+
+
+def test_no_module_imports_typing_dataclasses_or_importlib_resources():
+    modules = sorted(Path(SRC, "nilorb").glob("*.py"))
+    found = {path.name: banned_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_cli_import_loads_every_layer():

@@ -57,12 +57,20 @@ def raw_doc():
 
 # --- loading ---------------------------------------------------------------------
 
-def test_a_renamed_copy_of_the_package_reads_its_own_data_file(tmp_path):
-    # the copy is importable beside nilorb under another name; it must read
-    # the data file it carries, not nilorb's
+def package_copy(tmp_path) -> tuple[Path, dict]:
+    """A copy of the package named ``nilorb_copy`` under ``tmp_path``, and an
+    environment whose path finds it before the real package."""
     package = Path(orbit_atlas.__file__).parent
     copy = tmp_path / "nilorb_copy"
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(package.parent)]))
+    return copy, env
+
+
+def test_a_renamed_copy_of_the_package_reads_its_own_data_file(tmp_path):
+    # the copy is importable beside nilorb under another name; it must read
+    # the data file it carries, not nilorb's
+    copy, env = package_copy(tmp_path)
     data = copy / "data" / "exceptional_orbits.json"
     text = data.read_text(encoding="utf-8")
     edited = text.replace('"A_4+2A_1"', '"A_4+2A_1, edited"', 1)
@@ -72,10 +80,53 @@ def test_a_renamed_copy_of_the_package_reads_its_own_data_file(tmp_path):
         "import sys\nfrom nilorb_copy.orbit_atlas import default_atlas_text\n"
         "sys.stdout.buffer.write(default_atlas_text().encode('utf-8'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(package.parent)]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     assert proc.stdout.decode("utf-8") == edited
+
+
+@pytest.mark.parametrize("fault", ["missing", "not-utf8"])
+def test_a_fault_in_the_packaged_data_file_is_one_error_line(tmp_path, fault):
+    # the packaged file is read as a given path is, so a missing or non-UTF-8
+    # data file ends atlas check and selftest in AtlasLoadError, not a traceback
+    copy, env = package_copy(tmp_path)
+    data = copy / "data" / "exceptional_orbits.json"
+    if fault == "missing":
+        data.unlink()
+    else:
+        data.write_bytes(data.read_bytes().replace("Ã".encode("utf-8"), b"\xff", 1))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-S", "-m", "nilorb_copy", *argv],
+            capture_output=True, text=True, env=env,
+        )
+
+    check = run("atlas", "check")
+    assert (check.returncode, check.stdout) == (1, "")
+    assert check.stderr.startswith(f"error: cannot read atlas file {data}: ")
+    assert check.stderr.count("\n") == 1 and "Traceback" not in check.stderr
+
+    selftest = run("selftest", "--json")
+    assert selftest.returncode == 1 and "Traceback" not in selftest.stderr
+    criteria = json.loads(selftest.stdout)["payload"]["criteria"]
+    (atlas_criterion,) = [c for c in criteria if c["id"] == "8"]
+    assert atlas_criterion["passed"] is False
+    assert atlas_criterion["actual"].startswith(
+        f"raised AtlasLoadError: cannot read atlas file {data}: "
+    )
+
+
+@pytest.mark.parametrize(
+    "given, shown", [("./missing.json", "missing.json"), ("a//missing.json", "a/missing.json")]
+)
+def test_a_given_path_is_named_as_pathlib_spells_it(tmp_path, monkeypatch, given, shown):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(AtlasLoadError) as exc:
+        load_atlas(given)
+    assert str(exc.value) == (
+        f"cannot read atlas file {shown}: [Errno 2] No such file or directory: '{shown}'"
+    )
 
 
 def test_default_atlas_shape(atlas):
