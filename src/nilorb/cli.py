@@ -27,7 +27,7 @@ from .errors import (
     StepInapplicableError,
     _Frozen,
 )
-from .orbit_atlas import _RECORD_KEYS, _check_group, check_consistency, load_atlas, query
+from .orbit_atlas import _check_group, check_consistency, load_atlas, query
 from .orbit_partitions import (
     KINDS,
     ClassicalOrbit,
@@ -166,21 +166,13 @@ def cmd_delta(args: argparse.Namespace) -> CommandResult:
     return _ok(report.to_payload())
 
 
-def _record_payload(record) -> dict:
-    payload = {name: getattr(record, name) for name in _RECORD_KEYS + ("comment",)}
-    levi = record.levi_descriptor
-    payload["levi_descriptor"] = list(levi) if levi else None
-    payload["provenance"] = dict(record.provenance)
-    return payload
-
-
 def cmd_atlas(args: argparse.Namespace) -> CommandResult:
     records = load_atlas(_atlas_path(args))
 
     if args.action == "query":
         if args.group is None or args.label is None:
             raise InputError("'query' needs --group and --label")
-        return _ok(_record_payload(query(records, args.group, args.label)))
+        return _ok(query(records, args.group, args.label).to_payload())
 
     if args.action == "list":
         if args.group is not None:

@@ -9,7 +9,10 @@ used throughout is the *row-style* one: row operations only, pivot entries
 positive, entries above a pivot reduced into [0, pivot), zero rows collected at
 the bottom.  Lattices are sets of integer row vectors closed under addition;
 a :class:`LatticeBasis` always stores the canonical HNF basis of its lattice,
-so two equal lattices compare equal structurally.
+so two equal lattices compare equal structurally.  One elimination loop does
+all of it: the transform of :func:`hermite_normal_form` rides in identity
+columns appended to the rows, and the integer kernel is read off that
+transform.
 """
 
 from __future__ import annotations
@@ -105,19 +108,19 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=b.cols)
 
 
-def _echelon(h: list[list[int]], cols: int, track: bool) -> list[list[int]] | None:
+def _echelon(h: list[list[int]], cols: int) -> None:
     """Bring the rows ``h`` to row-style Hermite normal form in place.
 
-    With ``track`` the unimodular transform ``u`` (``u @ original == h``) is
-    built alongside and returned; without it only ``h`` changes.  Entries
-    must already be checked integers.  Each column runs Euclid on the rows
-    from the pivot row down: the first row of least absolute value becomes
-    the pivot and the others drop by floor quotients of it.  A changed row
-    is rebuilt as a new list, so callers read the result from ``h``, not
-    from row objects they held before the call.
+    Pivots are sought only in the first ``cols`` columns, and every row
+    operation acts on the whole row, so columns past ``cols`` are carried
+    along: rows with the identity appended come back holding the unimodular
+    transform there.  Entries must already be checked integers.  Each column
+    runs Euclid on the rows from the pivot row down: the first row of least
+    absolute value becomes the pivot and the others drop by floor quotients
+    of it.  A changed row is rebuilt as a new list, so callers read the
+    result from ``h``, not from row objects they held before the call.
     """
     n = len(h)
-    u = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
     r = 0
     for c in range(cols):
         if r == n:
@@ -136,13 +139,9 @@ def _echelon(h: list[list[int]], cols: int, track: bool) -> list[list[int]] | No
                 break
             if i0 != r:
                 h[r], h[i0] = h[i0], h[r]
-                if track:
-                    u[r], u[i0] = u[i0], u[r]
             prow = h[r]
             if prow[c] < 0:
                 prow = h[r] = [-a for a in prow]
-                if track:
-                    u[r] = [-a for a in u[r]]
             pivot = prow[c]
             reduced_all = True
             for i in range(r + 1, n):
@@ -150,8 +149,6 @@ def _echelon(h: list[list[int]], cols: int, track: bool) -> list[list[int]] | No
                 if row[c]:
                     q = row[c] // pivot
                     row = h[i] = [a - q * b for a, b in zip(row, prow)]
-                    if track:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
                     if row[c]:
                         reduced_all = False
             if reduced_all:
@@ -164,14 +161,7 @@ def _echelon(h: list[list[int]], cols: int, track: bool) -> list[list[int]] | No
             q = h[i][c] // pivot
             if q:
                 h[i] = [a - q * b for a, b in zip(h[i], prow)]
-                if track:
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
         r += 1
-    return u
-
-
-def _flat(rows: list[list[int]]) -> tuple[int, ...]:
-    return tuple(x for row in rows for x in row)
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -181,22 +171,12 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     positive, entries above each pivot lie in [0, pivot), and zero rows sit at
     the bottom.  Zero and empty matrices are legal inputs.
     """
-    h = m.to_rows()
-    u = _echelon(h, m.cols, track=True)
-    return IntMatrix(m.rows, m.cols, _flat(h)), IntMatrix(m.rows, m.rows, _flat(u))
-
-
-def _kernel_rows(transposed: list[list[int]], width: int) -> list[Vector]:
-    """Basis of the integer kernel {x : m @ x == 0} of the matrix m whose
-    transpose has the rows ``transposed``, each ``width`` entries long.
-
-    The rows of the unimodular transform that clear rows of hnf(m^T) form a
-    basis of the kernel; the kernel of an integer matrix is a saturated
-    sublattice, so this basis is primitive.  It is not canonical, and
-    ``transposed`` is overwritten by its HNF.
-    """
-    u = _echelon(transposed, width, track=True)
-    return [tuple(u[i]) for i, row in enumerate(transposed) if not any(row)]
+    n, cols = m.rows, m.cols
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.to_rows())]
+    _echelon(rows, cols)
+    h = tuple(x for row in rows for x in row[:cols])
+    u = tuple(x for row in rows for x in row[cols:])
+    return IntMatrix(n, cols, h), IntMatrix(n, n, u)
 
 
 def _pivot_column(row: Vector) -> int:
@@ -231,7 +211,7 @@ class LatticeBasis(_Frozen):
                     f"vector length {len(row)} does not match ambient dimension {self.ambient_dim}"
                 )
             rows.append(row)
-        _echelon(rows, self.ambient_dim, track=False)
+        _echelon(rows, self.ambient_dim)
         object.__setattr__(self, "vectors", tuple(tuple(row) for row in rows if any(row)))
 
     @property
@@ -240,8 +220,10 @@ class LatticeBasis(_Frozen):
 
 
 def kernel_lattice(m: IntMatrix) -> LatticeBasis:
-    """Canonical basis of the integer kernel {x in Z^cols : m @ x == 0}."""
-    return LatticeBasis(m.cols, tuple(_kernel_rows(m.transpose().to_rows(), m.rows)))
+    """Canonical basis of the integer kernel {x in Z^cols : m @ x == 0}: the
+    lattice of the transform rows that clear rows of hnf(m^T)."""
+    h, u = hermite_normal_form(m.transpose())
+    return LatticeBasis(m.cols, tuple(u.row(i) for i in range(h.rows) if not any(h.row(i))))
 
 
 def lattice_contains(basis: LatticeBasis, v: Sequence[int]) -> Vector | None:

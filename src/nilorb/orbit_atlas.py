@@ -284,6 +284,13 @@ class ExceptionalOrbitRecord(_Frozen):
     def __repr__(self) -> str:
         return f"ExceptionalOrbitRecord({self.group}:{self.label})"
 
+    def to_payload(self) -> dict:
+        payload = {name: getattr(self, name) for name in _RECORD_KEYS + ("comment",)}
+        levi = self.levi_descriptor
+        payload["levi_descriptor"] = list(levi) if levi else None
+        payload["provenance"] = dict(self.provenance)
+        return payload
+
     @cached_property
     def _check_row(self) -> _CheckRow:
         # kept in the __dict__, not a field: ==, hash, pickle and the JSON

@@ -20,9 +20,10 @@ Before a built system is returned, its Cartan matrix must pass
 :func:`diagram_arms` with the arm lengths of the E-series tree; that function
 is the one diagram-shape check in the package, and ``selftest`` criteria 1
 and 2 call it too.  The build also stores, per label, the smallest multiple
-of the fundamental coweight that lies in the coroot lattice, each from one
-integer kernel of the Cartan matrix; the central-torus stage of the delta
-check combines these instead of solving a kernel per Levi.
+of the fundamental coweight that lies in the coroot lattice, each the
+generator of ``exact_linalg.kernel_lattice`` of the Cartan rows other than
+its label; the central-torus stage of the delta check combines these instead
+of solving a kernel per Levi.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 from operator import add, mul, sub
 
 from .errors import CapabilityError, InputError, IntegrityError, _Frozen
-from .exact_linalg import LatticeBasis, _kernel_rows, lattice_contains
+from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains
 
 Scalar = int | Fraction
 
@@ -262,8 +263,8 @@ def _coweights(
     rank = len(cartan)
     multiples = []
     for j in range(rank):
-        transposed = [[cartan[i][c] for i in range(rank) if i != j] for c in range(rank)]
-        (v,) = _kernel_rows(transposed, rank - 1)
+        others = IntMatrix.from_rows([row for i, row in enumerate(cartan) if i != j], cols=rank)
+        (v,) = kernel_lattice(others).vectors
         m = sum(map(mul, cartan[j], v))
         if m < 0:
             m, v = -m, tuple(-x for x in v)

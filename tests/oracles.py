@@ -9,7 +9,8 @@ helpers below add and subtract raw coordinates, which is what its operators
 did.
 
 ``reference_echelon`` is the HNF kernel as it was before it rebuilt rows:
-a ``min`` pivot search and in-place row updates.  ``reference_simple_roots``
+a ``min`` pivot search and in-place row updates, with the transform ``u`` as
+a second matrix beside ``h``.  ``reference_simple_roots``
 is the simple-root search as it was before it stopped at the first hit: the
 set of every pairwise sum.
 
@@ -161,6 +162,26 @@ def reference_echelon(h: list[list[int]], cols: int, track: bool) -> Optional[li
                 _submul(u[i], u[r], q)
         r += 1
     return u
+
+
+def check_echelon_against_reference(echelon, rows: list[list[int]], cols: int) -> None:
+    """Assert that ``echelon(h, cols)`` gives the rows of
+    ``reference_echelon(..., track=False)`` on ``rows``, and, on ``rows``
+    with the identity appended, ``reference_echelon(..., track=True)``'s
+    ``h`` in the first ``cols`` columns and its ``u`` in the rest, row by
+    row.  ``rows`` is not changed."""
+    fast = [list(row) for row in rows]
+    slow = [list(row) for row in rows]
+    echelon(fast, cols)
+    assert reference_echelon(slow, cols, False) is None
+    assert fast == slow
+    n = len(rows)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    slow = [list(row) for row in rows]
+    u = reference_echelon(slow, cols, True)
+    echelon(augmented, cols)
+    assert [row[:cols] for row in augmented] == slow
+    assert [row[cols:] for row in augmented] == u
 
 
 # --- simple roots from every pairwise sum ------------------------------------------

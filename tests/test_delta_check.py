@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from oracles import coefficient_table, qadd, reference_echelon
+from oracles import check_echelon_against_reference, coefficient_table, qadd
 
 from nilorb import exact_linalg
 from nilorb.delta_check import (
@@ -332,9 +332,10 @@ def test_each_verdict_runs_one_untracked_hnf_and_no_tracked_one(monkeypatch):
     calls = Counter()
     echelon = exact_linalg._echelon
 
-    def counting(h, cols, track):
-        calls[track] += 1
-        return echelon(h, cols, track)
+    def counting(h, cols):
+        # a row wider than cols carries columns, as the transform of an HNF does
+        calls[any(len(row) > cols for row in h)] += 1
+        return echelon(h, cols)
 
     monkeypatch.setattr(exact_linalg, "_echelon", counting)
     levis = list(all_levis())
@@ -344,21 +345,18 @@ def test_each_verdict_runs_one_untracked_hnf_and_no_tracked_one(monkeypatch):
 
 
 def test_echelon_matches_the_reference_kernel_on_every_torus(monkeypatch):
-    # the torus generators of each Levi, reduced tracked and untracked by
-    # both kernels; h and u must be identical, not merely span one lattice
+    # the torus generators of each Levi, reduced plain and with the identity
+    # appended by the one loop, and untracked and tracked by the reference
+    # kernel; h and u must be identical, not merely span one lattice
     build_root_system("E7")
     build_root_system("E8")
     echelon = exact_linalg._echelon
     seen = []
 
-    def compared(h, cols, track):
-        for tracked in (False, True):
-            fast = [list(row) for row in h]
-            slow = [list(row) for row in h]
-            assert echelon(fast, cols, tracked) == reference_echelon(slow, cols, tracked)
-            assert fast == slow
+    def compared(h, cols):
+        check_echelon_against_reference(echelon, h, cols)
         seen.append(len(h))
-        return echelon(h, cols, track)
+        return echelon(h, cols)
 
     monkeypatch.setattr(exact_linalg, "_echelon", compared)
     levis = list(all_levis())
@@ -398,3 +396,32 @@ def test_table_stages_match_the_ambient_oracle_on_every_levi():
         assert report.verdict == verdict, idx
         checked += 1
     assert checked == 382
+
+
+# --- the verdict as a parity of kappa's simple-root coefficients --------------------
+#
+# kappa pairs with the fundamental coweight omega_j to its alpha_j
+# coefficient c_j.  The torus of L is spanned by omega_j for the order-1
+# labels j outside L, by 2 omega_j for the order-2 ones, and by
+# omega_j + omega_j0 for two order-2 ones, so its evenness is a parity of the
+# c_j.  The coefficients come from the descent in tests/oracles.py, and the
+# orders are hard-coded, so nothing here reads the growth tree or the stored
+# coweights.
+
+COWEIGHT_ORDERS = {"E7": (2, 1, 2, 1, 1, 1, 2), "E8": (1,) * 8}
+
+
+def test_verdict_is_a_parity_of_kappa_coefficients_on_every_levi():
+    tables = {name: coefficient_table(build_root_system(name)) for name in COWEIGHT_ORDERS}
+    verdicts = Counter()
+    for name, idx in all_levis():
+        report = delta_verdict(name, idx)
+        rows = [tables[name][root] for root in report.roots_pairing_one]
+        c = [sum(row[j] for row in rows) for j in range(len(COWEIGHT_ORDERS[name]))]
+        outside = [j for j in range(len(c)) if j + 1 not in idx]
+        order_two = [j for j in outside if COWEIGHT_ORDERS[name][j] == 2]
+        odd = [j for j in outside if COWEIGHT_ORDERS[name][j] == 1 and c[j] % 2]
+        odd += [j for j in order_two[1:] if (c[j] + c[order_two[0]]) % 2]
+        assert report.verdict == ("non-integral" if odd else "integral"), (name, idx)
+        verdicts[report.verdict] += 1
+    assert sum(verdicts.values()) == 382 and set(verdicts) == {"integral", "non-integral"}

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilorb import orbit_atlas
-from nilorb.cli import _record_payload
 from nilorb.errors import AtlasLoadError, InputError, OrbitNotFoundError
 from nilorb.orbit_atlas import (
     _RECORD_KEYS,
@@ -509,7 +508,7 @@ def test_each_record_row_is_built_once(monkeypatch, cold_atlas):
         assert "_check_row" in vars(record)
         assert "_check_row" not in vars(copy) and "_check_row" not in vars(back)
         assert copy == record == back and hash(copy) == hash(record) == hash(back)
-        assert _record_payload(copy) == _record_payload(record)
+        assert copy.to_payload() == record.to_payload()
     # an emptied table makes the load fresh: new records, equal to the old
     cold_atlas()
     cold = load_atlas()

@@ -8,6 +8,7 @@ derivation code it is checking.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import add, mul
 
@@ -411,6 +412,24 @@ def test_stored_coweights_are_primitive_coroot_lattice_multiples(name):
         for d in range(2, g + 1):
             if g % d == 0:
                 assert not lattice_contains_mod_ones(lattice, QuotientVector(tuple(x // d for x in v))), (j, d)
+
+
+def test_a_cold_build_takes_each_coweight_from_one_kernel_lattice(monkeypatch):
+    calls = Counter()
+    kernel = root_system.kernel_lattice
+
+    def counting(m):
+        calls[m.cols] += 1
+        return kernel(m)
+
+    monkeypatch.setattr(root_system, "kernel_lattice", counting)
+    build_root_system.cache_clear()
+    try:
+        orders = {name: tuple(m for m, _ in build_root_system(name).coweights) for name in ("E7", "E8")}
+    finally:
+        build_root_system.cache_clear()
+    assert calls == Counter({7: 7, 8: 8})
+    assert orders == COWEIGHT_ORDERS
 
 
 def patched_e7_cartan(drop):
