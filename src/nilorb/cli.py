@@ -238,26 +238,19 @@ def _text_lines(value, indent: int = 0) -> Iterator[str]:
     """Line-oriented rendering of a JSON payload, same key order as the JSON."""
     pad = "  " * indent
     if isinstance(value, dict):
-        for key in sorted(value):
-            item = value[key]
-            if _is_scalar_list(item):
-                yield f"{pad}{key}: [{_scalar_list_text(item)}]"
-            elif isinstance(item, (dict, list)) and item:
-                yield f"{pad}{key}:"
-                yield from _text_lines(item, indent + 1)
-            elif isinstance(item, (dict, list)):
-                yield f"{pad}{key}: (empty)"
-            else:
-                yield f"{pad}{key}: {_scalar_text(item)}"
-    elif isinstance(value, list):
-        for item in value:
-            if _is_scalar_list(item):
-                yield f"{pad}- [{_scalar_list_text(item)}]"
-            elif isinstance(item, (dict, list)):
-                yield f"{pad}-"
-                yield from _text_lines(item, indent + 1)
-            else:
-                yield f"{pad}- {_scalar_text(item)}"
+        entries = ((f"{key}:", value[key]) for key in sorted(value))
+    else:
+        entries = (("-", item) for item in value)
+    for head, item in entries:
+        if _is_scalar_list(item):
+            yield f"{pad}{head} [{_scalar_list_text(item)}]"
+        elif isinstance(item, (dict, list)) and item:
+            yield pad + head
+            yield from _text_lines(item, indent + 1)
+        elif isinstance(item, dict):
+            yield f"{pad}{head} (empty)"
+        else:
+            yield f"{pad}{head} {_scalar_text(item)}"
 
 
 def _selftest_table(payload: dict) -> str:

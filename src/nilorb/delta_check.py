@@ -107,8 +107,8 @@ def roots_pairing_one(rs: RootSystem, h: QuotientVector) -> tuple[QuotientVector
 def kappa_weight(rs: RootSystem, h: QuotientVector) -> QuotientVector:
     """Sum of the positive roots whose coroot pairs to exactly 1 against h.
 
-    ``delta_verdict`` no longer calls this; it sums the same roots in place.
-    It is kept as a public helper and as the tests' oracle for that sum.
+    This is the weight kappa of the integrality criterion, as a public
+    helper; the tests use it as their oracle for the kappa of each report.
     """
     return _coordinate_sum(roots_pairing_one(rs, h), rs.ambient_dim)
 
@@ -200,15 +200,8 @@ class DeltaReport(_Frozen):
                  roots_pairing_one: tuple[QuotientVector, ...], kappa: QuotientVector,
                  torus_basis: tuple[tuple[int, ...], ...], pairings: tuple[Pairing, ...],
                  verdict: str, reference: ReferenceComparison | None = None):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "levi_indices", levi_indices)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "roots_pairing_one", roots_pairing_one)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "torus_basis", torus_basis)
-        object.__setattr__(self, "pairings", pairings)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reference", reference)
+        self._fill(system, levi_indices, h, roots_pairing_one, kappa, torus_basis, pairings,
+                   verdict, reference)
 
     @property
     def is_integral(self) -> bool:

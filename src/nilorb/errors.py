@@ -44,15 +44,20 @@ class OrbitNotFoundError(NilorbError):
 class _Frozen:
     """Base of the package's immutable records, in place of a frozen dataclass.
 
-    A subclass's fields are its public slots, in ``__slots__`` order, and
-    ``__init__`` sets each once with ``object.__setattr__``.  A slot whose name
-    starts with ``_``, such as a derived value or the ``__dict__`` that holds a
-    cached one, is no field.  ``repr``, ``==`` and ``hash`` follow the field
-    tuple as a frozen dataclass's do; a record compared by identity sets
-    ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.  ``copy``
-    and ``pickle`` rebuild a record by calling its class on the fields.  The
-    base lives here, in the one module every layer imports, so that no layer
-    loads ``dataclasses`` or another layer for its records.
+    A subclass's fields are its public slots, in ``__slots__`` order.  A slot
+    whose name starts with ``_``, such as a derived value or the ``__dict__``
+    that holds a cached one, is no field.  ``repr``, ``==`` and ``hash``
+    follow the field tuple as a frozen dataclass's do; a record compared by
+    identity sets ``__eq__ = object.__eq__`` and ``__hash__ =
+    object.__hash__``.  ``copy`` and ``pickle`` rebuild a record by calling
+    its class on the fields.  The base lives here, in the one module every
+    layer imports, so that no layer loads ``dataclasses`` or another layer
+    for its records.
+
+    ``__init__`` sets each field once, by ``_fill`` through ``_setters``,
+    the class's slot setters.  A record that a workload builds on every op
+    may store its fields directly with ``object.__setattr__`` instead: for
+    a few fields ``_fill`` measured slower on the ``source_search`` op.
     """
 
     __slots__ = ()
@@ -60,13 +65,14 @@ class _Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
         get = attrgetter(*fields)
         # _field_values(record) is the field tuple, a 1-tuple for one field
         cls._field_values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
 
     def _fill(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._setters, values):
+            store(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -258,19 +258,9 @@ class ExceptionalOrbitRecord(_Frozen):
         provenance: tuple[tuple[str, str], ...],
         comment: str | None = None,
     ):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "is_special", is_special)
-        object.__setattr__(self, "is_rigid", is_rigid)
-        object.__setattr__(self, "is_birationally_rigid", is_birationally_rigid)
-        object.__setattr__(self, "codim4_boundary", codim4_boundary)
-        object.__setattr__(self, "fails_smooth_locus_codim4", fails_smooth_locus_codim4)
-        object.__setattr__(self, "in_e1", in_e1)
-        object.__setattr__(self, "in_e2", in_e2)
-        object.__setattr__(self, "in_e3", in_e3)
-        object.__setattr__(self, "levi_descriptor", levi_descriptor)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "comment", comment)
+        self._fill(group, label, is_special, is_rigid, is_birationally_rigid, codim4_boundary,
+                   fails_smooth_locus_codim4, in_e1, in_e2, in_e3, levi_descriptor, provenance,
+                   comment)
 
     @property
     def key(self) -> Key:
@@ -569,10 +559,7 @@ class CheckResult(_Frozen):
     __slots__ = ("check_id", "name", "passed", "details")
 
     def __init__(self, check_id: str, name: str, passed: bool, details: str = ""):
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "details", details)
+        self._fill(check_id, name, passed, details)
 
     def to_payload(self) -> dict:
         return {
@@ -605,10 +592,6 @@ def _set_check(check_id: str, name: str, actual: set, expected: frozenset) -> Ch
     """A check that passes when ``actual`` is exactly ``expected``."""
     passed = actual == expected
     return CheckResult(check_id, name, passed, "" if passed else _set_mismatch(actual, expected))
-
-
-# the C1-C7 key sets; a row's ``joins`` are indices into this tuple
-_KEY_SETS = ("both", "quad", "smooth", "c4", "e1", "e2", "e3")
 
 
 # what check_consistency reads from one record; levi is its C6 entry or None
@@ -660,7 +643,8 @@ def check_consistency(
     memoizes the exact computation so repeated sweeps stay cheap.
     """
     runner = delta_runner or _cached_delta_verdict
-    key_sets: tuple[set[Key], ...] = tuple(set() for _ in _KEY_SETS)
+    key_sets: tuple[set[Key], ...] = tuple(set() for _ in range(7))
+    # the C1-C7 key sets; a row's ``joins`` are indices into this tuple
     both, quad, smooth, c4, e1, e2, e3 = key_sets
     rigid_not_birigid = []
     levis = []

@@ -39,8 +39,6 @@ from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_conta
 
 Scalar = int | Fraction
 
-ROOT_SYSTEM_NAMES = ("E7", "E8")
-
 __all__ = [
     "ROOT_SYSTEM_NAMES",
     "QuotientVector",
@@ -184,6 +182,7 @@ _REALIZATIONS = {
     "E7": (8, 63, (3, 2, 1), _positive_roots_e7),
     "E8": (9, 120, (4, 2, 1), _positive_roots_e8),
 }
+ROOT_SYSTEM_NAMES = tuple(_REALIZATIONS)
 
 
 def derive_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int) -> tuple[tuple[int, ...], ...]:

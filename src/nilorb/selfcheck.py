@@ -17,10 +17,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Callable, Sequence
+from operator import mul
 
 from .delta_check import preset_report
 from .errors import InputError, StepInapplicableError, _Frozen
-from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains, mat_mul
+from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains
 from .orbit_atlas import (
     check_consistency,
     flip_field,
@@ -366,12 +367,10 @@ def _criterion_atlas(atlas_path: str | None) -> tuple:
 
 def _combinations(basis: LatticeBasis, coeffs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """For each coefficient row c, the lattice vector sum(c_k * v_k) over the
-    basis vectors v_k."""
-    product = mat_mul(
-        IntMatrix.from_rows(coeffs, cols=basis.rank),
-        IntMatrix.from_rows(basis.vectors, cols=basis.ambient_dim),
-    )
-    return [product.row(i) for i in range(product.rows)]
+    basis vectors v_k, summed in plain integers so that the oracle runs none
+    of the layer it checks."""
+    columns = [[v[j] for v in basis.vectors] for j in range(basis.ambient_dim)]
+    return [tuple(sum(map(mul, c, column)) for column in columns) for c in coeffs]
 
 
 def _box_search(basis: LatticeBasis, radius: int) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -389,15 +388,14 @@ def _criterion_lattice_oracle(atlas_path: str | None) -> tuple:
     probes = 0
     failures = []
     for index in range(100):
-        m = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
-        )
-        basis = kernel_lattice(m)
+        rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
+        basis = kernel_lattice(IntMatrix.from_rows(rows))
+        if basis.ambient_dim != 6:
+            dim = basis.ambient_dim
+            failures.append(f"matrix {index}: kernel basis in dimension {dim}, expected 6")
         for v in basis.vectors:
             kernel_vectors += 1
-            image = [
-                sum(m.row(i)[j] * v[j] for j in range(m.cols)) for i in range(m.rows)
-            ]
+            image = [sum(map(mul, row, v)) for row in rows]
             if any(image):
                 failures.append(f"matrix {index}: kernel vector {v} maps to {image}")
 
@@ -421,7 +419,9 @@ def _criterion_lattice_oracle(atlas_path: str | None) -> tuple:
                 abs(c) <= radius for c in claimed
             ):
                 failures.append(f"matrix {index}: {cand} claimed in-box, search missed it")
-            if claimed is not None and _combinations(basis, [claimed]) != [cand]:
+            if claimed is not None and (
+                len(claimed) != basis.rank or _combinations(basis, [claimed]) != [cand]
+            ):
                 failures.append(f"matrix {index}: certificate fails for {cand}")
 
     expected = (

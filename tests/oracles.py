@@ -17,6 +17,10 @@ set of every pairwise sum.
 ``record_twin`` maps a record of the package to a ``dataclasses`` twin
 with the same fields, defaults and ``eq`` flag, for the record semantics
 the plain ``__slots__`` classes must keep.
+
+``reference_text_lines`` is the CLI's text renderer as it was before one
+loop served dict entries and list items: a branch for each, spelling out
+the same per-entry rules twice.
 """
 
 import dataclasses
@@ -26,6 +30,7 @@ from functools import lru_cache
 from operator import add
 from typing import Optional, Sequence
 
+from nilorb.cli import _is_scalar_list, _scalar_list_text, _scalar_text
 from nilorb.errors import IntegrityError
 from nilorb.root_system import QuotientVector, pair
 
@@ -322,3 +327,29 @@ def record_twin(value, memo: Optional[dict] = None):
         values = (record_twin(getattr(value, f.name), memo) for f in dataclasses.fields(twin_cls))
         memo[id(value)] = twin_cls(*values)
     return memo[id(value)]
+
+
+def reference_text_lines(value, indent: int = 0):
+    """Line-oriented rendering of a JSON payload, same key order as the JSON."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        for key in sorted(value):
+            item = value[key]
+            if _is_scalar_list(item):
+                yield f"{pad}{key}: [{_scalar_list_text(item)}]"
+            elif isinstance(item, (dict, list)) and item:
+                yield f"{pad}{key}:"
+                yield from reference_text_lines(item, indent + 1)
+            elif isinstance(item, (dict, list)):
+                yield f"{pad}{key}: (empty)"
+            else:
+                yield f"{pad}{key}: {_scalar_text(item)}"
+    elif isinstance(value, list):
+        for item in value:
+            if _is_scalar_list(item):
+                yield f"{pad}- [{_scalar_list_text(item)}]"
+            elif isinstance(item, (dict, list)):
+                yield f"{pad}-"
+                yield from reference_text_lines(item, indent + 1)
+            else:
+                yield f"{pad}- {_scalar_text(item)}"

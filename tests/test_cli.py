@@ -9,8 +9,9 @@ import time
 from pathlib import Path
 
 import pytest
+from oracles import reference_text_lines
 
-from nilorb.cli import main
+from nilorb.cli import _selftest_table, main
 from nilorb.orbit_atlas import default_atlas_text
 
 
@@ -270,6 +271,14 @@ def test_atlas_query_not_found_suggests(capsys):
     assert code == 2
     assert doc["status"] == "error"
     assert "A_4+2A_1" in doc["payload"]["suggestions"]
+    # text mode: nothing on stdout, the error and then the suggestions on stderr
+    code, out, err = run_cli(capsys, "atlas", "query", "--group", "E8", "--label", "A_4+2A_2x")
+    suggestions = "A_4+2A_1, A_4+A_3, A_4+A_1, A_3+A_2, A_3+2A_1"
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: no orbit 'A_4+2A_2x' in E8 (did you mean: {suggestions}?)\n"
+        f"did you mean: {suggestions}\n"
+    )
 
 
 def test_atlas_query_unknown_group(capsys):
@@ -467,3 +476,21 @@ def test_readme_commands_match_the_golden_stdout(capsys):
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == 0, name
         assert out == golden[name], name
+
+
+def test_readme_commands_in_text_mode_match_the_reference_renderer(capsys):
+    # the text stdout of each README command is its golden JSON payload as
+    # the reference renderer in tests/oracles.py prints it; selftest prints
+    # its table instead
+    golden = json.loads((PERFBENCH / "golden" / "cli_commands.json").read_text(encoding="utf-8"))
+    commands = readme_commands()
+    assert len(commands) == 13
+    for name, argv in commands.items():
+        payload = json.loads(golden[name])["payload"]
+        if name == "selftest":
+            expected = _selftest_table(payload)
+        else:
+            expected = "\n".join(reference_text_lines(payload))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), name
+        assert out == expected + "\n", name

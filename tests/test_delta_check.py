@@ -31,6 +31,7 @@ from nilorb.exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice
 from nilorb.root_system import (
     LeviSubsystem,
     QuotientVector,
+    RootSystem,
     build_root_system,
     coroot,
     coroot_lattice,
@@ -160,6 +161,16 @@ def test_torus_rank_complements_levi_rank():
         rs = build_root_system(name)
         torus = central_torus_lattice(levi_subsystem(rs, levi_idx))
         assert torus.rank == rs.rank - len(levi_idx)
+
+
+def test_a_torus_of_the_wrong_rank_is_an_integrity_error():
+    # E7 with a coweight table whose seven entries are one order-1 vector:
+    # outside a rank-1 Levi they span a lattice of rank 1, not 6
+    rs = build_root_system("E7")
+    (_, v), *_ = rs.coweights
+    bad = RootSystem(*rs._field_values(rs)[:-1], ((1, v),) * 7)
+    with pytest.raises(IntegrityError, match="torus lattice rank 1, expected 6"):
+        central_torus_lattice(levi_subsystem(bad, (1,)))
 
 
 def test_full_levi_gives_trivial_torus_and_vacuous_verdict():

@@ -114,6 +114,11 @@ def test_from_rows_and_accessors():
     assert (m.rows, m.cols) == (2, 3)
     assert m.row(1) == (4, 5, 6)
     assert m.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
+    for i in (-1, 2):
+        with pytest.raises(InputError, match=f"row index {i} out of range"):
+            m.row(i)
+    with pytest.raises(InputError, match="explicit column count disagrees"):
+        IntMatrix.from_rows([[1, 2, 3]], cols=2)
 
 
 def test_empty_matrix_needs_explicit_cols():

@@ -198,6 +198,11 @@ def test_bad_provenance_prefix_rejected(tmp_path):
     doc["records"][0]["provenance"]["in_e1"] = "hearsay"
     with pytest.raises(AtlasLoadError):
         load_atlas(write_atlas(tmp_path, doc))
+    # provenance is for flags only, not for any other record field
+    doc = raw_doc()
+    doc["records"][0]["provenance"]["label"] = "paper §2.3 proof"
+    with pytest.raises(AtlasLoadError, match="provenance for unknown field 'label'"):
+        load_atlas(write_atlas(tmp_path, doc))
 
 
 def test_provenance_must_track_non_null_flags(tmp_path):

@@ -81,6 +81,8 @@ def test_coordinate_and_dim_checks():
         pair(a, qv(1, 0))
     with pytest.raises(InputError):
         QuotientVector((1.5, 0))
+    with pytest.raises(InputError, match="empty coordinate tuple"):
+        QuotientVector(())
 
 
 # --- the pairing ----------------------------------------------------------------
@@ -96,6 +98,18 @@ def test_pair_small_cases():
 def test_pair_returns_fraction_when_non_integral():
     x = qv(1, 0, 0, 0, 0, 0, 0, 0)
     assert pair(x, x) == Fraction(7, 8)
+    # Fraction coordinates, against the form in direct Fraction arithmetic;
+    # an integral value still comes back as an int
+    half = Fraction(1, 2)
+    for xs, ys in [
+        ((half, 0, -half), (1, 2, 0)),
+        ((half, half, 0), (half, -half, 0)),
+        ((Fraction(1, 3), 0, 0, 0), (Fraction(3, 2), 0, 0, 0)),
+    ]:
+        direct = sum(map(mul, xs, ys)) - sum(xs) * sum(ys) / len(xs)
+        got = pair(qv(*xs), qv(*ys))
+        assert got == direct
+        assert type(got) is (int if direct.denominator == 1 else Fraction)
 
 
 @settings(max_examples=120, deadline=None)
@@ -530,3 +544,5 @@ def test_membership_mod_ones():
     assert not lattice_contains_mod_ones(basis, qv(1, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(InputError):
         lattice_contains_mod_ones(basis, qv(Fraction(1, 2), 0, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(InputError, match="dimension mismatch: 9 vs 8"):
+        lattice_contains_mod_ones(basis, qv(1, 0, 0, 0, 0, 0, 0, 0, 0))

@@ -4,6 +4,7 @@ import pytest
 
 from nilorb import selfcheck
 from nilorb.errors import InputError
+from nilorb.exact_linalg import IntMatrix
 from nilorb.selfcheck import CRITERION_IDS, criterion_name, run_criterion
 
 NAMES = (
@@ -54,3 +55,18 @@ def test_crash_becomes_a_named_failure(monkeypatch):
     result = run_criterion("3")
     assert (result.criterion_id, result.name, result.passed) == ("3", "e7-preset-replay", False)
     assert result.actual == "raised RuntimeError: injected"
+
+
+def test_lattice_oracle_fails_a_kernel_basis_of_the_wrong_dimension(monkeypatch):
+    # a kernel_lattice that drops each matrix's last column: every image of
+    # its 5-vectors still sums to zero over the first five columns, so only
+    # the dimension check tells it from the true kernel
+    kernel = selfcheck.kernel_lattice
+
+    def short_kernel(m):
+        return kernel(IntMatrix.from_rows([row[:-1] for row in m.to_rows()]))
+
+    monkeypatch.setattr(selfcheck, "kernel_lattice", short_kernel)
+    result = run_criterion("9")
+    assert (result.criterion_id, result.passed) == ("9", False)
+    assert "kernel basis in dimension 5, expected 6" in result.notes[0]
