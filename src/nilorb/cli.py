@@ -103,10 +103,11 @@ def _parse_levi(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _atlas_path(args: argparse.Namespace) -> str | None:
+    """A given ``--data`` wins over the variable; an empty variable is unset."""
     explicit = getattr(args, "data", None)
-    if explicit:
-        return explicit
-    return os.environ.get(ENV_ATLAS_PATH) or None
+    if explicit == "":
+        raise InputError("--data must name an atlas file, got ''")
+    return explicit or os.environ.get(ENV_ATLAS_PATH) or None
 
 
 def cmd_partition(args: argparse.Namespace) -> CommandResult:

@@ -55,9 +55,7 @@ class _Frozen:
     for its records.
 
     ``__init__`` sets each field once, by ``_fill`` through ``_setters``,
-    the class's slot setters.  A record that a workload builds on every op
-    may store its fields directly with ``object.__setattr__`` instead: for
-    a few fields ``_fill`` measured slower on the ``source_search`` op.
+    the class's slot setters.
     """
 
     __slots__ = ()

@@ -112,8 +112,7 @@ class ClassicalOrbit(_Frozen):
         # is_valid_type checks the parts once, before their parity
         if not is_valid_type(parts, kind):
             raise InputError(f"{parts} is not a valid type-{kind} partition")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "parts", parts)
+        self._fill(kind, parts)
 
     @property
     def size(self) -> int:
@@ -276,7 +275,7 @@ class StepScript(_Frozen):
     __slots__ = ("steps",)
 
     def __init__(self, steps: tuple[tuple[int, str], ...]):
-        object.__setattr__(self, "steps", steps)
+        self._fill(steps)
 
     def replay(self, source: ClassicalOrbit) -> ClassicalOrbit:
         current = source
@@ -289,8 +288,7 @@ class BirationalSource(_Frozen):
     __slots__ = ("orbit", "script")
 
     def __init__(self, orbit: ClassicalOrbit, script: StepScript):
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "script", script)
+        self._fill(orbit, script)
 
 
 # Distinct sources are few: selftest criterion 6 meets 112 in its 985 special

@@ -69,25 +69,23 @@ def _normalize(value) -> Scalar:
 class QuotientVector(_Frozen):
     """A vector in R^d considered modulo rational multiples of all-ones.
 
-    Equality and hashing use the canonical representative whose last
-    coordinate is zero, so two raw coordinate tuples that differ by a multiple
+    Only the coordinates are stored.  The canonical representative, whose
+    last coordinate is zero, is computed on read; equality, hashing and
+    ``repr`` use it, so two raw coordinate tuples that differ by a multiple
     of the all-ones vector compare equal.
     """
 
-    __slots__ = ("coords", "_canon")
+    __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[Scalar, ...]):
-        object.__setattr__(self, "coords", coords)
         self.__post_init__()
-
-    def __post_init__(self):
-        coords = tuple(_normalize(c) for c in self.coords)
+        coords = tuple(_normalize(c) for c in coords)
         if not coords:
             raise InputError("empty coordinate tuple")
-        object.__setattr__(self, "coords", coords)
-        t = coords[-1]
-        canon = coords if t == 0 else tuple(_normalize(c - t) for c in coords)
-        object.__setattr__(self, "_canon", canon)
+        self._fill(coords)
+
+    def __post_init__(self):
+        """Stores nothing: perfbench's tracer counts constructions by wrapping it."""
 
     @property
     def dim(self) -> int:
@@ -95,7 +93,9 @@ class QuotientVector(_Frozen):
 
     @property
     def canonical_coords(self) -> tuple[Scalar, ...]:
-        return self._canon
+        coords = self.coords
+        t = coords[-1]
+        return coords if t == 0 else tuple(_normalize(c - t) for c in coords)
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coords)
@@ -103,13 +103,13 @@ class QuotientVector(_Frozen):
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuotientVector):
             return NotImplemented
-        return self._canon == other._canon
+        return self.canonical_coords == other.canonical_coords
 
     def __hash__(self) -> int:
-        return hash(self._canon)
+        return hash(self.canonical_coords)
 
     def __repr__(self) -> str:
-        return f"QuotientVector({self._canon!r})"
+        return f"QuotientVector({self.canonical_coords!r})"
 
 
 def pair(x: QuotientVector, y: QuotientVector):
@@ -405,9 +405,7 @@ class LeviSubsystem(_Frozen):
 
     def __init__(self, system: RootSystem, indices: tuple[int, ...],
                  positive_roots: tuple[QuotientVector, ...]):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "positive_roots", positive_roots)
+        self._fill(system, indices, positive_roots)
 
     @property
     def rank(self) -> int:

@@ -372,6 +372,23 @@ def test_atlas_env_var_and_data_precedence(capsys, tmp_path, monkeypatch):
     assert doc["payload"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("action", ["list", "check", "query"])
+def test_an_empty_data_flag_is_refused_not_read_as_unset(capsys, tmp_path, monkeypatch, action):
+    # the variable names a valid file, so ignoring the flag would exit 0
+    other = tmp_path / "other.json"
+    other.write_text(default_atlas_text(), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_PATH", str(other))
+    code, out, err = run_cli(capsys, "atlas", action, "--group", "G2", "--label", "A_1", "--data", "")
+    assert (code, out) == (2, "")
+    assert err == "error: --data must name an atlas file, got ''\n"
+
+
+def test_an_empty_atlas_variable_counts_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv("ORBIT_ATLAS_PATH", "")
+    code, doc, _ = run_json(capsys, "atlas", "list", "--group", "G2")
+    assert (code, doc["payload"]["count"]) == (0, 2)
+
+
 def test_atlas_query_payload_is_the_raw_record(capsys):
     records = json.loads(default_atlas_text())["records"]
     assert len(records) == 63

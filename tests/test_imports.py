@@ -1,5 +1,6 @@
 """Import hygiene: ``nilorb`` loads a layer only when one of its names is
-used, and no module imports a name it never reads.
+used, and no module imports a name it never reads.  The same source scan
+checks that every record stores each of its fields once, through ``_fill``.
 
 Each load check runs in a fresh interpreter, since this test process has long
 since imported every module.
@@ -242,3 +243,47 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(modules) >= len(LAYERS)
     dead = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+def is_call_to(node: ast.AST, owner: str, attr: str) -> bool:
+    """Whether ``node`` is a call of ``owner.attr(...)``."""
+    func = getattr(node, "func", None)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(func, ast.Attribute)
+        and func.attr == attr
+        and isinstance(func.value, ast.Name)
+        and func.value.id == owner
+    )
+
+
+def test_every_record_stores_each_field_once_through_fill():
+    import nilorb.cli  # noqa: F401  (loads every layer, and so every record)
+    from nilorb.errors import _Frozen
+
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(SRC, "nilorb").glob("*.py"))
+    }
+    direct = [
+        name for name, tree in trees.items()
+        if any(is_call_to(node, "object", "__setattr__") for node in ast.walk(tree))
+    ]
+    assert direct == []
+
+    fills = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and "_Frozen" in [getattr(b, "id", None) for b in node.bases]:
+                (init,) = [f for f in node.body if getattr(f, "name", None) == "__init__"]
+                fills[node.name] = sum(is_call_to(call, "self", "_fill") for call in ast.walk(init))
+    records = [cls for cls in _Frozen.__subclasses__() if cls.__module__.startswith("nilorb.")]
+    assert sorted(fills) == sorted(cls.__name__ for cls in records)
+    assert {name: count for name, count in fills.items() if count != 1} == {}
+
+    # a derived value kept beside the fields would be a second store of them;
+    # the atlas record's __dict__ holds only its cached check row
+    private = {cls.__name__: [s for s in cls.__slots__ if s.startswith("_")] for cls in records}
+    assert {name: slots for name, slots in private.items() if slots} == {
+        "ExceptionalOrbitRecord": ["__dict__"]
+    }

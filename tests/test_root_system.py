@@ -75,6 +75,25 @@ def test_fractional_shift_is_still_equal():
     assert a == b
 
 
+SCALARS = st.one_of(
+    st.integers(-60, 60), st.fractions(min_value=-60, max_value=60, max_denominator=12)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coords=st.lists(SCALARS, min_size=1, max_size=9), shift=SCALARS)
+def test_a_shift_along_all_ones_is_the_same_quotient_vector(coords, shift):
+    a = QuotientVector(tuple(coords))
+    b = QuotientVector(tuple(c + shift for c in coords))
+    assert a == b and hash(a) == hash(b)
+    canon = a.canonical_coords
+    assert canon == tuple(c - coords[-1] for c in coords)
+    # the same values of the same types, so the same repr
+    assert repr(b) == repr(a) == f"QuotientVector({canon!r})"
+    assert b.canonical_coords == canon and canon[-1] == 0
+    assert all(type(c) is int for c in canon if Fraction(c).denominator == 1)
+
+
 def test_coordinate_and_dim_checks():
     a = qv(1, 0, -1)
     with pytest.raises(InputError):
