@@ -7,11 +7,12 @@ Given a Levi subsystem L of E7 or E8, the pipeline is:
    root and h is one column sum of L's raw root coordinates.  L's members are
    the positive roots whose support bitmask lies inside L's labels.
 2. The positive roots beta with pairing(h, beta-coroot) == 1.  h is paired
-   with the simple coroots once; each positive coroot is the same integer
-   combination of simple coroots as its root is of simple roots, and the
-   system's growth tree reaches every positive root from a parent root by
-   adding one simple root, so each pairing is the parent's pairing plus one
-   of those values: one addition per root.
+   with the simple coroots once, scaled by the ambient dimension d so that
+   nothing is divided: alpha's dot product with d * h - sum(h) * ones.
+   Each positive coroot is the same integer combination of simple coroots
+   as its root is of simple roots, and the growth tree reaches every root
+   from a parent by adding one simple root, so each scaled pairing is the
+   parent's plus one of those; a root is kept when its sum equals d.
 3. kappa: the sum of those roots, again one column sum of raw coordinates.
 4. The central torus lattice of L: coroot-lattice vectors orthogonal to every
    simple root of L, of rank rank(system) - rank(L).  These are the
@@ -23,10 +24,11 @@ Given a Levi subsystem L of E7 or E8, the pipeline is:
    roots' canonical ambient coordinates (last coordinate zero).  One HNF
    makes them a canonical lattice basis.
 5. Verdict: "integral" iff kappa pairs to an even integer with every basis
-   vector of that lattice.  The parity test is basis-independent (an integer
-   unimodular change of basis maps even pairing vectors to even pairing
-   vectors in both directions), and kappa may be replaced by any
-   representative modulo all-ones without changing any pairing.
+   vector of that lattice; the pairings are one batch, with sum(kappa) taken
+   once.  The parity test is basis-independent (an integer unimodular change
+   of basis maps even pairing vectors to even pairing vectors in both
+   directions), and kappa may be replaced by any representative modulo
+   all-ones without changing any pairing.
 
 Two presets carry recorded reference values; their reports embed a
 field-by-field comparison, including one recorded torus pairing that is known
@@ -36,7 +38,6 @@ to disagree with the exact recomputation.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from .errors import InputError, IntegrityError, _Frozen
 from .exact_linalg import LatticeBasis
@@ -45,14 +46,14 @@ from .root_system import (
     LeviSubsystem,
     QuotientVector,
     RootSystem,
-    _form,
+    Scalar,
+    _over,
+    _scaled_forms,
     build_root_system,
     lattice_contains_mod_ones,
     levi_subsystem,
     pair,
 )
-
-Pairing = int | Fraction
 
 PRESETS: dict[str, tuple[str, tuple[int, ...]]] = {
     name: (example.system, example.levi_indices) for name, example in WORKED_EXAMPLES.items()
@@ -75,7 +76,7 @@ __all__ = [
 def _coordinate_sum(vectors: Sequence[QuotientVector], dim: int) -> QuotientVector:
     """Sum of the vectors, one raw-coordinate column sum and one
     QuotientVector; the raw coordinates equal those of repeated ``+``."""
-    return QuotientVector(tuple(map(sum, zip(*(v.coords for v in vectors)))) or (0,) * dim)
+    return QuotientVector(tuple(map(sum, zip(*[v.coords for v in vectors]))) or (0,) * dim)
 
 
 def principal_h(levi: LeviSubsystem) -> QuotientVector:
@@ -89,19 +90,21 @@ def roots_pairing_one(rs: RootSystem, h: QuotientVector) -> tuple[QuotientVector
     """Positive roots whose coroot pairs to exactly 1 against h, in the
     system's enumeration order.
 
-    h is paired with the simple coroots once.  Each positive coroot is the
+    h is paired with the simple coroots once, scaled by d =
+    ``rs.ambient_dim`` so nothing is divided.  Each positive coroot is the
     same integer combination of simple coroots as its root is of simple
-    roots, so along the system's growth tree a root's pairing is its
-    parent's plus the pairing with the one simple root added.
+    roots, so along the system's growth tree a root's scaled pairing is its
+    parent's plus the one simple root's; the root pairs to 1 iff that is d.
     """
-    if h.dim != rs.ambient_dim:
-        raise InputError(f"dimension mismatch: {h.dim} vs {rs.ambient_dim}")
-    on_simples = [_form(h.coords, alpha.coords) for alpha in rs.simple_roots]
+    d = rs.ambient_dim
+    if h.dim != d:
+        raise InputError(f"dimension mismatch: {h.dim} vs {d}")
+    on_simples = _scaled_forms(h.coords, [alpha.coords for alpha in rs.simple_roots])
     # a simple root's parent -1 reads the extra last slot, which stays 0
     pairings = [0] * (len(rs.positive_roots) + 1)
     for child, parent, k in rs.growth:
         pairings[child] = pairings[parent] + on_simples[k]
-    return tuple(root for root, p in zip(rs.positive_roots, pairings) if p == 1)
+    return tuple([root for root, p in zip(rs.positive_roots, pairings) if p == d])
 
 
 def kappa_weight(rs: RootSystem, h: QuotientVector) -> QuotientVector:
@@ -156,7 +159,7 @@ class MemberCheck(_Frozen):
 
     __slots__ = ("coords", "in_lattice", "pairing", "expected_pairing", "note")
 
-    def __init__(self, coords: tuple[int, ...], in_lattice: bool, pairing: Pairing,
+    def __init__(self, coords: tuple[int, ...], in_lattice: bool, pairing: Scalar,
                  expected_pairing: int | None = None, note: str = ""):
         self._fill(coords, in_lattice, pairing, expected_pairing, note)
 
@@ -198,7 +201,7 @@ class DeltaReport(_Frozen):
 
     def __init__(self, system: str, levi_indices: tuple[int, ...], h: QuotientVector,
                  roots_pairing_one: tuple[QuotientVector, ...], kappa: QuotientVector,
-                 torus_basis: tuple[tuple[int, ...], ...], pairings: tuple[Pairing, ...],
+                 torus_basis: tuple[tuple[int, ...], ...], pairings: tuple[Scalar, ...],
                  verdict: str, reference: ReferenceComparison | None = None):
         self._fill(system, levi_indices, h, roots_pairing_one, kappa, torus_basis, pairings,
                    verdict, reference)
@@ -214,7 +217,7 @@ class DeltaReport(_Frozen):
     def to_payload(self) -> dict:
         """JSON-ready dictionary with canonical coordinate representatives."""
 
-        def scalar(x: Pairing):
+        def scalar(x: Scalar):
             return x if isinstance(x, int) else str(x)
 
         payload = {
@@ -251,8 +254,8 @@ class DeltaReport(_Frozen):
         return payload
 
 
-def _verdict(pairings: Iterable[Pairing]) -> str:
-    ok = all(isinstance(p, int) and p % 2 == 0 for p in pairings)
+def _verdict(pairings: Iterable[Scalar]) -> str:
+    ok = all([isinstance(p, int) and p % 2 == 0 for p in pairings])
     return "integral" if ok else "non-integral"
 
 
@@ -264,7 +267,7 @@ def delta_verdict(system: str, levi_indices: Iterable[int]) -> DeltaReport:
     roots = roots_pairing_one(rs, h)
     kap = _coordinate_sum(roots, rs.ambient_dim)
     torus = central_torus_lattice(levi)
-    pairings = tuple(_form(kap.coords, v) for v in torus.vectors)
+    pairings = tuple([_over(n, rs.ambient_dim) for n in _scaled_forms(kap.coords, torus.vectors)])
     return DeltaReport(
         system=rs.name,
         levi_indices=levi.indices,

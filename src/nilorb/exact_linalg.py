@@ -117,8 +117,9 @@ def _echelon(h: list[list[int]], cols: int) -> None:
     transform there.  Entries must already be checked integers.  Each column
     runs Euclid on the rows from the pivot row down: the first row of least
     absolute value becomes the pivot and the others drop by floor quotients
-    of it.  A changed row is rebuilt as a new list, so callers read the
-    result from ``h``, not from row objects they held before the call.
+    of it; the scan for that row stops at a unit, as none is smaller.  A
+    changed row is rebuilt as a new list, so callers read the result from
+    ``h``, not from row objects they held before the call.
     """
     n = len(h)
     r = 0
@@ -135,6 +136,8 @@ def _echelon(h: list[list[int]], cols: int) -> None:
                     x = abs(x)
                     if i0 < 0 or x < least:
                         i0, least = i, x
+                        if x == 1:
+                            break
             if i0 < 0:
                 break
             if i0 != r:
@@ -201,14 +204,14 @@ class LatticeBasis(_Frozen):
         _as_dim(ambient_dim, "ambient dimension")
         rows = []
         for v in vectors:
-            row = [_as_int(x) for x in v]
+            row = [x if type(x) is int else _as_int(x) for x in v]
             if len(row) != ambient_dim:
                 raise InputError(
                     f"vector length {len(row)} does not match ambient dimension {ambient_dim}"
                 )
             rows.append(row)
         _echelon(rows, ambient_dim)
-        self._fill(ambient_dim, tuple(tuple(row) for row in rows if any(row)))
+        self._fill(ambient_dim, tuple([tuple(row) for row in rows if any(row)]))
 
     def __post_init__(self):
         """Stores nothing: perfbench's tracer counts constructions by wrapping it."""

@@ -55,8 +55,6 @@ __all__ = [
 
 
 def _normalize(value) -> Scalar:
-    if type(value) is int:
-        return value
     if isinstance(value, bool):
         raise InputError(f"coordinates must be numbers, got {value!r}")
     if isinstance(value, int):
@@ -70,16 +68,17 @@ class QuotientVector(_Frozen):
     """A vector in R^d considered modulo rational multiples of all-ones.
 
     Only the coordinates are stored.  The canonical representative, whose
-    last coordinate is zero, is computed on read; equality, hashing and
-    ``repr`` use it, so two raw coordinate tuples that differ by a multiple
-    of the all-ones vector compare equal.
+    last coordinate is zero, is computed on read for ``repr``.  Equality and
+    hashing read the coordinates minus the last one in place, so two raw
+    coordinate tuples that differ by a multiple of the all-ones vector
+    compare equal.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[Scalar, ...]):
         self.__post_init__()
-        coords = tuple(_normalize(c) for c in coords)
+        coords = tuple([c if type(c) is int else _normalize(c) for c in coords])
         if not coords:
             raise InputError("empty coordinate tuple")
         self._fill(coords)
@@ -103,10 +102,15 @@ class QuotientVector(_Frozen):
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuotientVector):
             return NotImplemented
-        return self.canonical_coords == other.canonical_coords
+        # equal canonical coordinates: a_i - b_i is one shift for every i
+        a, b = self.coords, other.coords
+        t = a[-1] - b[-1]
+        return len(a) == len(b) and all(x - y == t for x, y in zip(a, b))
 
     def __hash__(self) -> int:
-        return hash(self.canonical_coords)
+        # an integral Fraction hashes as its int, so no normalising is needed
+        t = self.coords[-1]
+        return hash(tuple([c - t for c in self.coords]))
 
     def __repr__(self) -> str:
         return f"QuotientVector({self.canonical_coords!r})"
@@ -126,8 +130,18 @@ def pair(x: QuotientVector, y: QuotientVector):
 
 def _form(x: Sequence[Scalar], y: Sequence[Scalar]):
     """:func:`pair` on raw coordinate tuples of equal length."""
-    d = len(x)
-    num = d * sum(map(mul, x, y)) - sum(x) * sum(y)
+    return _over(_scaled_forms(x, (y,))[0], len(x))
+
+
+def _scaled_forms(x: Sequence[Scalar], ys: Iterable[Sequence[Scalar]]) -> list:
+    """d * _form(x, y) for each y, exactly: y's dot product with d * x - sum(x) * ones."""
+    d, sx = len(x), sum(x)
+    shifted = [d * c - sx for c in x]
+    return [sum(map(mul, shifted, y)) for y in ys]
+
+
+def _over(num, d: int):
+    """num / d, an int when integral and a Fraction otherwise."""
     if isinstance(num, int):
         q, r = divmod(num, d)
         return q if r == 0 else Fraction(num, d)
@@ -394,7 +408,7 @@ def build_root_system(name: str) -> RootSystem:
 
 
 def _support_mask(labels: Iterable[int]) -> int:
-    return sum(1 << (i - 1) for i in labels)
+    return sum([1 << (i - 1) for i in labels])
 
 
 class LeviSubsystem(_Frozen):
@@ -424,13 +438,12 @@ def levi_subsystem(rs: RootSystem, indices: Iterable[int]) -> LeviSubsystem:
     if len(set(idx)) != len(idx):
         raise InputError(f"duplicate levi indices: {idx}")
     for i in idx:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= rs.rank:
+        plain = type(i) is int or isinstance(i, int) and not isinstance(i, bool)
+        if not plain or not 1 <= i <= rs.rank:
             raise InputError(f"levi index {i!r} out of range 1..{rs.rank}")
     outside = ~_support_mask(idx)
     members = tuple(
-        root
-        for root, mask in zip(rs.positive_roots, rs.support_masks)
-        if not mask & outside
+        [root for root, mask in zip(rs.positive_roots, rs.support_masks) if not mask & outside]
     )
     return LeviSubsystem(rs, tuple(sorted(idx)), members)
 
@@ -439,8 +452,7 @@ def levi_subsystem(rs: RootSystem, indices: Iterable[int]) -> LeviSubsystem:
 def coroot_lattice(name: str) -> LatticeBasis:
     """Integer span of all coroots, as a lattice in the ambient Z^d."""
     rs = build_root_system(name)
-    gens = tuple(tuple(r.coords) for r in rs.positive_roots)
-    return LatticeBasis(rs.ambient_dim, gens)
+    return LatticeBasis(rs.ambient_dim, tuple([r.coords for r in rs.positive_roots]))
 
 
 def lattice_contains_mod_ones(basis: LatticeBasis, vector: QuotientVector) -> bool:
@@ -453,6 +465,5 @@ def lattice_contains_mod_ones(basis: LatticeBasis, vector: QuotientVector) -> bo
         raise InputError(f"lattice membership needs integer coordinates: {vector!r}")
     if vector.dim != basis.ambient_dim:
         raise InputError(f"dimension mismatch: {vector.dim} vs {basis.ambient_dim}")
-    ones = tuple(1 for _ in range(basis.ambient_dim))
-    augmented = LatticeBasis(basis.ambient_dim, basis.vectors + (ones,))
+    augmented = LatticeBasis(basis.ambient_dim, basis.vectors + ((1,) * basis.ambient_dim,))
     return lattice_contains(augmented, tuple(vector.coords)) is not None

@@ -11,12 +11,15 @@ import itertools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import check_echelon_against_reference, coefficient_table, qadd
 
-from nilorb import exact_linalg
+from nilorb import delta_check, exact_linalg, root_system
 from nilorb.delta_check import (
     PRESETS,
     central_torus_lattice,
@@ -32,6 +35,7 @@ from nilorb.root_system import (
     LeviSubsystem,
     QuotientVector,
     RootSystem,
+    _form,
     build_root_system,
     coroot,
     coroot_lattice,
@@ -436,3 +440,65 @@ def test_verdict_is_a_parity_of_kappa_coefficients_on_every_levi():
         assert report.verdict == ("non-integral" if odd else "integral"), (name, idx)
         verdicts[report.verdict] += 1
     assert sum(verdicts.values()) == 382 and set(verdicts) == {"integral", "non-integral"}
+
+
+# --- d-scaled pairings against the divided form ---------------------------------------
+
+
+@st.composite
+def systems_and_fraction_h(draw):
+    """A system and an h with Fraction coordinates over denominators 1, 2, 3
+    and d: a random Levi's h or zero, shifted along all-ones, plus either
+    nothing or a coordinate-wise offset."""
+    rs = build_root_system(draw(st.sampled_from(("E7", "E8"))))
+    d = rs.ambient_dim
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, d)))
+    levi = draw(st.lists(st.integers(1, rs.rank), unique=True, max_size=rs.rank))
+    base = principal_h(levi_subsystem(rs, levi)).coords if levi else (0,) * d
+    shift = draw(fractions)
+    offset = draw(st.one_of(st.just((0,) * d), st.lists(fractions, min_size=d, max_size=d)))
+    return rs, QuotientVector(tuple(b + shift + e for b, e in zip(base, offset)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_and_fraction_h())
+def test_scaled_pairings_pick_the_roots_that_pair_to_one(system_and_h):
+    rs, h = system_and_h
+    expected = tuple(root for root in rs.positive_roots if pair(h, root) == 1)
+    assert roots_pairing_one(rs, h) == expected
+
+
+def test_every_torus_pairing_is_the_divided_form_in_value_and_type():
+    checked = 0
+    for name, idx in all_levis():
+        report = delta_verdict(name, idx)
+        expected = [_form(report.kappa.coords, v) for v in report.torus_basis]
+        assert list(report.pairings) == expected, (name, idx)
+        assert [type(p) for p in report.pairings] == [type(p) for p in expected], (name, idx)
+        checked += 1
+    assert checked == 382
+
+
+def test_one_verdict_builds_one_levi_two_vectors_one_lattice_and_pairs_nothing(monkeypatch):
+    # the traced metrics count these constructions and calls; a second path
+    # for the verdict that skipped them would read 0 there
+    build_root_system("E7")
+    build_root_system("E8")
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (QuotientVector, LatticeBasis):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(LeviSubsystem, "__init__", counted("LeviSubsystem", LeviSubsystem.__init__))
+    for module in (root_system, delta_check):
+        monkeypatch.setattr(module, "pair", counted("pair", pair))
+    for name, idx in (("E7", (1, 2, 6)), ("E8", (1, 2, 3, 4, 6, 8)), ("E8", (5,))):
+        counts.clear()
+        delta_verdict(name, idx)
+        assert counts == Counter({"LeviSubsystem": 1, "QuotientVector": 2, "LatticeBasis": 1})

@@ -211,6 +211,26 @@ def test_echelon_matches_the_reference_kernel(matrix):
     check_echelon_against_reference(_echelon, rows, cols)
 
 
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        # two rows tied at |x| = 1 with opposite signs: the first is the pivot
+        ([[3, 5], [-1, 2], [1, 7]], 2),
+        ([[1, 4, 0], [-1, 2, 5], [2, 1, 1]], 3),
+        # a 1 that follows a 2
+        ([[2, 3], [1, 1], [4, 9]], 2),
+        ([[5, 0, 1], [2, 1, 4], [-1, 3, 3], [1, 2, 2]], 3),
+        # the column's only unit sits in the last row
+        ([[4, 1], [6, 0], [-1, 5]], 2),
+        ([[0, 2], [3, 1], [2, 2], [1, 0]], 2),
+    ],
+)
+def test_echelon_at_a_unit_pivot_matches_the_reference_kernel(rows, cols):
+    # the pivot scan stops at the first |x| = 1; untracked and with the
+    # identity appended, h and u must be the reference kernel's
+    check_echelon_against_reference(_echelon, rows, cols)
+
+
 # --- kernels -----------------------------------------------------------------
 
 def test_kernel_of_sum_functional():
