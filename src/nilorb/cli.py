@@ -26,6 +26,7 @@ from .errors import (
     OrbitNotFoundError,
     StepInapplicableError,
     _Frozen,
+    _uncapped,
 )
 from .orbit_atlas import _check_group, check_consistency, load_atlas, query
 from .orbit_partitions import (
@@ -53,10 +54,6 @@ class CommandResult(_Frozen):
         self, status: str, payload: dict, diagnostics: tuple[str, ...] = (), exit_code: int = 0
     ):
         self._fill(status, payload, diagnostics, exit_code)
-
-
-def _ok(payload: dict, diagnostics: tuple[str, ...] = ()) -> CommandResult:
-    return CommandResult("ok", payload, diagnostics, 0)
 
 
 def _quoted(text: str) -> str:
@@ -92,10 +89,6 @@ def _parse_n(text: str) -> int:
     return values[0]
 
 
-def _parse_parts(text: str) -> tuple[int, ...]:
-    return _parse_ints(text, "--parts", "comma-separated integers")
-
-
 def _parse_levi(text: str, rank: int) -> tuple[int, ...]:
     if text == "all":
         return tuple(range(1, rank + 1))
@@ -112,27 +105,28 @@ def _atlas_path(args: argparse.Namespace) -> str | None:
 
 def cmd_partition(args: argparse.Namespace) -> CommandResult:
     n = None if args.n is None else _parse_n(args.n)
-    parts = _parse_parts(args.parts)
+    parts = _parse_ints(args.parts, "--parts", "comma-separated integers")
     base = {"type": args.type, "parts": list(parts)}
 
     if args.action == "validate":
         # a well-formed partition of the wrong parity is an answer, not an error
-        return _ok({**base, "valid": is_valid_type(parts, args.type)})
+        return CommandResult("ok", {**base, "valid": is_valid_type(parts, args.type)})
 
     orbit = ClassicalOrbit(args.type, parts)
     if args.action == "special":
-        return _ok({**base, "special": is_special(orbit)})
+        return CommandResult("ok", {**base, "special": is_special(orbit)})
     if args.action == "rigid":
-        return _ok({**base, "birationally_rigid": is_birationally_rigid(orbit)})
+        return CommandResult("ok", {**base, "birationally_rigid": is_birationally_rigid(orbit)})
     if args.action == "step":
         if n is None:
             raise InputError("'step' needs --n")
         stepped, variant = elementary_step(orbit, n, args.variant)
         # the parts tuple itself: both renderings take a tuple for a list
-        return _ok({**base, "n": n, "result": stepped.parts, "variant": variant})
+        return CommandResult("ok", {**base, "n": n, "result": stepped.parts, "variant": variant})
     if args.action == "sources":
         found = birational_sources(orbit)
-        return _ok(
+        return CommandResult(
+            "ok",
             {
                 **base,
                 "sources": [
@@ -145,7 +139,8 @@ def cmd_partition(args: argparse.Namespace) -> CommandResult:
             }
         )
     source = rigid_special_source(orbit)  # action == rigid-special-source
-    return _ok(
+    return CommandResult(
+        "ok",
         {
             **base,
             "source": list(source.orbit.parts),
@@ -164,7 +159,7 @@ def cmd_delta(args: argparse.Namespace) -> CommandResult:
             raise InputError("delta needs --preset, or --system together with --levi")
         rank = build_root_system(args.system).rank
         report = delta_verdict(args.system, _parse_levi(args.levi, rank))
-    return _ok(report.to_payload())
+    return CommandResult("ok", report.to_payload())
 
 
 def cmd_atlas(args: argparse.Namespace) -> CommandResult:
@@ -173,18 +168,14 @@ def cmd_atlas(args: argparse.Namespace) -> CommandResult:
     if args.action == "query":
         if args.group is None or args.label is None:
             raise InputError("'query' needs --group and --label")
-        return _ok(query(records, args.group, args.label).to_payload())
+        return CommandResult("ok", query(records, args.group, args.label).to_payload())
 
     if args.action == "list":
         if args.group is not None:
             _check_group(args.group)
         chosen = [r for r in records if args.group is None or r.group == args.group]
-        return _ok(
-            {
-                "count": len(chosen),
-                "orbits": [{"group": r.group, "label": r.label} for r in chosen],
-            }
-        )
+        orbits = [{"group": r.group, "label": r.label} for r in chosen]
+        return CommandResult("ok", {"count": len(chosen), "orbits": orbits})
 
     results = check_consistency(records)  # action == check
     all_passed = all(r.passed for r in results)
@@ -361,7 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "selftest" and result.status == "ok":
         text = _selftest_table(result.payload)
     try:
-        _emit(result, json_mode=args.json, text=text)
+        # a step's result may hold an int past the cap on printing ints
+        _uncapped(_emit, result, args.json, text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early (`| head`); point stdout at devnull so the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
 
 
@@ -39,6 +40,23 @@ class OrbitNotFoundError(NilorbError):
     def __init__(self, message: str, suggestions: tuple[str, ...] = ()):
         super().__init__(message)
         self.suggestions = suggestions
+
+
+def _uncapped(call, *args):
+    """``call(*args)`` with no cap on the digits of an int turned to text.
+
+    A step can carry a part one digit past ``sys.get_int_max_str_digits()``;
+    its messages and printed result are built whole all the same.  The cap
+    is interpreter-wide, and it is restored afterwards.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no cap before 3.10.7
+        return call(*args)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return call(*args)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 class _Frozen:

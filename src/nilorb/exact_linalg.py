@@ -61,7 +61,8 @@ class IntMatrix(_Frozen):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [tuple(_as_int(x) for x in row) for row in rows]
+        # entries are checked once, by the constructor
+        rows = [tuple(row) for row in rows]
         if rows:
             width = len(rows[0])
             if any(len(row) != width for row in rows):

@@ -577,7 +577,8 @@ def _cached_delta_verdict(group: str, indices: tuple[int, ...]) -> str:
     return delta_verdict(group, indices).verdict
 
 
-def _set_mismatch(actual: set, expected: frozenset) -> str:
+def _set_mismatch(actual: set, expected: frozenset) -> list[str]:
+    """What ``actual`` has beyond ``expected`` and lacks of it; empty when equal."""
     extra = sorted(_fmt(k) for k in actual - expected)
     gone = sorted(_fmt(k) for k in expected - actual)
     bits = []
@@ -585,13 +586,17 @@ def _set_mismatch(actual: set, expected: frozenset) -> str:
         bits.append(f"unexpected: {', '.join(extra)}")
     if gone:
         bits.append(f"missing: {', '.join(gone)}")
-    return "; ".join(bits)
+    return bits
+
+
+def _result(check_id: str, name: str, problems: list[str]) -> CheckResult:
+    """A check that passes when it found no problems; its details join them."""
+    return CheckResult(check_id, name, not problems, "; ".join(problems))
 
 
 def _set_check(check_id: str, name: str, actual: set, expected: frozenset) -> CheckResult:
     """A check that passes when ``actual`` is exactly ``expected``."""
-    passed = actual == expected
-    return CheckResult(check_id, name, passed, "" if passed else _set_mismatch(actual, expected))
+    return _result(check_id, name, [] if actual == expected else _set_mismatch(actual, expected))
 
 
 # what check_consistency reads from one record; levi is its C6 entry or None
@@ -670,23 +675,14 @@ def check_consistency(
         problems.append(f"set mismatch at: {', '.join(extra)}")
     if len(e1) != 6:
         problems.append(f"e1 has {len(e1)} members, expected 6")
-    results.append(
-        CheckResult("C1", "e1-characterization", not problems, "; ".join(problems))
-    )
+    results.append(_result("C1", "e1-characterization", problems))
 
     # C2: the non-rigid birationally rigid orbits form the expected quadruple
     results.append(_set_check("C2", "nonrigid-birigid-quadruple", quad, RIGID_FALSE_EXPECTED))
 
     # C3: rigidity forces birational rigidity record by record
-    violations = sorted(rigid_not_birigid)
-    results.append(
-        CheckResult(
-            "C3",
-            "rigid-implies-birigid",
-            not violations,
-            f"violated by: {', '.join(violations)}" if violations else "",
-        )
-    )
+    problems = [f"violated by: {', '.join(sorted(rigid_not_birigid))}"] if rigid_not_birigid else []
+    results.append(_result("C3", "rigid-implies-birigid", problems))
 
     # C4: smooth-locus failures match the embedded 13-element list
     results.append(_set_check("C4", "smooth-locus-failures", smooth, SMOOTH_LOCUS_FAILURES))
@@ -704,9 +700,7 @@ def check_consistency(
             continue
         if got != expected:
             problems.append(f"{_fmt(key)}: verdict {got}, e-membership implies {expected}")
-    results.append(
-        CheckResult("C6", "delta-verdict-cross-check", not problems, "; ".join(problems))
-    )
+    results.append(_result("C6", "delta-verdict-cross-check", problems))
 
     # C7: e-list coherence plus conformance with the embedded expectations
     problems = e_problems
@@ -716,10 +710,8 @@ def check_consistency(
         ("e3", e3, E3_MEMBERS),
     ):
         if actual != expected:
-            problems.append(f"{name} members: {_set_mismatch(actual, expected)}")
+            problems.append(f"{name} members: {'; '.join(_set_mismatch(actual, expected))}")
     problems.extend(conformance)
-    results.append(
-        CheckResult("C7", "e-list-coherence", not problems, "; ".join(problems))
-    )
+    results.append(_result("C7", "e-list-coherence", problems))
 
     return tuple(results)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import accumulate, islice
 from operator import lt, sub
 
-from .errors import InputError, IntegrityError, StepInapplicableError, _Frozen
+from .errors import InputError, IntegrityError, StepInapplicableError, _Frozen, _uncapped
 
 KINDS = ("B", "C", "D")
 
@@ -111,7 +111,7 @@ class ClassicalOrbit(_Frozen):
         parts = tuple(parts)
         # is_valid_type checks the parts once, before their parity
         if not is_valid_type(parts, kind):
-            raise InputError(f"{parts} is not a valid type-{kind} partition")
+            raise InputError(f"{_uncapped(repr, parts)} is not a valid type-{kind} partition")
         self._fill(kind, parts)
 
     @property
@@ -215,14 +215,14 @@ def elementary_step(
             return stepped, "i"
         if variant == "i":
             raise StepInapplicableError(
-                f"variant i at n={n} leaves type {orbit.kind}: {first}"
+                f"variant i at n={n} leaves type {orbit.kind}: {_uncapped(repr, first)}"
             )
     if stepped is None:
         second = _orbit_or_none(orbit.kind, _moved(orbit.parts, n, "ii", 1))
         if second is not None:
             return second, "ii"
         raise StepInapplicableError(
-            f"no variant applies to {orbit.parts} at n={n} in type {orbit.kind}"
+            f"no variant applies to {_uncapped(repr, orbit.parts)} at n={n} in type {orbit.kind}"
         )
     raise StepInapplicableError(
         f"variant ii at n={n} is not legal: variant i already applies"

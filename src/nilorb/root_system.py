@@ -12,10 +12,11 @@ realizations and add like the quotient vectors they stand for.  A positive
 root is simple iff its tuple is not the sum of two positive-root tuples,
 which the build asks of each root r as "is r - a a positive root?" over the
 positives a of smallest support first, stopping at the first hit; the
-simples are then labeled by a deterministic rule.  Coefficient rows grow out
+simples are then labeled by a deterministic rule.  The positive roots grow out
 from the simple roots, adding one simple root at a time, and every positive
-root must be reached; each such step is kept as the system's growth tree, and
-each row's nonzero columns as the root's support mask.
+root must be reached; each such step is kept as the system's growth tree.
+The growth carries support masks, not coefficient rows: a root's mask is its
+parent's with the added simple root's bit set.
 Before a built system is returned, its Cartan matrix must pass
 :func:`diagram_arms` with the arm lengths of the E-series tree; that function
 is the one diagram-shape check in the package, and ``selftest`` criteria 1
@@ -232,32 +233,31 @@ def _support(canon: tuple[int, ...]) -> int:
 def _grow_rows(
     positive_roots: Sequence[tuple[int, ...]], simples: Sequence[tuple[int, ...]]
 ) -> tuple[dict, list]:
-    """Coefficient rows over ``simples``, grown out from the simple roots.
+    """Support masks over ``simples``, grown out from the simple roots.
 
-    Each simple root starts with its unit row.  Adding simple root k to a
+    Simple root k starts with mask ``1 << k``.  Adding simple root k to a
     reached root that gives another positive root reaches that root, with
-    one more in column k.  Roots no chain of such steps reaches are missing
-    from the result.  Alongside the rows come the steps ``(child, parent,
-    k)`` in the order the roots were reached, so every parent comes before
-    its children; a simple root's step has parent None.
+    bit k set in its parent's mask.  Roots no chain of such steps reaches
+    are missing from the result.  Alongside the masks come the steps
+    ``(child, parent, k)`` in the order the roots were reached, so every
+    parent comes before its children; a simple root's step has parent None.
     """
     pos_set = set(positive_roots)
-    rank = len(simples)
-    rows = {alpha: tuple(int(i == k) for i in range(rank)) for k, alpha in enumerate(simples)}
+    masks = {alpha: 1 << k for k, alpha in enumerate(simples)}
     steps = [(alpha, None, k) for k, alpha in enumerate(simples)]
-    frontier = list(rows)
+    frontier = list(masks)
     while frontier:
         grown = []
         for root in frontier:
-            row = rows[root]
+            mask = masks[root]
             for k, alpha in enumerate(simples):
                 s = tuple(map(add, root, alpha))
-                if s in pos_set and s not in rows:
-                    rows[s] = row[:k] + (row[k] + 1,) + row[k + 1:]
+                if s in pos_set and s not in masks:
+                    masks[s] = mask | 1 << k
                     steps.append((s, root, k))
                     grown.append(s)
         frontier = grown
-    return rows, steps
+    return masks, steps
 
 
 def _coweights(
@@ -400,15 +400,11 @@ def build_root_system(name: str) -> RootSystem:
     cartan = tuple(tuple(_form(a, b) for b in simple_canon) for a in simple_canon)
     if diagram_arms(cartan) != expected_arms:
         raise IntegrityError(f"{name}: derived diagram has the wrong shape")
-    masks = tuple(_support_mask(i + 1 for i, c in enumerate(grown[t]) if c) for t in canon)
+    masks = tuple(grown[t] for t in canon)
     index = {t: k for k, t in enumerate(canon)}
     growth = tuple((index[c], -1 if p is None else index[p], k) for c, p, k in steps)
     coweights = _coweights(cartan, simple_canon)
     return RootSystem(name, ambient_dim, rank, positives, simples, cartan, masks, growth, coweights)
-
-
-def _support_mask(labels: Iterable[int]) -> int:
-    return sum([1 << (i - 1) for i in labels])
 
 
 class LeviSubsystem(_Frozen):
@@ -441,7 +437,7 @@ def levi_subsystem(rs: RootSystem, indices: Iterable[int]) -> LeviSubsystem:
         plain = type(i) is int or isinstance(i, int) and not isinstance(i, bool)
         if not plain or not 1 <= i <= rs.rank:
             raise InputError(f"levi index {i!r} out of range 1..{rs.rank}")
-    outside = ~_support_mask(idx)
+    outside = ~sum([1 << (i - 1) for i in idx])
     members = tuple(
         [root for root, mask in zip(rs.positive_roots, rs.support_masks) if not mask & outside]
     )

@@ -436,32 +436,32 @@ def _criterion_lattice_oracle(atlas_path: str | None) -> tuple:
     return not failures, expected, actual, tuple(failures[:5])
 
 
-# criteria in report order: (id, name, runner).  Every runner takes the atlas
-# path, which all but the atlas criterion ignore, and returns (passed,
+# criteria in report order: id -> (name, runner).  Every runner takes the
+# atlas path, which all but the atlas criterion ignore, and returns (passed,
 # expected, actual[, notes]); run_criterion adds the id and the name.
-_CRITERIA: tuple[tuple[str, str, Callable[[str | None], tuple]], ...] = (
-    ("1", "e7-root-system", _criterion_e7_roots),
-    ("2", "e8-root-system", _criterion_e8_roots),
-    ("3", "e7-preset-replay", _criterion_e7_preset),
-    ("4", "e8-preset-replay", _criterion_e8_preset),
-    ("5", "classical-fixtures", _criterion_classical_fixtures),
-    ("6", "rigid-source-exhaustive", _criterion_rigid_sources),
-    ("7", "step-semantics", _criterion_step_semantics),
-    ("8", "atlas-consistency", _criterion_atlas),
-    ("9", "lattice-oracle", _criterion_lattice_oracle),
-)
+_CRITERIA: dict[str, tuple[str, Callable[[str | None], tuple]]] = {
+    "1": ("e7-root-system", _criterion_e7_roots),
+    "2": ("e8-root-system", _criterion_e8_roots),
+    "3": ("e7-preset-replay", _criterion_e7_preset),
+    "4": ("e8-preset-replay", _criterion_e8_preset),
+    "5": ("classical-fixtures", _criterion_classical_fixtures),
+    "6": ("rigid-source-exhaustive", _criterion_rigid_sources),
+    "7": ("step-semantics", _criterion_step_semantics),
+    "8": ("atlas-consistency", _criterion_atlas),
+    "9": ("lattice-oracle", _criterion_lattice_oracle),
+}
 
-CRITERION_IDS = tuple(cid for cid, _, _ in _CRITERIA)
+CRITERION_IDS = tuple(_CRITERIA)
 
 
 def _lookup(criterion_id: str) -> tuple[str, Callable[[str | None], tuple]]:
-    for cid, name, runner in _CRITERIA:
-        if cid == criterion_id:
-            return name, runner
-    raise InputError(
-        f"unknown criterion {criterion_id!r}; "
-        f"expected one of {', '.join(map(repr, CRITERION_IDS))}"
-    )
+    try:
+        return _CRITERIA[criterion_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise InputError(
+            f"unknown criterion {criterion_id!r}; "
+            f"expected one of {', '.join(map(repr, CRITERION_IDS))}"
+        ) from None
 
 
 def criterion_name(criterion_id: str) -> str:

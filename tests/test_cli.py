@@ -68,6 +68,35 @@ def test_partition_step_forced_variant_refused(capsys):
     assert "variant i" in err
 
 
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_partition_step_past_the_int_print_cap(capsys, json_mode):
+    # --parts entries may have as many digits as str() prints by default, and
+    # a step adds one more: the result is printed whole, a refusal is one line
+    before = sys.get_int_max_str_digits()
+    cap = before or 4300
+    nines, bigger = "9" * cap, "1" + "0" * (cap - 1) + "1"
+    flags = ["--json"] if json_mode else []
+    code, out, err = run_cli(
+        capsys, "partition", "step", "--type", "B", "--parts", nines, "--n", "1", *flags
+    )
+    assert (code, err) == (0, "")
+    if json_mode:
+        assert json.loads(out, parse_int=str)["payload"]["result"] == [bigger]
+    else:
+        assert f"result: [{bigger}]" in out.splitlines()
+    code, out, err = run_cli(
+        capsys, "partition", "step", "--type", "C", "--parts", f"{nines},{nines}", "--n", "1",
+        "--variant", "i", *flags,
+    )
+    message = f"variant i at n=1 leaves type C: ({bigger}, {nines})"
+    assert code == 2
+    if json_mode:
+        assert (json.loads(out)["payload"]["error"], err) == (message, "")
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_partition_step_without_n(capsys):
     code, _, err = run_cli(capsys, "partition", "step", "--type", "C", "--parts", "2,2")
     assert code == 2

@@ -214,6 +214,21 @@ def test_step_index_past_sys_maxsize_is_refused_before_any_list():
         assert len(str(exc.value)) < 200
 
 
+def test_a_step_past_the_int_print_cap_keeps_its_answer_and_messages():
+    # big has the most digits str() prints by default; a step adds one more,
+    # and both its result and its refusals are still built whole
+    before = sys.get_int_max_str_digits()
+    cap = before or 4300
+    big = 10**cap - 1
+    assert elementary_step(orbit("C", big, big), 1) == (orbit("C", big + 1, big + 1), "ii")
+    with pytest.raises(StepInapplicableError) as exc:
+        elementary_step(orbit("C", big, big), 1, variant="i")
+    assert str(exc.value) == f"variant i at n=1 leaves type C: (1{'0' * (cap - 1)}1, {'9' * cap})"
+    with pytest.raises(InputError, match="is not a valid type-C partition"):
+        orbit("C", big + 2, big)
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_a_long_step_peaks_at_one_list_and_its_result():
     # the step is applied to one list in place and checked without a copy:
     # no increments list, padding list, slice or second copy of n entries

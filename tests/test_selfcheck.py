@@ -26,7 +26,7 @@ def test_ids_and_names_in_report_order():
 
 
 def test_unknown_criterion_rejected():
-    for bad in ("0", "10", "", "e7-root-system"):
+    for bad in ("0", "10", "", "e7-root-system", None, ["1"]):
         with pytest.raises(InputError):
             criterion_name(bad)
         with pytest.raises(InputError):
