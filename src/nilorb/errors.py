@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from operator import attrgetter
 
 
@@ -59,6 +60,23 @@ def _uncapped(call, *args):
         sys.set_int_max_str_digits(cap)
 
 
+@lru_cache(maxsize=None)
+def _fill_factory(count: int):
+    """The factory that closes ``_fill(self, v0, ..)``, which stores each
+    ``v_i`` by the setter ``s_i``, over the setters; compiled for the first
+    record with ``count`` fields and then shared."""
+    names = range(count)
+    source = (
+        f"def factory({', '.join(f's{i}' for i in names)}):\n"
+        f"    def _fill(self{''.join(f', v{i}' for i in names)}):\n"
+        + "".join(f"        s{i}(self, v{i})\n" for i in names)
+        + "    return _fill\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["factory"]
+
+
 class _Frozen:
     """Base of the package's immutable records, in place of a frozen dataclass.
 
@@ -72,8 +90,12 @@ class _Frozen:
     layer imports, so that no layer loads ``dataclasses`` or another layer
     for its records.
 
-    ``__init__`` sets each field once, by ``_fill`` through ``_setters``,
-    the class's slot setters.
+    ``__init__`` sets each field once, by ``_fill``.  As
+    ``collections.namedtuple`` compiles its ``__new__``, ``_fill`` is
+    compiled, once per field count, as one direct slot-setter call per field,
+    with no ``*values``, ``zip`` or loop; each class binds its own setters
+    when it builds its first record.  A wrong number of values raises
+    TypeError, so no slot is left unset.
     """
 
     __slots__ = ()
@@ -81,14 +103,20 @@ class _Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+        cls._fill = _Frozen._first_fill
         get = attrgetter(*fields)
         # _field_values(record) is the field tuple, a 1-tuple for one field
         cls._field_values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
 
-    def _fill(self, *values) -> None:
-        for store, value in zip(self._setters, values):
-            store(self, value)
+    def _first_fill(self, *values) -> None:
+        """Compile the class's ``_fill``, which takes this method's place,
+        and store ``values`` by it; so a process compiles only the field
+        counts of the records it builds."""
+        cls = type(self)
+        fill = _fill_factory(len(cls._fields))(*(getattr(cls, name).__set__ for name in cls._fields))
+        fill.__qualname__ = f"{cls.__qualname__}._fill"
+        cls._fill = fill
+        fill(self, *values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

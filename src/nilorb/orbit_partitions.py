@@ -64,9 +64,9 @@ def _check_partition(parts: Sequence[int]) -> tuple[int, ...]:
         if type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
             raise InputError(f"partition parts must be integers, got {p!r}")
         if p <= 0:
-            raise InputError(f"partition parts must be positive, got {p}")
+            raise InputError(f"partition parts must be positive, got {_uncapped(str, p)}")
         if prev is not None and p > prev:
-            raise InputError(f"partition must be nonincreasing, got {parts}")
+            raise InputError(f"partition must be nonincreasing, got {_uncapped(str, parts)}")
         prev = p
     return parts
 
@@ -123,7 +123,8 @@ class ClassicalOrbit(_Frozen):
         return self.kind == "D" and all(p % 2 == 0 for p in self.parts)
 
     def __repr__(self) -> str:
-        return f"ClassicalOrbit({self.kind!r}, {self.parts!r})"
+        # a step can leave a part past the cap on printing ints
+        return f"ClassicalOrbit({self.kind!r}, {_uncapped(repr, self.parts)})"
 
 
 _SPECIAL_RESIDUE = {"B": 0, "C": 1, "D": 1}
@@ -134,6 +135,12 @@ def _gaps(parts: tuple[int, ...]) -> list[int]:
     return list(map(sub, parts, parts[1:] + (0,)))
 
 
+def _special_gaps(kind: str, gaps: list[int]) -> bool:
+    """The specialness test of :func:`is_special` on an orbit's gaps."""
+    # g_k sits at index k - 1: even k are the odd indices
+    return not any(map((1).__and__, gaps[1 - _SPECIAL_RESIDUE[kind] :: 2]))
+
+
 def is_special(orbit: ClassicalOrbit) -> bool:
     """Specialness via the transpose-parity test, read off the gaps.
 
@@ -142,9 +149,7 @@ def is_special(orbit: ClassicalOrbit) -> bool:
     multiplicity g_k at k, so the test needs the gaps only: O(L) for L parts
     rather than O(p_1 * L) for building the transpose.
     """
-    # g_k sits at index k - 1: even k are the odd indices
-    first = 1 - _SPECIAL_RESIDUE[orbit.kind]
-    return not any(map((1).__and__, _gaps(orbit.parts)[first::2]))
+    return _special_gaps(orbit.kind, _gaps(orbit.parts))
 
 
 def _strip(parts: list[int]) -> tuple[int, ...]:
@@ -307,6 +312,37 @@ def _source(kind: str, parts: tuple[int, ...]) -> tuple[ClassicalOrbit, bool]:
     return source, is_special(source)
 
 
+def _descend(orbit: ClassicalOrbit, gaps: list[int]) -> tuple[BirationalSource, bool]:
+    """The gap-parity source of ``orbit``, whose gaps are ``gaps``, with its
+    script, and whether the source is special, both from one ``_source``
+    lookup (see :func:`birational_sources`)."""
+    parts = _strip(list(accumulate(map((1).__and__, reversed(gaps))))[::-1])
+    # the script has sum floor(g_n / 2) <= p_1 / 2 steps, so only a first
+    # part this large can ask for more than a list holds; refuse before
+    # building one, and name the count's size rather than its digits
+    if orbit.parts and orbit.parts[0] >> 1 > sys.maxsize:
+        count = sum(g >> 1 for g in gaps)
+        if count > sys.maxsize:
+            raise InputError(
+                f"a step script must have at most sys.maxsize = {sys.maxsize} steps, "
+                f"got a count of {count.bit_length()} bits"
+            )
+    # only a gap of 2 or more adds steps: one tuple (n, "i"), floor(g_n / 2) times
+    steps: list[tuple[int, str]] = []
+    n = len(gaps)
+    for g in reversed(gaps):
+        if g > 1:
+            steps += [(n, "i")] * (g >> 1)
+        n -= 1
+    # rigid by construction (every gap is 0 or 1); the type is the calculus's
+    # promise, so a source outside it is an integrity fault, not bad input
+    try:
+        source, special = _source(orbit.kind, parts)
+    except InputError as exc:
+        raise IntegrityError(f"gap-parity source of {orbit!r}: {exc}") from None
+    return BirationalSource(source, StepScript(tuple(steps))), special
+
+
 def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     """The birationally rigid orbit reaching ``orbit`` by variant-(i) steps.
 
@@ -319,39 +355,33 @@ def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     each time gives the script, outermost first: floor(g_n / 2) copies of
     ``(n, "i")`` for n = L down to 1.  The copies for one n are one shared
     tuple, so a source costs O(L) objects plus one tuple of
-    sum floor(g_n / 2) references, not a fresh tuple per step.  Each distinct
-    source orbit is built and checked once per ``(kind, parts)`` and then
-    shared, so equal sources are the same object.  A birationally rigid
-    orbit is its own source with an empty script.  The result is a 1-tuple.
+    sum floor(g_n / 2) references, not a fresh tuple per step.  A call makes
+    one pass over the gaps and one cached lookup: each distinct source orbit
+    is built and checked once per ``(kind, parts)`` and then shared, so
+    equal sources are the same object.  A birationally rigid orbit is its
+    own source with an empty script.  The result is a 1-tuple.  A script of
+    more than ``sys.maxsize`` steps is refused with InputError.
     """
-    gaps = _gaps(orbit.parts)
-    parts = _strip(list(accumulate(map((1).__and__, reversed(gaps))))[::-1])
-    steps: list[tuple[int, str]] = []
-    for n in range(len(gaps), 0, -1):
-        steps += [(n, "i")] * (gaps[n - 1] // 2)
-    # rigid by construction (every gap is 0 or 1); the type is the calculus's
-    # promise, so a source outside it is an integrity fault, not bad input
-    try:
-        source, _ = _source(orbit.kind, parts)
-    except InputError as exc:
-        raise IntegrityError(f"gap-parity source of {orbit!r}: {exc}") from None
-    return (BirationalSource(source, StepScript(tuple(steps))),)
+    return (_descend(orbit, _gaps(orbit.parts))[0],)
 
 
 def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
     """The special birationally rigid source of a special orbit.
 
     The source is the gap-parity reduction of :func:`birational_sources`;
-    the gap argument there makes it unique.  Its specialness is read from
-    the same per-``(kind, parts)`` cache, so each distinct source is built
-    and checked once and then shared.
+    the gap argument there makes it unique.  A call reads the orbit's gaps
+    once, for the specialness test and the descent both, and looks the
+    source up once in the per-``(kind, parts)`` cache, which also holds
+    whether the source is special; so each distinct source is built and
+    checked once and then shared.
     Raises InputError when the input is not special, and IntegrityError when
     the source is not special (the calculus promises it is).
     """
-    if not is_special(orbit):
+    gaps = _gaps(orbit.parts)
+    if not _special_gaps(orbit.kind, gaps):
         raise InputError(f"{orbit!r} is not special")
-    (source,) = birational_sources(orbit)
-    if not _source(source.orbit.kind, source.orbit.parts)[1]:
+    source, special = _descend(orbit, gaps)
+    if not special:
         raise IntegrityError(f"birationally rigid source of {orbit!r} is not special")
     return source
 

@@ -161,6 +161,22 @@ def test_partition_step_n_is_one_bounded_integer(capsys, n, phrase):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("action", ["sources", "rigid-special-source"])
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_a_source_script_past_sys_maxsize_is_one_error_line(capsys, action, json_mode):
+    # (10^20,) has one gap of 10^20, so its script would need 5 * 10^19
+    # steps, more than sys.maxsize: refused before any list, not an
+    # OverflowError from [step] * count
+    argv = ("partition", action, "--type", "C", "--parts", "1" + "0" * 20)
+    message = f"a step script must have at most sys.maxsize = {sys.maxsize} steps, got a count of 66 bits"
+    if json_mode:
+        code, doc, err = run_json(capsys, *argv)
+        assert (code, err) == (2, "")
+        assert doc == {"status": "error", "payload": {"error": message}, "diagnostics": []}
+    else:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
     # an --n below sys.maxsize can still need more memory than there is;
     # stand in for that allocation rather than attempt it

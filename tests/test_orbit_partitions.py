@@ -90,6 +90,28 @@ def test_orbit_validation():
     assert not orbit("C", 2, 2).is_very_even
 
 
+def test_orbit_messages_and_repr_print_parts_past_the_int_print_cap():
+    # a step can leave a part one digit past the cap on printing ints; the
+    # orbit's refusals, its repr and the source search's refusal are built
+    # whole all the same, and the cap is left as it was found
+    before = sys.get_int_max_str_digits()
+    cap = before or 4300
+    big, text = 10**cap + 1, "1" + "0" * (cap - 1) + "1"
+    with pytest.raises(InputError) as exc:
+        ClassicalOrbit("C", (3, big))
+    assert str(exc.value) == f"partition must be nonincreasing, got (3, {text})"
+    with pytest.raises(InputError) as exc:
+        ClassicalOrbit("C", (-big,))
+    assert str(exc.value) == f"partition parts must be positive, got -{text}"
+    assert repr(orbit("C", big, big)) == f"ClassicalOrbit('C', ({text}, {text}))"
+    # gaps (1, 0, big): g_1 is odd, so the orbit is not special in type C
+    with pytest.raises(InputError) as exc:
+        rigid_special_source(orbit("C", big + 1, big, big))
+    above = text[:-1] + "2"
+    assert str(exc.value) == f"ClassicalOrbit('C', ({above}, {text}, {text})) is not special"
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_construction_checks_the_parts_once(monkeypatch):
     calls = []
     check = orbit_partitions._check_partition
@@ -485,6 +507,42 @@ def test_each_distinct_source_is_checked_once(monkeypatch, cold_sources):
     assert len({id(r.orbit) for r in results}) == len(distinct)
 
 
+def test_a_script_past_sys_maxsize_is_refused_before_any_list():
+    # no list holds more than sys.maxsize steps, so such a script is refused
+    # up front (no OverflowError from [step] * count) and the count's digits
+    # are not echoed.  The second orbit's two gaps each ask for 2**62 steps:
+    # neither alone is past sys.maxsize, their sum is.
+    for o in (orbit("C", 10**20), orbit("C", 2**64, 2**63), orbit("B", 10**5000 + 1)):
+        for search in (birational_sources, rigid_special_source):
+            with pytest.raises(InputError, match="at most sys.maxsize") as exc:
+                search(o)
+            assert str(exc.value).endswith("bits") and len(str(exc.value)) < 200
+
+
+def test_a_source_search_reads_the_gaps_once_and_looks_the_source_up_once(monkeypatch):
+    # a cold lookup builds the source, whose own specialness test reads its
+    # gaps: warm the cache first, so the counts below are the search's own
+    targets = [orbit("C", 4, 4), orbit("B", 5, 3, 1), orbit("D", 3, 3, 2, 2, 1, 1), orbit("C", 2400)]
+    for o in targets:
+        rigid_special_source(o)
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_gaps", "_source"):
+        monkeypatch.setattr(orbit_partitions, name, counted(name, getattr(orbit_partitions, name)))
+    for o in targets:
+        for search in (rigid_special_source, birational_sources):
+            counts.clear()
+            search(o)
+            assert counts == Counter({"_gaps": 1, "_source": 1}), (search.__name__, o)
+
+
 def test_rigid_orbit_is_its_own_source():
     sources = birational_sources(orbit("B", 2, 2, 1))
     assert [s.orbit.parts for s in sources] == [(2, 2, 1)]
@@ -577,6 +635,9 @@ def test_walk_matches_the_dfs_oracle_up_to_total_26():
                 (source,) = birational_sources(o)
                 assert (source,) == dfs_sources(o), o
                 assert source.orbit.parts == gap_parity_reduction(o.parts), o
+                # the descent keeps specialness, so rigid_special_source's
+                # IntegrityError on a source that is not special is a guard
+                assert is_special(source.orbit) == is_special(o), o
                 checked += 1
     assert checked == 5006
 

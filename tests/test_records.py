@@ -18,6 +18,7 @@ from oracles import TWINS, record_twin
 
 from nilorb.cli import CommandResult
 from nilorb.delta_check import PRESETS, preset_report
+from nilorb.errors import _Frozen
 from nilorb.exact_linalg import IntMatrix, LatticeBasis
 from nilorb.orbit_atlas import (
     _RECORD_KEYS,
@@ -182,3 +183,21 @@ def test_a_patched_post_init_counts_each_construction_once(cls, args, monkeypatc
     monkeypatch.setattr(cls, "__post_init__", counted)
     built = [cls(*args) for _ in range(3)]
     assert len(calls) == 3 and all(a is b for a, b in zip(calls, built))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 13])
+def test_fill_takes_exactly_one_value_per_field(count):
+    # one value too few would leave a slot unset, one too many would be
+    # dropped; both are refused, and a private slot takes no value
+    class Record(_Frozen):
+        __slots__ = (*(f"f{i}" for i in range(count)), "_derived")
+
+        def __init__(self, *values):
+            self._fill(*values)
+
+    values = tuple(range(count))
+    assert Record._fields == tuple(f"f{i}" for i in range(count))
+    assert Record._field_values(Record(*values)) == values
+    for wrong in (values[:-1], values + (count,)):
+        with pytest.raises(TypeError, match="_fill"):
+            Record(*wrong)
