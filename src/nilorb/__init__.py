@@ -68,7 +68,6 @@ _EXPORTS = {
     "elementary_step": "orbit_partitions",
     "inverse_steps": "orbit_partitions",
     "is_birationally_rigid": "orbit_partitions",
-    "has_codim4_boundary": "orbit_partitions",
     "birational_sources": "orbit_partitions",
     "rigid_special_source": "orbit_partitions",
     "partitions_of": "orbit_partitions",

@@ -28,16 +28,23 @@ successive loads are therefore one shared frozen object; nothing but ``is``
 can tell.
 
 Each record has one row, cached on the record the first time the loader or
-a check reads it: its key, which of the seven C1-C7 key sets it joins,
-whether it is rigid but not birationally rigid, its e-list problems, its C6
-entry and its conformance issues.  The row is the one place conformance runs,
-so it runs once per record: the loader refuses a file by its records' row
-issues, and C7 reports the same issues.  That is sound because records are
-frozen and the row depends on nothing but their fields, so a reload reuses
-the accepted records with their rows and a check derives only the rows of
-records no load or check has seen; ``flip_field`` and the record constructor
-build new records, which start with no row.  The delta verdicts of C6 are not
-part of the row, so an injected runner is called on every check.
+a check reads it: its key, which of the seven C1-C7 key sets it joins, and
+its rare parts.  Those are whether it is rigid but not birationally rigid,
+its e-list problems, its C6 entry and its conformance issues, gathered in one
+field that is None when all four are unset, as for 61 of the 63 packaged
+records; so a check reads a plain record's rare parts as one ``None``.  The
+row is the one place conformance runs, so it runs once per record: the
+loader refuses a file by its records' row issues, and C7 reports the same
+issues.  That is sound because records are frozen and the row depends on
+nothing but their fields, so a reload reuses the accepted records with their
+rows and a check derives only the rows of records no load or check has seen;
+``flip_field`` and the record constructor build new records, which start
+with no row.  The delta verdicts of C6 are not part of the row, so an
+injected runner is called on every check.
+
+A check that passes returns the one shared result of that check, which is
+immutable like every ``CheckResult``; only a failing check builds a new
+result, with its details.
 """
 
 from __future__ import annotations
@@ -516,7 +523,9 @@ def load_atlas(path: str | os.PathLike | None = None) -> tuple[ExceptionalOrbitR
             raise AtlasLoadError(f"duplicate orbit {_fmt(key)}")
         table[key] = (raw, record)
         records.append(record)
-        issues += record._check_row.conformance
+        rare = record._check_row.rare
+        if rare is not None:
+            issues += rare.conformance
 
     if issues:
         raise AtlasLoadError(
@@ -589,18 +598,38 @@ def _set_mismatch(actual: set, expected: frozenset) -> list[str]:
     return bits
 
 
-def _result(check_id: str, name: str, problems: list[str]) -> CheckResult:
+# each check's name, in C1-C7 order
+_CHECK_NAMES = {
+    "C1": "e1-characterization",
+    "C2": "nonrigid-birigid-quadruple",
+    "C3": "rigid-implies-birigid",
+    "C4": "smooth-locus-failures",
+    "C5": "codim4-boundary-list",
+    "C6": "delta-verdict-cross-check",
+    "C7": "e-list-coherence",
+}
+# the one result of each check that passes, shared by every call
+_PASSED = {check_id: CheckResult(check_id, name, True) for check_id, name in _CHECK_NAMES.items()}
+
+
+def _result(check_id: str, problems: list[str]) -> CheckResult:
     """A check that passes when it found no problems; its details join them."""
-    return CheckResult(check_id, name, not problems, "; ".join(problems))
+    if not problems:
+        return _PASSED[check_id]
+    return CheckResult(check_id, _CHECK_NAMES[check_id], False, "; ".join(problems))
 
 
-def _set_check(check_id: str, name: str, actual: set, expected: frozenset) -> CheckResult:
+def _set_check(check_id: str, actual: set, expected: frozenset) -> CheckResult:
     """A check that passes when ``actual`` is exactly ``expected``."""
-    return _result(check_id, name, [] if actual == expected else _set_mismatch(actual, expected))
+    return _result(check_id, [] if actual == expected else _set_mismatch(actual, expected))
 
 
-# what check_consistency reads from one record; levi is its C6 entry or None
-_CheckRow = namedtuple("_CheckRow", "key joins rigid_not_birigid e_problems levi conformance")
+# what check_consistency reads from one record: its key, the indices of the
+# C1-C7 key sets it joins, and its rare parts, None for a plain record
+_CheckRow = namedtuple("_CheckRow", "key joins rare")
+# whether the record is rigid but not birationally rigid, its e-list problems,
+# its C6 entry or None, and its conformance issues
+_RareParts = namedtuple("_RareParts", "breaks_c3 e_problems levi conformance")
 
 
 def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
@@ -624,15 +653,18 @@ def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
         in_e2,
         in_e3,
     )
-    return _CheckRow(
-        key,
-        tuple(index for index, member in enumerate(joined) if member),
+    rare = _RareParts(
         birigid is not True and rigid is True,
         tuple(e_problems),
         None
         if levi is None
         else (key, levi, "non-integral" if (in_e2 or in_e3) else "integral"),
         tuple(_conform(record, key, provenance)),
+    )
+    return _CheckRow(
+        key,
+        tuple(index for index, member in enumerate(joined) if member),
+        rare if any(rare) else None,
     )
 
 
@@ -642,7 +674,10 @@ def check_consistency(
     """Run the seven cross-checks; results come back in C1..C7 order.
 
     One pass unions the records' cached rows into the key sets of all seven
-    checks; the checks then compare those sets.
+    checks, and reads a row's rare parts only where they are set; the checks
+    then compare those sets.  A passing check's result is one object shared
+    by every call, equal to ``CheckResult(check_id, name, True, "")``; a
+    failing check's is new on each call.
 
     ``delta_runner(group, indices) -> verdict`` may be injected; the default
     memoizes the exact computation so repeated sweeps stay cheap.
@@ -656,15 +691,17 @@ def check_consistency(
     e_problems = []
     conformance: list[str] = []
     for record in records:
-        key, joins, breaks_c3, row_e_problems, levi, row_conformance = record._check_row
+        key, joins, rare = record._check_row
         for index in joins:
             key_sets[index].add(key)
-        if breaks_c3:
-            rigid_not_birigid.append(_fmt(key))
-        e_problems += row_e_problems
-        if levi is not None:
-            levis.append(levi)
-        conformance += row_conformance
+        if rare is not None:
+            breaks_c3, row_e_problems, levi, row_conformance = rare
+            if breaks_c3:
+                rigid_not_birigid.append(_fmt(key))
+            e_problems += row_e_problems
+            if levi is not None:
+                levis.append(levi)
+            conformance += row_conformance
 
     results = []
 
@@ -675,20 +712,20 @@ def check_consistency(
         problems.append(f"set mismatch at: {', '.join(extra)}")
     if len(e1) != 6:
         problems.append(f"e1 has {len(e1)} members, expected 6")
-    results.append(_result("C1", "e1-characterization", problems))
+    results.append(_result("C1", problems))
 
     # C2: the non-rigid birationally rigid orbits form the expected quadruple
-    results.append(_set_check("C2", "nonrigid-birigid-quadruple", quad, RIGID_FALSE_EXPECTED))
+    results.append(_set_check("C2", quad, RIGID_FALSE_EXPECTED))
 
     # C3: rigidity forces birational rigidity record by record
     problems = [f"violated by: {', '.join(sorted(rigid_not_birigid))}"] if rigid_not_birigid else []
-    results.append(_result("C3", "rigid-implies-birigid", problems))
+    results.append(_result("C3", problems))
 
     # C4: smooth-locus failures match the embedded 13-element list
-    results.append(_set_check("C4", "smooth-locus-failures", smooth, SMOOTH_LOCUS_FAILURES))
+    results.append(_set_check("C4", smooth, SMOOTH_LOCUS_FAILURES))
 
     # C5: codimension-4 boundary orbits match the embedded 36-element list
-    results.append(_set_check("C5", "codim4-boundary-list", c4, CODIM4_BOUNDARY_MEMBERS))
+    results.append(_set_check("C5", c4, CODIM4_BOUNDARY_MEMBERS))
 
     # C6: integrality verdicts agree with e2/e3 membership where a Levi is given
     problems = []
@@ -700,7 +737,7 @@ def check_consistency(
             continue
         if got != expected:
             problems.append(f"{_fmt(key)}: verdict {got}, e-membership implies {expected}")
-    results.append(_result("C6", "delta-verdict-cross-check", problems))
+    results.append(_result("C6", problems))
 
     # C7: e-list coherence plus conformance with the embedded expectations
     problems = e_problems
@@ -712,6 +749,6 @@ def check_consistency(
         if actual != expected:
             problems.append(f"{name} members: {'; '.join(_set_mismatch(actual, expected))}")
     problems.extend(conformance)
-    results.append(_result("C7", "e-list-coherence", problems))
+    results.append(_result("C7", problems))
 
     return tuple(results)

@@ -49,7 +49,6 @@ __all__ = [
     "elementary_step",
     "inverse_steps",
     "is_birationally_rigid",
-    "has_codim4_boundary",
     "birational_sources",
     "rigid_special_source",
     "partitions_of",
@@ -267,13 +266,6 @@ def is_birationally_rigid(orbit: ClassicalOrbit) -> bool:
     return all(g <= 1 for g in _gaps(orbit.parts))
 
 
-# Whether every boundary degeneration sits in codimension at least 4.  For
-# B/C/D partitions this coincides with the no-gap-above-1 condition that
-# characterizes birational rigidity; both names are kept because the two
-# properties are conceptually distinct and only happen to agree here.
-has_codim4_boundary = is_birationally_rigid
-
-
 class StepScript(_Frozen):
     """A replayable sequence of elementary steps, outermost first."""
 
@@ -360,7 +352,9 @@ def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     is built and checked once per ``(kind, parts)`` and then shared, so
     equal sources are the same object.  A birationally rigid orbit is its
     own source with an empty script.  The result is a 1-tuple.  A script of
-    more than ``sys.maxsize`` steps is refused with InputError.
+    more than ``sys.maxsize`` steps is refused with InputError.  No lower
+    bound is set: the script holds one reference per step, so a count near
+    10**9 needs tens of gigabytes and can end in MemoryError.
     """
     return (_descend(orbit, _gaps(orbit.parts))[0],)
 

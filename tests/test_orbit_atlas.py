@@ -27,6 +27,7 @@ from nilorb.orbit_atlas import (
     E2_MEMBERS,
     E3_MEMBERS,
     SMOOTH_LOCUS_FAILURES,
+    CheckResult,
     ExceptionalOrbitRecord,
     check_consistency,
     default_atlas_text,
@@ -453,6 +454,44 @@ def test_e1_flip_breaks_two_checks(atlas):
     results = {r.check_id: r for r in check_consistency(mutated)}
     assert not results["C1"].passed
     assert not results["C7"].passed
+
+
+def test_a_passing_check_returns_one_shared_result(atlas):
+    names = (
+        "e1-characterization",
+        "nonrigid-birigid-quadruple",
+        "rigid-implies-birigid",
+        "smooth-locus-failures",
+        "codim4-boundary-list",
+        "delta-verdict-cross-check",
+        "e-list-coherence",
+    )
+    first, second = check_consistency(atlas), check_consistency(atlas)
+    for a, b, check_id, name in zip(first, second, CHECK_IDS, names, strict=True):
+        assert a is b and a == CheckResult(check_id, name, True, "")
+
+
+def test_a_failing_check_builds_a_new_result_on_every_call(atlas):
+    shared = check_consistency(atlas)
+    target = query(atlas, "G2", "Ã_1")
+    mutated = tuple(
+        flip_field(r, "in_e1") if r.key == target.key else r for r in atlas
+    )
+    first, second = check_consistency(mutated), check_consistency(mutated)
+    assert [r.check_id for r in first if not r.passed] == ["C1", "C7"]
+    for a, b, passing in zip(first, second, shared):
+        if a.passed:
+            assert a is b is passing
+        else:
+            assert a is not b and a == b
+
+
+def test_only_two_packaged_rows_have_rare_parts(atlas):
+    # the rare parts are the C3 break, the e-list problems, the C6 entry and
+    # the conformance issues; only the two records with a Levi have any
+    rare = [r.key for r in atlas if r._check_row.rare is not None]
+    assert len(atlas) == 63
+    assert rare == [("E7", "A_2+A_1"), ("E8", "A_4+2A_1")]
 
 
 def test_every_primary_flag_flip_is_caught(atlas):

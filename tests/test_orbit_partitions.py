@@ -23,7 +23,6 @@ from nilorb.orbit_partitions import (
     StepScript,
     birational_sources,
     elementary_step,
-    has_codim4_boundary,
     inverse_steps,
     is_birationally_rigid,
     is_special,
@@ -405,7 +404,7 @@ def test_inverse_steps_match_the_hand_built_oracle_up_to_total_24():
     assert checked == 3357
 
 
-# --- rigidity and boundary ------------------------------------------------------------
+# --- rigidity -------------------------------------------------------------------------
 
 def test_rigidity_cases():
     assert is_birationally_rigid(orbit("C"))
@@ -414,13 +413,6 @@ def test_rigidity_cases():
     assert is_birationally_rigid(orbit("C", 2, 1, 1))
     assert not is_birationally_rigid(orbit("B", 3, 2, 2))
     assert is_birationally_rigid(orbit("B", 2, 2, 1, 1, 1))
-
-
-def test_boundary_predicate_agrees_on_partitions():
-    for kind in ("B", "C", "D"):
-        for total in range(1 if kind == "B" else 2, 11, 2):
-            for o in valid_orbits(kind, total):
-                assert has_codim4_boundary(o) == is_birationally_rigid(o)
 
 
 # --- birational sources -----------------------------------------------------------------
@@ -517,6 +509,15 @@ def test_a_script_past_sys_maxsize_is_refused_before_any_list():
             with pytest.raises(InputError, match="at most sys.maxsize") as exc:
                 search(o)
             assert str(exc.value).endswith("bits") and len(str(exc.value)) < 200
+
+
+def test_a_script_of_a_million_steps_holds_one_shared_step():
+    # a script costs one reference per step, so a count near 10**9 needs tens
+    # of gigabytes; one of 10**6 steps is cheap and repeats one tuple
+    (source,) = birational_sources(ClassicalOrbit("C", (2_000_000,)))
+    steps = source.script.steps
+    assert source.orbit.parts == () and len(steps) == 10**6
+    assert steps[0] == (1, "i") and all(step is steps[0] for step in steps)
 
 
 def test_a_source_search_reads_the_gaps_once_and_looks_the_source_up_once(monkeypatch):
