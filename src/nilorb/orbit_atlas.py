@@ -28,19 +28,22 @@ successive loads are therefore one shared frozen object; nothing but ``is``
 can tell.
 
 Each record has one row, cached on the record the first time the loader or
-a check reads it: its key, which of the seven C1-C7 key sets it joins, and
-its rare parts.  Those are whether it is rigid but not birationally rigid,
-its e-list problems, its C6 entry and its conformance issues, gathered in one
-field that is None when all four are unset, as for 61 of the 63 packaged
-records; so a check reads a plain record's rare parts as one ``None``.  The
-row is the one place conformance runs, so it runs once per record: the
-loader refuses a file by its records' row issues, and C7 reports the same
-issues.  That is sound because records are frozen and the row depends on
-nothing but their fields, so a reload reuses the accepted records with their
-rows and a check derives only the rows of records no load or check has seen;
-``flip_field`` and the record constructor build new records, which start
-with no row.  The delta verdicts of C6 are not part of the row, so an
-injected runner is called on every check.
+a check reads it: its key, its bits and its rare parts.  Every orbit key
+holds one slot of seven bits, a lane for each key set C1-C7 compare, given
+the first time the key is seen and kept for the life of the process; a row's
+bits are the lanes it joins, in its key's slot.  Slot order follows first
+sight and so the hash seed; no output depends on it.  The rare parts are
+whether the record is rigid but not birationally rigid, its e-list problems,
+its C6 entry and its conformance issues, gathered in one field that is None
+when all four are unset, as for 61 of the 63 packaged records.  The row is the one place conformance
+runs, so it runs once per record: the loader refuses a file by its records'
+row issues, and C7 reports the same issues.  That is sound because records
+are frozen and the row depends on nothing but their fields, so a reload
+reuses the accepted records with their rows and a check derives only the
+rows of records no load or check has seen; ``flip_field`` and the record
+constructor build new records, which start with no row.  The delta verdicts
+of C6 are not part of the row, so an injected runner is called on every
+check.
 
 A check that passes returns the one shared result of that check, which is
 immutable like every ``CheckResult``; only a failing check builds a new
@@ -54,6 +57,7 @@ import os
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
+from itertools import count
 from operator import is_, itemgetter
 
 from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen
@@ -206,18 +210,58 @@ SPECIAL_TRUE_EXPECTED: frozenset[Key] = frozenset(
     }
 )
 
-# expected value of each primary-source flag: (true set, false set, exhaustive);
-# exhaustive means every key outside the true set expects False
-_PAPER_EXPECTATIONS: dict[str, tuple[frozenset, frozenset, bool]] = {
-    "in_e1": (E1_MEMBERS, frozenset(), True),
-    "in_e2": (E2_MEMBERS, frozenset(), True),
-    "in_e3": (E3_MEMBERS, frozenset(), True),
-    "codim4_boundary": (CODIM4_BOUNDARY_MEMBERS, frozenset(), True),
-    "fails_smooth_locus_codim4": (SMOOTH_LOCUS_FAILURES, frozenset(), True),
-    "is_special": (SPECIAL_TRUE_EXPECTED, frozenset(), False),
-    "is_rigid": (RIGID_TRUE_EXPECTED, RIGID_FALSE_EXPECTED, False),
-    "is_birationally_rigid": (BIRIGID_TRUE_EXPECTED, BIRIGID_FALSE_EXPECTED, False),
+# --- check slots -------------------------------------------------------------------
+
+# a key's lane is bit 7 * slot + lane, with lanes 0 both (birationally rigid
+# and failing the smooth locus), 1 quad (birationally rigid, not rigid),
+# 2 smooth, 3 c4, 4 e1, 5 e2 and 6 e3
+_LANES = 7
+_slots: dict[Key, int] = {}
+_slot_keys: dict[int, Key] = {}
+_next_slot = count()
+
+
+def _slot(key: Key) -> int:
+    """The key's slot; a key seen for the first time takes the next one."""
+    slot = _slots.get(key)
+    if slot is None:
+        # one count hands out the numbers, so two threads never draw the same
+        # one; the thread that loses setdefault gives its number back unused
+        fresh = next(_next_slot)
+        _slot_keys[fresh] = key
+        slot = _slots.setdefault(key, fresh)
+        if slot != fresh:
+            del _slot_keys[fresh]
+    return slot
+
+
+def _lane_bits(keys) -> int:
+    """The lane-0 bit of each key's slot."""
+    return sum(1 << _LANES * _slot(key) for key in keys)
+
+
+# expected value of each primary-source flag, as lane-0 bits: (true bits,
+# false bits, exhaustive); exhaustive means every key outside the true bits
+# expects False
+_PAPER_EXPECTATIONS: dict[str, tuple[int, int, bool]] = {
+    "in_e1": (_lane_bits(E1_MEMBERS), 0, True),
+    "in_e2": (_lane_bits(E2_MEMBERS), 0, True),
+    "in_e3": (_lane_bits(E3_MEMBERS), 0, True),
+    "codim4_boundary": (_lane_bits(CODIM4_BOUNDARY_MEMBERS), 0, True),
+    "fails_smooth_locus_codim4": (_lane_bits(SMOOTH_LOCUS_FAILURES), 0, True),
+    "is_special": (_lane_bits(SPECIAL_TRUE_EXPECTED), 0, False),
+    "is_rigid": (_lane_bits(RIGID_TRUE_EXPECTED), _lane_bits(RIGID_FALSE_EXPECTED), False),
+    "is_birationally_rigid": (
+        _lane_bits(BIRIGID_TRUE_EXPECTED), _lane_bits(BIRIGID_FALSE_EXPECTED), False
+    ),
 }
+
+# the union of a conforming atlas's row bits, lane by lane; lane 0 expects
+# e1, since C1 wants both to equal e1 and C7 wants e1 to be E1_MEMBERS
+_EXPECTED_BITS = sum(_lane_bits(keys) << lane for lane, keys in enumerate((
+    E1_MEMBERS, RIGID_FALSE_EXPECTED, SMOOTH_LOCUS_FAILURES, CODIM4_BOUNDARY_MEMBERS,
+    E1_MEMBERS, E2_MEMBERS, E3_MEMBERS,
+)))
 
 __all__ = [
     "GROUPS",
@@ -316,9 +360,9 @@ def flip_field(record: ExceptionalOrbitRecord, field: str) -> ExceptionalOrbitRe
     return ExceptionalOrbitRecord(*values)
 
 
-def _conform(record: ExceptionalOrbitRecord, key: Key, provenance) -> list[str]:
+def _conform(record: ExceptionalOrbitRecord, key: Key, provenance, bit: int) -> list[str]:
     """The record's primary-source flags that disagree with the embedded
-    expectations, in provenance order."""
+    expectations, in provenance order; ``bit`` is the lane-0 bit of the key's slot."""
     issues = []
     for field, source in provenance:
         if not source.startswith(PRIMARY_SOURCE_PREFIX):
@@ -326,11 +370,11 @@ def _conform(record: ExceptionalOrbitRecord, key: Key, provenance) -> list[str]:
         expectation = _PAPER_EXPECTATIONS.get(field)
         if expectation is None:
             raise InputError(f"unknown flag field {field!r}")
-        true_set, false_set, exhaustive = expectation
-        # the true set wins where a key sits in both
-        if key in true_set:
+        true_bits, false_bits, exhaustive = expectation
+        # the true bits win where a key sits in both
+        if true_bits & bit:
             want = True
-        elif exhaustive or key in false_set:
+        elif exhaustive or false_bits & bit:
             want = False
         else:
             issues.append(
@@ -586,18 +630,6 @@ def _cached_delta_verdict(group: str, indices: tuple[int, ...]) -> str:
     return delta_verdict(group, indices).verdict
 
 
-def _set_mismatch(actual: set, expected: frozenset) -> list[str]:
-    """What ``actual`` has beyond ``expected`` and lacks of it; empty when equal."""
-    extra = sorted(_fmt(k) for k in actual - expected)
-    gone = sorted(_fmt(k) for k in expected - actual)
-    bits = []
-    if extra:
-        bits.append(f"unexpected: {', '.join(extra)}")
-    if gone:
-        bits.append(f"missing: {', '.join(gone)}")
-    return bits
-
-
 # each check's name, in C1-C7 order
 _CHECK_NAMES = {
     "C1": "e1-characterization",
@@ -619,14 +651,34 @@ def _result(check_id: str, problems: list[str]) -> CheckResult:
     return CheckResult(check_id, _CHECK_NAMES[check_id], False, "; ".join(problems))
 
 
-def _set_check(check_id: str, actual: set, expected: frozenset) -> CheckResult:
-    """A check that passes when ``actual`` is exactly ``expected``."""
-    return _result(check_id, [] if actual == expected else _set_mismatch(actual, expected))
+def _keys_at(bits: int) -> str:
+    """The keys whose lane-0 bits are set in ``bits``, formatted, sorted and joined."""
+    names = []
+    while bits:
+        low = bits & -bits
+        names.append(_fmt(_slot_keys[(low.bit_length() - 1) // _LANES]))
+        bits ^= low
+    return ", ".join(sorted(names))
 
 
-# what check_consistency reads from one record: its key, the indices of the
-# C1-C7 key sets it joins, and its rare parts, None for a plain record
-_CheckRow = namedtuple("_CheckRow", "key joins rare")
+def _lane_mismatch(lane: int, union: int, diff: int, lane0: int) -> list[str]:
+    """What the lane of ``union`` has beyond its expected keys and lacks of
+    them; empty when ``diff``, the union XOR the expected bits, spares it."""
+    moved = (diff >> lane) & lane0
+    extra = moved & (union >> lane)
+    # a bit of diff outside the union is an expected bit
+    gone = moved ^ extra
+    bits = []
+    if extra:
+        bits.append(f"unexpected: {_keys_at(extra)}")
+    if gone:
+        bits.append(f"missing: {_keys_at(gone)}")
+    return bits
+
+
+# what check_consistency reads from one record: its key, the lanes it joins
+# in its key's slot, and its rare parts, None for a plain record
+_CheckRow = namedtuple("_CheckRow", "key bits rare")
 # whether the record is rigid but not birationally rigid, its e-list problems,
 # its C6 entry or None, and its conformance issues
 _RareParts = namedtuple("_RareParts", "breaks_c3 e_problems levi conformance")
@@ -639,12 +691,13 @@ def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
         in_e1, in_e2, in_e3, levi, provenance, _comment,
     ) = record._field_values(record)
     key = (group, label)
+    shift = _LANES * _slot(key)
     e_problems = []
     if sum((in_e1, in_e2, in_e3)) > 1:
         e_problems.append(f"{_fmt(key)}: in more than one e-list")
     if (in_e2 or in_e3) and special is not True:
         e_problems.append(f"{_fmt(key)}: e2/e3 member not marked special")
-    joined = (
+    joined = (  # in lane order
         birigid is True and fails_smooth is True,  # both: and failing smooth locus
         birigid is True and rigid is False,  # quad: birationally rigid, not rigid
         fails_smooth is True,  # smooth
@@ -659,11 +712,11 @@ def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
         None
         if levi is None
         else (key, levi, "non-integral" if (in_e2 or in_e3) else "integral"),
-        tuple(_conform(record, key, provenance)),
+        tuple(_conform(record, key, provenance, 1 << shift)),
     )
     return _CheckRow(
         key,
-        tuple(index for index, member in enumerate(joined) if member),
+        sum(1 << lane for lane, member in enumerate(joined) if member) << shift,
         rare if any(rare) else None,
     )
 
@@ -673,27 +726,26 @@ def check_consistency(
 ) -> tuple[CheckResult, ...]:
     """Run the seven cross-checks; results come back in C1..C7 order.
 
-    One pass unions the records' cached rows into the key sets of all seven
-    checks, and reads a row's rare parts only where they are set; the checks
-    then compare those sets.  A passing check's result is one object shared
-    by every call, equal to ``CheckResult(check_id, name, True, "")``; a
-    failing check's is new on each call.
+    One pass ORs the records' cached row bits into one union, seven lanes
+    per orbit key, and reads a row's rare parts only where they are set.
+    The union XOR the expected bits is 0 for a conforming atlas; otherwise
+    only the lanes it touches are decoded into sorted key lists.  A passing
+    check's result is one object shared by every call, equal to
+    ``CheckResult(check_id, name, True, "")``; a failing check's is new on
+    each call.
 
     ``delta_runner(group, indices) -> verdict`` may be injected; the default
     memoizes the exact computation so repeated sweeps stay cheap.
     """
     runner = delta_runner or _cached_delta_verdict
-    key_sets: tuple[set[Key], ...] = tuple(set() for _ in range(7))
-    # the C1-C7 key sets; a row's ``joins`` are indices into this tuple
-    both, quad, smooth, c4, e1, e2, e3 = key_sets
+    union = 0
     rigid_not_birigid = []
     levis = []
     e_problems = []
     conformance: list[str] = []
     for record in records:
-        key, joins, rare = record._check_row
-        for index in joins:
-            key_sets[index].add(key)
+        key, bits, rare = record._check_row
+        union |= bits
         if rare is not None:
             breaks_c3, row_e_problems, levi, row_conformance = rare
             if breaks_c3:
@@ -703,29 +755,36 @@ def check_consistency(
                 levis.append(levi)
             conformance += row_conformance
 
+    diff = union ^ _EXPECTED_BITS
+    # lane 0 of every slot the union or the expected bits reach; 0 when
+    # nothing differs, which masks every lane to no mismatch
+    slots = (union | _EXPECTED_BITS).bit_length() // _LANES + 1 if diff else 0
+    lane0 = ((1 << _LANES * slots) - 1) // ((1 << _LANES) - 1)
     results = []
 
-    # C1: birationally rigid orbits failing smooth-locus codim 4 are exactly e1
+    # C1: birationally rigid orbits failing smooth-locus codim 4 (lane 0) are
+    # exactly e1 (lane 4)
     problems = []
-    if both != e1:
-        extra = sorted(_fmt(k) for k in both ^ e1)
-        problems.append(f"set mismatch at: {', '.join(extra)}")
-    if len(e1) != 6:
-        problems.append(f"e1 has {len(e1)} members, expected 6")
+    mismatch = (union ^ union >> 4) & lane0
+    if mismatch:
+        problems.append(f"set mismatch at: {_keys_at(mismatch)}")
+    e1_size = ((union >> 4) & lane0).bit_count() if diff else len(E1_MEMBERS)
+    if e1_size != 6:
+        problems.append(f"e1 has {e1_size} members, expected 6")
     results.append(_result("C1", problems))
 
     # C2: the non-rigid birationally rigid orbits form the expected quadruple
-    results.append(_set_check("C2", quad, RIGID_FALSE_EXPECTED))
+    results.append(_result("C2", _lane_mismatch(1, union, diff, lane0)))
 
     # C3: rigidity forces birational rigidity record by record
     problems = [f"violated by: {', '.join(sorted(rigid_not_birigid))}"] if rigid_not_birigid else []
     results.append(_result("C3", problems))
 
     # C4: smooth-locus failures match the embedded 13-element list
-    results.append(_set_check("C4", smooth, SMOOTH_LOCUS_FAILURES))
+    results.append(_result("C4", _lane_mismatch(2, union, diff, lane0)))
 
     # C5: codimension-4 boundary orbits match the embedded 36-element list
-    results.append(_set_check("C5", c4, CODIM4_BOUNDARY_MEMBERS))
+    results.append(_result("C5", _lane_mismatch(3, union, diff, lane0)))
 
     # C6: integrality verdicts agree with e2/e3 membership where a Levi is given
     problems = []
@@ -741,13 +800,10 @@ def check_consistency(
 
     # C7: e-list coherence plus conformance with the embedded expectations
     problems = e_problems
-    for name, actual, expected in (
-        ("e1", e1, E1_MEMBERS),
-        ("e2", e2, E2_MEMBERS),
-        ("e3", e3, E3_MEMBERS),
-    ):
-        if actual != expected:
-            problems.append(f"{name} members: {'; '.join(_set_mismatch(actual, expected))}")
+    for name, lane in (("e1", 4), ("e2", 5), ("e3", 6)):
+        mismatch = _lane_mismatch(lane, union, diff, lane0)
+        if mismatch:
+            problems.append(f"{name} members: {'; '.join(mismatch)}")
     problems.extend(conformance)
     results.append(_result("C7", problems))
 

@@ -10,6 +10,8 @@ the same results, the same messages and the same message order.
 
 import json
 import re
+import sys
+import threading
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -501,9 +503,56 @@ def test_unlisted_keys_and_uncovered_fields_match_oracle():
     renamed = rebuilt(record, label="X_9", in_e1=True)
     provenance = tuple(sorted({**dict(record.provenance), "is_rigid": "paper §9"}.items()))
     uncovered = rebuilt(record, provenance=provenance)
-    for records in ([renamed], [uncovered], [renamed, uncovered], list(ATLAS) + [renamed]):
+    # five copies of the atlas under new labels, with one flip per lane in
+    # the last copy and some of its records repeated: the new keys take
+    # slots far past the packaged 63, so C1's lane mask spans a long union
+    copies = [[rebuilt(r, label=f"{r.label} #{n}") for r in ATLAS] for n in range(5)]
+    last = copies[-1]
+    fields = (  # one flag moving each lane, in lane order
+        "is_birationally_rigid", "is_rigid", "fails_smooth_locus_codim4", "codim4_boundary",
+        "in_e1", "in_e2", "in_e3",
+    )
+    for lane, field in enumerate(fields):
+        index = next(i for i in range(7 * lane, len(last)) if isinstance(getattr(last[i], field), bool))
+        last[index] = flip_field(last[index], field)
+    large = [r for copy in copies for r in copy] + last[::9]
+    assert len(large) == 322
+    cases = ([renamed], [uncovered], [renamed, uncovered], list(ATLAS) + [renamed], large)
+    for records in cases:
         assert_same_checks(records)
+    assert max(orbit_atlas._slots[r.key] for r in large) >= 300
     assert any("no expectation is embedded" in i for i in row_conformance([uncovered]))
+
+
+def test_threads_checking_new_keys_never_share_a_slot():
+    # eight threads check lists under labels no other thread uses, so new
+    # keys draw slots at once; then the same new labels in every thread, so
+    # threads race to give one key its slot
+    def work(thread):
+        for name in (f"T{thread}", "shared"):
+            for step in range(3):
+                records = [rebuilt(r, label=f"{r.label} {name}.{step}") for r in ATLAS]
+                records[thread] = flip_field(records[thread], "in_e1")
+                got, want = check_consistency(records), oracle_check_consistency(records)
+                outcomes[thread].append(payloads(got) == payloads(want))
+
+    outcomes = [[] for _ in range(8)]
+    threads = [threading.Thread(target=work, args=(thread,)) for thread in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == [[True] * 6] * 8
+    # no two keys share a slot, and every slot decodes to its own key
+    slots = orbit_atlas._slots
+    assert len(set(slots.values())) == len(slots)
+    assert orbit_atlas._slot_keys == {slot: key for key, slot in slots.items()}
 
 
 def load_outcome(load, path):

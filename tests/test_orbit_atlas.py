@@ -415,6 +415,56 @@ def test_checks_are_order_independent(atlas):
     ]
 
 
+HASHSEED_PAYLOAD = """
+import json
+from nilorb import orbit_atlas
+from nilorb.orbit_atlas import check_consistency, flip_field, load_atlas, paper_provenanced_fields
+records = list(load_atlas())
+flips = [(i, f) for i, r in enumerate(records) for f in paper_provenanced_fields(r)]
+for index, field in flips[::7]:
+    records[index] = flip_field(records[index], field)
+print(json.dumps([r.to_payload() for r in check_consistency(records)], ensure_ascii=False))
+print(json.dumps(sorted(orbit_atlas._slots, key=orbit_atlas._slots.get), ensure_ascii=False))
+"""
+
+
+def test_check_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # the embedded keys take their slots in frozenset order at import, which
+    # the hash seed changes; the sorted messages must not change with it
+    doc = raw_doc()
+    fields = ("codim4_boundary", "fails_smooth_locus_codim4", "in_e1", "in_e2", "in_e3")
+    for index, raw in enumerate(doc["records"][::4]):
+        field = fields[index % len(fields)]
+        if raw[field] is not None:
+            raw[field] = not raw[field]
+            raw["provenance"][field] = "external: re-cited, so the loader accepts the flip"
+    for raw in doc["records"]:
+        if raw["group"] in ("G2", "F4") and raw["label"] == "A_1":
+            raw["is_rigid"] = not raw["is_rigid"]
+    target = write_atlas(tmp_path, doc)
+    package_parent = str(Path(orbit_atlas.__file__).parent.parent)
+    outputs = []
+    for seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_parent)
+        payload = subprocess.run(
+            [sys.executable, "-c", HASHSEED_PAYLOAD], capture_output=True, env=env
+        )
+        check = subprocess.run(
+            [sys.executable, "-m", "nilorb", "atlas", "check", "--json", "--data", str(target)],
+            capture_output=True, env=env,
+        )
+        assert payload.returncode == 0, payload.stderr
+        assert (check.returncode, check.stderr) == (1, b"")
+        results, slot_order = payload.stdout.splitlines()
+        outputs.append((results, check.stdout, slot_order))
+    assert len({(results, check) for results, check, _ in outputs}) == 1
+    assert len({slot_order for _, _, slot_order in outputs}) == 3
+    failed = [c["id"] for c in json.loads(outputs[0][0]) if not c["passed"]]
+    assert failed == list(CHECK_IDS)
+    shown = json.loads(outputs[0][1])["payload"]["checks"]
+    assert [c["id"] for c in shown if not c["passed"]] == ["C1", "C2", "C4", "C5", "C7"]
+
+
 def test_c6_uses_injected_runner(atlas):
     calls = []
 
