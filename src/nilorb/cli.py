@@ -49,11 +49,7 @@ __all__ = ["CommandResult", "main"]
 
 class CommandResult(_Frozen):
     __slots__ = ("status", "payload", "diagnostics", "exit_code")
-
-    def __init__(
-        self, status: str, payload: dict, diagnostics: tuple[str, ...] = (), exit_code: int = 0
-    ):
-        self._fill(status, payload, diagnostics, exit_code)
+    _defaults = ((), 0)
 
 
 def _quoted(text: str) -> str:
@@ -72,8 +68,9 @@ def _parse_ints(text: str, option: str, expected: str) -> tuple[int, ...]:
             values.append(int(chunk))
         except ValueError:
             digits = chunk.strip().lstrip("+-").replace("_", "")
-            limit = sys.get_int_max_str_digits()
-            if digits.isdecimal() and len(digits) > limit:
+            # no cap before 3.10.7, so there only a malformed entry fails
+            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+            if limit and digits.isdecimal() and len(digits) > limit:
                 raise InputError(
                     f"{option} entries may have at most {limit} digits, "
                     f"got one of {len(digits)} digits in {shown}"

@@ -158,10 +158,7 @@ class MemberCheck(_Frozen):
     """One reference torus vector re-verified against the computed lattice."""
 
     __slots__ = ("coords", "in_lattice", "pairing", "expected_pairing", "note")
-
-    def __init__(self, coords: tuple[int, ...], in_lattice: bool, pairing: Scalar,
-                 expected_pairing: int | None = None, note: str = ""):
-        self._fill(coords, in_lattice, pairing, expected_pairing, note)
+    _defaults = (None, "")
 
     @property
     def matches(self) -> bool | None:
@@ -173,12 +170,6 @@ class MemberCheck(_Frozen):
 class ReferenceComparison(_Frozen):
     __slots__ = ("preset", "h_matches", "roots_match", "kappa_matches", "verdict_matches",
                  "torus_rank_matches", "member_checks")
-
-    def __init__(self, preset: str, h_matches: bool, roots_match: bool, kappa_matches: bool,
-                 verdict_matches: bool, torus_rank_matches: bool,
-                 member_checks: tuple[MemberCheck, ...]):
-        self._fill(preset, h_matches, roots_match, kappa_matches, verdict_matches,
-                   torus_rank_matches, member_checks)
 
     @property
     def clean(self) -> bool:
@@ -197,14 +188,8 @@ class ReferenceComparison(_Frozen):
 class DeltaReport(_Frozen):
     __slots__ = ("system", "levi_indices", "h", "roots_pairing_one", "kappa", "torus_basis",
                  "pairings", "verdict", "reference")
+    _defaults = (None,)
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, system: str, levi_indices: tuple[int, ...], h: QuotientVector,
-                 roots_pairing_one: tuple[QuotientVector, ...], kappa: QuotientVector,
-                 torus_basis: tuple[tuple[int, ...], ...], pairings: tuple[Scalar, ...],
-                 verdict: str, reference: ReferenceComparison | None = None):
-        self._fill(system, levi_indices, h, roots_pairing_one, kappa, torus_basis, pairings,
-                   verdict, reference)
 
     @property
     def is_integral(self) -> bool:
@@ -313,5 +298,5 @@ def preset_report(preset: str) -> DeltaReport:
             f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
     r = delta_verdict(*PRESETS[preset])
-    return DeltaReport(r.system, r.levi_indices, r.h, r.roots_pairing_one, r.kappa, r.torus_basis,
-                       r.pairings, r.verdict, _compare(r, WORKED_EXAMPLES[preset]))
+    # every field but the last, the reference, which delta_verdict leaves unset
+    return DeltaReport(*r._field_values(r)[:-1], _compare(r, WORKED_EXAMPLES[preset]))

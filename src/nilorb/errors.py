@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from _thread import allocate_lock
 from functools import lru_cache
 from operator import attrgetter
 
@@ -63,18 +64,21 @@ def _uncapped(call, *args):
 @lru_cache(maxsize=None)
 def _fill_factory(count: int):
     """The factory that closes ``_fill(self, v0, ..)``, which stores each
-    ``v_i`` by the setter ``s_i``, over the setters; compiled for the first
-    record with ``count`` fields and then shared."""
+    ``v_i`` by the setter ``_s_i``, named apart from every field, over the
+    setters; compiled for the first record with ``count`` fields, then shared."""
     names = range(count)
     source = (
-        f"def factory({', '.join(f's{i}' for i in names)}):\n"
+        f"def factory({', '.join(f'_s{i}' for i in names)}):\n"
         f"    def _fill(self{''.join(f', v{i}' for i in names)}):\n"
-        + "".join(f"        s{i}(self, v{i})\n" for i in names)
+        + "".join(f"        _s{i}(self, v{i})\n" for i in names)
         + "    return _fill\n"
     )
     namespace: dict = {}
     exec(source, namespace)
     return namespace["factory"]
+
+
+_BINDING = allocate_lock()  # held while a class binds its _fill, so it binds one once
 
 
 class _Frozen:
@@ -90,33 +94,47 @@ class _Frozen:
     layer imports, so that no layer loads ``dataclasses`` or another layer
     for its records.
 
-    ``__init__`` sets each field once, by ``_fill``.  As
-    ``collections.namedtuple`` compiles its ``__new__``, ``_fill`` is
-    compiled, once per field count, as one direct slot-setter call per field,
-    with no ``*values``, ``zip`` or loop; each class binds its own setters
-    when it builds its first record.  A wrong number of values raises
-    TypeError, so no slot is left unset.
+    Each field is set once, by ``_fill``, compiled once per field count as
+    ``collections.namedtuple`` compiles its ``__new__``: one direct
+    slot-setter call per field, with no ``*values``, ``zip`` or loop.  A
+    class binds its setters when it builds its first record, and names the
+    parameters after its fields in a copy of the code, not a second compile.
+    A class that checks its values calls ``self._fill`` once in its
+    ``__init__``; any other class defines none and is built by ``_fill``, by
+    position or keyword, with ``_defaults`` as the defaults of its trailing
+    fields, as in ``namedtuple(defaults=...)``.  A wrong number of values
+    raises TypeError, so no slot is left unset.
     """
 
     __slots__ = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._fill = _Frozen._first_fill
+        if "__init__" not in vars(cls):
+            cls.__init__ = _Frozen._first_fill
         get = attrgetter(*fields)
         # _field_values(record) is the field tuple, a 1-tuple for one field
         cls._field_values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
 
-    def _first_fill(self, *values) -> None:
-        """Compile the class's ``_fill``, which takes this method's place,
-        and store ``values`` by it; so a process compiles only the field
-        counts of the records it builds."""
+    def _first_fill(self, *values, **named) -> None:
+        """Bind the class's ``_fill`` in this method's place, and as its
+        ``__init__`` where that is this method, then store the values; so a
+        process compiles only the field counts of the records it builds."""
         cls = type(self)
-        fill = _fill_factory(len(cls._fields))(*(getattr(cls, name).__set__ for name in cls._fields))
-        fill.__qualname__ = f"{cls.__qualname__}._fill"
-        cls._fill = fill
-        fill(self, *values)
+        with _BINDING:
+            if cls._fill is _Frozen._first_fill:  # not bound by another thread
+                fields = cls._fields
+                fill = _fill_factory(len(fields))(*(getattr(cls, name).__set__ for name in fields))
+                fill.__code__ = fill.__code__.replace(co_varnames=("self", *fields))
+                fill.__qualname__ = f"{cls.__qualname__}._fill"
+                fill.__defaults__ = cls._defaults
+                if cls.__init__ is _Frozen._first_fill:
+                    cls.__init__ = fill
+                cls._fill = fill
+        cls._fill(self, *values, **named)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

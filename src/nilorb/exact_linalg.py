@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import InputError, _Frozen
+from .errors import InputError, _Frozen, _uncapped
 
 Vector = tuple[int, ...]
 
@@ -37,13 +37,13 @@ def _as_int(value: object) -> int:
     if type(value) is int:
         return value
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"matrix entries must be plain integers, got {value!r}")
+        raise InputError(f"matrix entries must be plain integers, got {_uncapped(repr, value)}")
     return value
 
 
 def _as_dim(value: object, what: str) -> int:
     if type(value) is not int or value < 0:
-        raise InputError(f"{what} must be a nonnegative integer, got {value!r}")
+        raise InputError(f"{what} must be a nonnegative integer, got {_uncapped(repr, value)}")
     return value
 
 
@@ -77,7 +77,7 @@ class IntMatrix(_Frozen):
 
     def row(self, i: int) -> Vector:
         if not 0 <= i < self.rows:
-            raise InputError(f"row index {i} out of range")
+            raise InputError(f"row index {_uncapped(str, i)} out of range")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def to_rows(self) -> list[list[int]]:

@@ -292,26 +292,7 @@ __all__ = [
 class ExceptionalOrbitRecord(_Frozen):
     # the fields, then a __dict__ that holds only the cached check row
     __slots__ = (*_RECORD_KEYS, "comment", "__dict__")
-
-    def __init__(
-        self,
-        group: str,
-        label: str,
-        is_special: bool | None,
-        is_rigid: bool | None,
-        is_birationally_rigid: bool | None,
-        codim4_boundary: bool | None,
-        fails_smooth_locus_codim4: bool | None,
-        in_e1: bool,
-        in_e2: bool,
-        in_e3: bool,
-        levi_descriptor: tuple[int, ...] | None,
-        provenance: tuple[tuple[str, str], ...],
-        comment: str | None = None,
-    ):
-        self._fill(group, label, is_special, is_rigid, is_birationally_rigid, codim4_boundary,
-                   fails_smooth_locus_codim4, in_e1, in_e2, in_e3, levi_descriptor, provenance,
-                   comment)
+    _defaults = (None,)
 
     @property
     def key(self) -> Key:
@@ -326,7 +307,7 @@ class ExceptionalOrbitRecord(_Frozen):
         return f"ExceptionalOrbitRecord({self.group}:{self.label})"
 
     def to_payload(self) -> dict:
-        payload = {name: getattr(self, name) for name in _RECORD_KEYS + ("comment",)}
+        payload = dict(zip(self._fields, self._field_values(self)))
         levi = self.levi_descriptor
         payload["levi_descriptor"] = list(levi) if levi else None
         payload["provenance"] = dict(self.provenance)
@@ -610,9 +591,7 @@ def query(
 
 class CheckResult(_Frozen):
     __slots__ = ("check_id", "name", "passed", "details")
-
-    def __init__(self, check_id: str, name: str, passed: bool, details: str = ""):
-        self._fill(check_id, name, passed, details)
+    _defaults = ("",)
 
     def to_payload(self) -> dict:
         return {

@@ -236,9 +236,6 @@ def elementary_step(
 class InverseStep(_Frozen):
     __slots__ = ("source", "n", "variant")
 
-    def __init__(self, source: ClassicalOrbit, n: int, variant: str):
-        self._fill(source, n, variant)
-
 
 def inverse_steps(orbit: ClassicalOrbit) -> tuple[InverseStep, ...]:
     """All (source, n, variant) whose elementary step reproduces ``orbit``.
@@ -271,9 +268,6 @@ class StepScript(_Frozen):
 
     __slots__ = ("steps",)
 
-    def __init__(self, steps: tuple[tuple[int, str], ...]):
-        self._fill(steps)
-
     def replay(self, source: ClassicalOrbit) -> ClassicalOrbit:
         current = source
         for n, variant in self.steps:
@@ -283,9 +277,6 @@ class StepScript(_Frozen):
 
 class BirationalSource(_Frozen):
     __slots__ = ("orbit", "script")
-
-    def __init__(self, orbit: ClassicalOrbit, script: StepScript):
-        self._fill(orbit, script)
 
 
 # Distinct sources are few: selftest criterion 6 meets 112 in its 985 special
@@ -384,7 +375,7 @@ def partitions_of(total: int, largest: int | None = None) -> Iterator[tuple[int,
     """All partitions of ``total``, largest part first, lexicographically
     descending."""
     if total < 0:
-        raise InputError(f"cannot partition {total}")
+        raise InputError(f"cannot partition {_uncapped(str, total)}")
     if total == 0:
         yield ()
         return

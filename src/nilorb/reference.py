@@ -23,20 +23,12 @@ class TorusMemberFixture(_Frozen):
     with its recorded kappa-pairing."""
 
     __slots__ = ("coords", "expected_pairing", "note")
-
-    def __init__(self, coords: tuple[int, ...], expected_pairing: int | None = None, note: str = ""):
-        self._fill(coords, expected_pairing, note)
+    _defaults = (None, "")
 
 
 class WorkedExample(_Frozen):
     __slots__ = ("preset", "system", "levi_indices", "h", "roots_pairing_one", "kappa",
                  "torus_members", "verdict", "torus_rank")
-
-    def __init__(self, preset: str, system: str, levi_indices: tuple[int, ...], h: tuple[int, ...],
-                 roots_pairing_one: tuple[tuple[int, ...], ...], kappa: tuple[int, ...],
-                 torus_members: tuple[TorusMemberFixture, ...], verdict: str, torus_rank: int):
-        self._fill(preset, system, levi_indices, h, roots_pairing_one, kappa, torus_members,
-                   verdict, torus_rank)
 
 
 _E7_EXAMPLE = WorkedExample(

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .errors import CapabilityError, InputError, IntegrityError, _Frozen
+from .errors import CapabilityError, InputError, IntegrityError, _Frozen, _uncapped
 from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains
 
 Scalar = int | Fraction
@@ -154,7 +154,7 @@ def coroot(root: QuotientVector) -> QuotientVector:
     """Coroot of a root.  All E7/E8 roots have pairing norm 2, so the coroot
     coincides with the root itself; the norm is still checked."""
     if pair(root, root) != 2:
-        raise InputError(f"not a norm-2 root: {root!r}")
+        raise InputError(f"not a norm-2 root: {_uncapped(repr, root)}")
     return root
 
 
@@ -318,14 +318,6 @@ class RootSystem(_Frozen):
                  "support_masks", "growth", "coweights")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, name: str, ambient_dim: int, rank: int,
-                 positive_roots: tuple[QuotientVector, ...],
-                 simple_roots: tuple[QuotientVector, ...], cartan: tuple[tuple[int, ...], ...],
-                 support_masks: tuple[int, ...], growth: tuple[tuple[int, int, int], ...],
-                 coweights: tuple[tuple[int, tuple[int, ...]], ...]):
-        self._fill(name, ambient_dim, rank, positive_roots, simple_roots, cartan, support_masks,
-                   growth, coweights)
-
     def __repr__(self) -> str:
         return f"RootSystem({self.name}, {len(self.positive_roots)} positive roots)"
 
@@ -413,10 +405,6 @@ class LeviSubsystem(_Frozen):
     __slots__ = ("system", "indices", "positive_roots")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, system: RootSystem, indices: tuple[int, ...],
-                 positive_roots: tuple[QuotientVector, ...]):
-        self._fill(system, indices, positive_roots)
-
     @property
     def rank(self) -> int:
         return len(self.indices)
@@ -432,11 +420,11 @@ def levi_subsystem(rs: RootSystem, indices: Iterable[int]) -> LeviSubsystem:
     """
     idx = tuple(indices)
     if len(set(idx)) != len(idx):
-        raise InputError(f"duplicate levi indices: {idx}")
+        raise InputError(f"duplicate levi indices: {_uncapped(str, idx)}")
     for i in idx:
         plain = type(i) is int or isinstance(i, int) and not isinstance(i, bool)
         if not plain or not 1 <= i <= rs.rank:
-            raise InputError(f"levi index {i!r} out of range 1..{rs.rank}")
+            raise InputError(f"levi index {_uncapped(repr, i)} out of range 1..{rs.rank}")
     outside = ~sum([1 << (i - 1) for i in idx])
     members = tuple(
         [root for root, mask in zip(rs.positive_roots, rs.support_masks) if not mask & outside]

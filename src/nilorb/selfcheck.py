@@ -52,17 +52,7 @@ class CriterionResult(_Frozen):
     """Outcome of one acceptance criterion, with comparable summaries."""
 
     __slots__ = ("criterion_id", "name", "passed", "expected", "actual", "notes")
-
-    def __init__(
-        self,
-        criterion_id: str,
-        name: str,
-        passed: bool,
-        expected: str,
-        actual: str,
-        notes: tuple[str, ...] = (),
-    ):
-        self._fill(criterion_id, name, passed, expected, actual, notes)
+    _defaults = ((),)
 
     def to_payload(self) -> dict:
         return {

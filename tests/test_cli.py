@@ -143,6 +143,24 @@ def test_integer_past_the_digit_limit_is_named(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "special", "--type", "C", "--parts", "3,x"],
+        ["partition", "step", "--type", "C", "--parts", "1,1", "--n", "x"],
+        ["delta", "--system", "E7", "--levi", "1,x"],
+    ],
+)
+def test_a_malformed_entry_is_refused_without_the_digit_cap_api(capsys, monkeypatch, argv):
+    # Python 3.10.0 to 3.10.6 have no cap on int() and neither sys function
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "n, phrase",
     [
         ("9" * 5000, f"at most {sys.get_int_max_str_digits()} digits"),

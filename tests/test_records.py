@@ -9,8 +9,11 @@ deletion.
 """
 
 import copy
+import inspect
 import itertools
 import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,7 @@ from oracles import TWINS, record_twin
 
 from nilorb.cli import CommandResult
 from nilorb.delta_check import PRESETS, preset_report
-from nilorb.errors import _Frozen
+from nilorb.errors import _fill_factory, _Frozen
 from nilorb.exact_linalg import IntMatrix, LatticeBasis
 from nilorb.orbit_atlas import (
     _RECORD_KEYS,
@@ -201,3 +204,79 @@ def test_fill_takes_exactly_one_value_per_field(count):
     for wrong in (values[:-1], values + (count,)):
         with pytest.raises(TypeError, match="_fill"):
             Record(*wrong)
+
+
+def parameters(cls) -> list:
+    """Each constructor parameter's name, kind and default, in order."""
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def test_each_constructor_takes_the_twins_parameters():
+    # every class has built a sample, so each record without an __init__ of
+    # its own now has its bound _fill in that place
+    for cls in {type(x) for x in SAMPLES}:
+        params = parameters(cls)
+        assert params == parameters(TWINS[cls.__name__]), cls
+        required = [p for p in params if p[2] is inspect.Parameter.empty]
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*range(len(required) - 1))
+
+
+def throwaway(count: int) -> type:
+    """A new record class of ``count`` fields, the last with a default."""
+
+    class Record(_Frozen):
+        __slots__ = tuple(f"f{i}" for i in range(count))
+        _defaults = (-1,)
+
+    return Record
+
+
+def test_fill_is_compiled_once_per_field_count_and_then_shared():
+    # no package record has 21 or 22 fields
+    counts = (21, 22, 21, 22, 21, 22)
+    before = _fill_factory.cache_info()
+    for count in counts:
+        cls = throwaway(count)
+        # the first record may come by keywords, the last field by its default
+        record = cls(**{f"f{i}": i for i in range(count - 1)})
+        assert cls._field_values(record) == (*range(count - 1), -1)
+        assert cls.__init__ is cls._fill
+        assert cls(*range(count)) == cls(*range(count - 1), count - 1)
+    after = _fill_factory.cache_info()
+    compiled = after.misses - before.misses
+    assert compiled == after.currsize - before.currsize <= 2
+    assert after.hits - before.hits == len(counts) - compiled
+    # every package record has built a sample; only the four that check
+    # their values keep an __init__ of their own
+    records = {type(x) for x in SAMPLES}
+    own = {cls.__name__ for cls in records if cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"}
+    assert own == {"IntMatrix", "LatticeBasis", "QuotientVector", "ClassicalOrbit"}
+    assert all(cls.__init__ is cls._fill for cls in records if cls.__name__ not in own)
+
+
+def test_threads_that_build_a_new_class_together_bind_one_fill():
+    # eight threads, more than the cores, build the first records of each
+    # new class at once; each class binds one _fill, its __init__ too
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (24, 25, 24, 25):
+            cls = throwaway(count)
+            start = threading.Barrier(8)
+            built = []
+
+            def build():
+                start.wait(timeout=10)
+                built.append(cls(*range(count)))
+
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(built) == 8 and all(cls._field_values(r) == tuple(range(count)) for r in built)
+            assert cls.__init__ is cls._fill
+    finally:
+        sys.setswitchinterval(interval)

@@ -8,6 +8,7 @@ derivation code it is checking.
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from operator import add, mul
@@ -19,7 +20,9 @@ from oracles import decompose, derive_simple_roots, qadd, reference_simple_roots
 
 from nilorb import root_system
 from nilorb.errors import CapabilityError, InputError, IntegrityError
-from nilorb.exact_linalg import lattice_contains
+from nilorb.delta_check import delta_verdict
+from nilorb.exact_linalg import IntMatrix, LatticeBasis, lattice_contains
+from nilorb.orbit_partitions import partitions_of
 from nilorb.root_system import (
     QuotientVector,
     build_root_system,
@@ -565,3 +568,30 @@ def test_membership_mod_ones():
         lattice_contains_mod_ones(basis, qv(Fraction(1, 2), 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(InputError, match="dimension mismatch: 9 vs 8"):
         lattice_contains_mod_ones(basis, qv(1, 0, 0, 0, 0, 0, 0, 0, 0))
+
+
+# more digits than str() prints by default
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: levi_subsystem(build_root_system("E7"), (HUGE,)), id="levi-index"),
+        pytest.param(lambda: levi_subsystem(build_root_system("E7"), (HUGE, HUGE)), id="levi-duplicate"),
+        pytest.param(lambda: delta_verdict("E7", (1, HUGE)), id="delta-verdict"),
+        pytest.param(lambda: coroot(qv(HUGE, 0)), id="coroot"),
+        pytest.param(lambda: LatticeBasis(-HUGE), id="lattice-dim"),
+        pytest.param(lambda: IntMatrix(-HUGE, 1, ()), id="matrix-dim"),
+        pytest.param(lambda: IntMatrix(1, 1, (Fraction(HUGE),)), id="matrix-entry"),
+        pytest.param(lambda: IntMatrix(1, 1, (1,)).row(HUGE), id="matrix-row"),
+        pytest.param(lambda: next(partitions_of(-HUGE)), id="partitions-of"),
+    ],
+)
+def test_an_integer_past_the_print_cap_is_refused_by_a_typed_error(call):
+    # the message prints the integer whole, not a bare ValueError from str()
+    before = sys.get_int_max_str_digits()
+    with pytest.raises(InputError) as info:
+        call()
+    assert len(str(info.value)) > 5000
+    assert sys.get_int_max_str_digits() == before
