@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import InputError, IntegrityError, _Frozen
+from .errors import InputError, IntegrityError, _Frozen, _uncapped
 from .exact_linalg import LatticeBasis
 from .reference import WORKED_EXAMPLES, WorkedExample
 from .root_system import (
@@ -215,25 +215,15 @@ class DeltaReport(_Frozen):
             "pairings": [scalar(p) for p in self.pairings],
             "verdict": self.verdict,
         }
-        if self.reference is not None:
-            payload["reference"] = {
-                "preset": self.reference.preset,
-                "h_matches": self.reference.h_matches,
-                "roots_match": self.reference.roots_match,
-                "kappa_matches": self.reference.kappa_matches,
-                "verdict_matches": self.reference.verdict_matches,
-                "torus_rank_matches": self.reference.torus_rank_matches,
-                "clean": self.reference.clean,
+        ref = self.reference
+        if ref is not None:
+            payload["reference"] = dict(zip(ref._fields, ref._field_values(ref))) | {
+                "clean": ref.clean,
                 "member_checks": [
-                    {
-                        "coords": list(mc.coords),
-                        "in_lattice": mc.in_lattice,
-                        "pairing": scalar(mc.pairing),
-                        "expected_pairing": mc.expected_pairing,
-                        "matches": mc.matches,
-                        "note": mc.note,
-                    }
-                    for mc in self.reference.member_checks
+                    dict(zip(mc._fields, mc._field_values(mc)))
+                    | {"coords": list(mc.coords), "pairing": scalar(mc.pairing),
+                       "matches": mc.matches}
+                    for mc in ref.member_checks
                 ],
             }
         return payload
@@ -295,7 +285,7 @@ def preset_report(preset: str) -> DeltaReport:
     """delta_verdict for a named preset, with the reference comparison filled in."""
     if preset not in PRESETS:
         raise InputError(
-            f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
+            f"unknown preset {_uncapped(repr, preset)}; available: {', '.join(sorted(PRESETS))}"
         )
     r = delta_verdict(*PRESETS[preset])
     # every field but the last, the reference, which delta_verdict leaves unset

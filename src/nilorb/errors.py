@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from _thread import allocate_lock
+from _thread import RLock
 from functools import lru_cache
 from operator import attrgetter
 
@@ -44,28 +44,35 @@ class OrbitNotFoundError(NilorbError):
         self.suggestions = suggestions
 
 
+_UNCAPPING = RLock()  # held while the cap is lifted; a guarded repr nests
+
+
 def _uncapped(call, *args):
     """``call(*args)`` with no cap on the digits of an int turned to text.
 
-    A step can carry a part one digit past ``sys.get_int_max_str_digits()``;
-    its messages and printed result are built whole all the same.  The cap
-    is interpreter-wide, and it is restored afterwards.
+    A step can carry a part one digit past ``sys.get_int_max_str_digits()``,
+    and a caller can pass such an int where a name is expected; its messages
+    and printed result are built whole all the same.  The cap is
+    interpreter-wide: one thread at a time lifts it, so none reads the
+    lifted cap as the one to restore.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # no cap before 3.10.7
         return call(*args)
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return call(*args)
-    finally:
-        sys.set_int_max_str_digits(cap)
+    with _UNCAPPING:
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return call(*args)
+        finally:
+            sys.set_int_max_str_digits(cap)
 
 
 @lru_cache(maxsize=None)
 def _fill_factory(count: int):
     """The factory that closes ``_fill(self, v0, ..)``, which stores each
     ``v_i`` by the setter ``_s_i``, named apart from every field, over the
-    setters; compiled for the first record with ``count`` fields, then shared."""
+    setters; compiled when the first class with ``count`` fields is made,
+    then shared."""
     names = range(count)
     source = (
         f"def factory({', '.join(f'_s{i}' for i in names)}):\n"
@@ -76,9 +83,6 @@ def _fill_factory(count: int):
     namespace: dict = {}
     exec(source, namespace)
     return namespace["factory"]
-
-
-_BINDING = allocate_lock()  # held while a class binds its _fill, so it binds one once
 
 
 class _Frozen:
@@ -97,7 +101,7 @@ class _Frozen:
     Each field is set once, by ``_fill``, compiled once per field count as
     ``collections.namedtuple`` compiles its ``__new__``: one direct
     slot-setter call per field, with no ``*values``, ``zip`` or loop.  A
-    class binds its setters when it builds its first record, and names the
+    class binds its setters when the class is made, and names the
     parameters after its fields in a copy of the code, not a second compile.
     A class that checks its values calls ``self._fill`` once in its
     ``__init__``; any other class defines none and is built by ``_fill``, by
@@ -112,29 +116,16 @@ class _Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        cls._fill = _Frozen._first_fill
+        fill = _fill_factory(len(fields))(*(getattr(cls, name).__set__ for name in fields))
+        fill.__code__ = fill.__code__.replace(co_varnames=("self", *fields))
+        fill.__qualname__ = f"{cls.__qualname__}._fill"
+        fill.__defaults__ = cls._defaults
+        cls._fill = fill
         if "__init__" not in vars(cls):
-            cls.__init__ = _Frozen._first_fill
+            cls.__init__ = fill
         get = attrgetter(*fields)
         # _field_values(record) is the field tuple, a 1-tuple for one field
         cls._field_values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
-
-    def _first_fill(self, *values, **named) -> None:
-        """Bind the class's ``_fill`` in this method's place, and as its
-        ``__init__`` where that is this method, then store the values; so a
-        process compiles only the field counts of the records it builds."""
-        cls = type(self)
-        with _BINDING:
-            if cls._fill is _Frozen._first_fill:  # not bound by another thread
-                fields = cls._fields
-                fill = _fill_factory(len(fields))(*(getattr(cls, name).__set__ for name in fields))
-                fill.__code__ = fill.__code__.replace(co_varnames=("self", *fields))
-                fill.__qualname__ = f"{cls.__qualname__}._fill"
-                fill.__defaults__ = cls._defaults
-                if cls.__init__ is _Frozen._first_fill:
-                    cls.__init__ = fill
-                cls._fill = fill
-        cls._fill(self, *values, **named)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -146,9 +137,10 @@ class _Frozen:
         return type(self), self._field_values(self)
 
     def __repr__(self) -> str:
-        fields = ", ".join(
+        # join runs the generator, so each value's repr is made uncapped
+        fields = _uncapped(", ".join, (
             f"{name}={value!r}" for name, value in zip(self._fields, self._field_values(self))
-        )
+        ))
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):

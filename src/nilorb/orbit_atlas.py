@@ -60,7 +60,7 @@ from functools import cached_property, lru_cache
 from itertools import count
 from operator import is_, itemgetter
 
-from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen
+from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen, _uncapped
 
 GROUPS = ("G2", "F4", "E6", "E7", "E8")
 
@@ -300,7 +300,7 @@ class ExceptionalOrbitRecord(_Frozen):
 
     def flag(self, name: str) -> bool | None:
         if name not in FLAG_FIELDS:
-            raise InputError(f"unknown flag field {name!r}")
+            raise InputError(f"unknown flag field {_uncapped(repr, name)}")
         return getattr(self, name)
 
     def __repr__(self) -> str:
@@ -562,7 +562,9 @@ def load_atlas(path: str | os.PathLike | None = None) -> tuple[ExceptionalOrbitR
 
 def _check_group(group: str) -> None:
     if group not in GROUPS:
-        raise InputError(f"unknown group {group!r}; expected one of {', '.join(GROUPS)}")
+        raise InputError(
+            f"unknown group {_uncapped(repr, group)}; expected one of {', '.join(GROUPS)}"
+        )
 
 
 def query(

@@ -61,7 +61,7 @@ def _check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     prev = None
     for p in parts:
         if type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
-            raise InputError(f"partition parts must be integers, got {p!r}")
+            raise InputError(f"partition parts must be integers, got {_uncapped(repr, p)}")
         if p <= 0:
             raise InputError(f"partition parts must be positive, got {_uncapped(str, p)}")
         if prev is not None and p > prev:
@@ -89,7 +89,7 @@ def is_valid_type(parts: Sequence[int], kind: str) -> bool:
         return sum(parts) % 2 == 0 and _parity_multiplicities_even(parts, 1)
     if kind == "D":
         return sum(parts) % 2 == 0 and _parity_multiplicities_even(parts, 0)
-    raise InputError(f"unknown type {kind!r}; expected one of A, B, C, D")
+    raise InputError(f"unknown type {_uncapped(repr, kind)}; expected one of A, B, C, D")
 
 
 def transpose(parts: Sequence[int]) -> tuple[int, ...]:
@@ -106,7 +106,7 @@ class ClassicalOrbit(_Frozen):
 
     def __init__(self, kind: str, parts: tuple[int, ...]):
         if kind not in KINDS:
-            raise InputError(f"orbit kind must be one of {KINDS}, got {kind!r}")
+            raise InputError(f"orbit kind must be one of {KINDS}, got {_uncapped(repr, kind)}")
         parts = tuple(parts)
         # is_valid_type checks the parts once, before their parity
         if not is_valid_type(parts, kind):
@@ -206,9 +206,9 @@ def elementary_step(
             f"{sys.maxsize}, got an integer of {n.bit_length()} bits"
         )
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"step index must be a positive integer, got {n!r}")
+        raise InputError(f"step index must be a positive integer, got {_uncapped(repr, n)}")
     if variant not in (None, "i", "ii"):
-        raise InputError(f"variant must be 'i' or 'ii', got {variant!r}")
+        raise InputError(f"variant must be 'i' or 'ii', got {_uncapped(repr, variant)}")
 
     # both forward moves are partitions by construction, so the one check the
     # constructor runs can only refuse their parity

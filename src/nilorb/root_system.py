@@ -114,7 +114,7 @@ class QuotientVector(_Frozen):
         return hash(tuple([c - t for c in self.coords]))
 
     def __repr__(self) -> str:
-        return f"QuotientVector({self.canonical_coords!r})"
+        return f"QuotientVector({_uncapped(repr, self.canonical_coords)})"
 
 
 def pair(x: QuotientVector, y: QuotientVector):
@@ -363,7 +363,8 @@ def build_root_system(name: str) -> RootSystem:
     """Construct and validate a root system by name ("E7" or "E8")."""
     if name not in _REALIZATIONS:
         raise CapabilityError(
-            f"unsupported root system {name!r}; available: {', '.join(ROOT_SYSTEM_NAMES)}"
+            f"unsupported root system {_uncapped(repr, name)}; "
+            f"available: {', '.join(ROOT_SYSTEM_NAMES)}"
         )
     ambient_dim, expected_count, expected_arms, generate = _REALIZATIONS[name]
     rank = ambient_dim - 1

@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 from operator import mul
 
 from .delta_check import preset_report
-from .errors import InputError, StepInapplicableError, _Frozen
+from .errors import InputError, StepInapplicableError, _Frozen, _uncapped
 from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains
 from .orbit_atlas import (
     check_consistency,
@@ -449,7 +449,7 @@ def _lookup(criterion_id: str) -> tuple[str, Callable[[str | None], tuple]]:
         return _CRITERIA[criterion_id]
     except (KeyError, TypeError):  # TypeError: an unhashable id
         raise InputError(
-            f"unknown criterion {criterion_id!r}; "
+            f"unknown criterion {_uncapped(repr, criterion_id)}; "
             f"expected one of {', '.join(map(repr, CRITERION_IDS))}"
         ) from None
 

@@ -64,8 +64,9 @@ def test_partition_import_builds_no_root_system():
 
 
 # stdlib modules no nilorb import may load: dataclasses costs about 10 ms,
-# through inspect, and difflib about 2 ms, which only a missed query needs
-HEAVY = ("dataclasses", "inspect", "difflib")
+# through inspect, difflib about 2 ms, which only a missed query needs, and
+# threading about 1.1 ms of its own (-X importtime), where _thread's locks do
+HEAVY = ("dataclasses", "inspect", "difflib", "threading")
 # the benchmark workers' imports
 LEVI_WORKER = "from nilorb import build_root_system, coroot_lattice, delta_verdict, preset_report"
 SOURCE_WORKER = "from nilorb import ClassicalOrbit, rigid_special_source"
@@ -287,8 +288,10 @@ def test_every_record_stores_each_field_once_through_fill():
     assert {name: count for name, count in fills.items() if count not in (None, 1)} == {}
     for cls in records:
         if fills[cls.__name__] is None:
-            cls(*range(len(cls._fields)))  # no __init__ checks the values
+            # bound when the class was made, before any record is built
             assert cls.__init__ is cls._fill, cls.__name__
+            assert cls._fill.__qualname__ == f"{cls.__qualname__}._fill"
+            cls(*range(len(cls._fields)))  # no __init__ checks the values
 
     # a derived value kept beside the fields would be a second store of them;
     # the atlas record's __dict__ holds only its cached check row

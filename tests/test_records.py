@@ -11,7 +11,10 @@ deletion.
 import copy
 import inspect
 import itertools
+import json
+import os
 import pickle
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -212,8 +215,7 @@ def parameters(cls) -> list:
 
 
 def test_each_constructor_takes_the_twins_parameters():
-    # every class has built a sample, so each record without an __init__ of
-    # its own now has its bound _fill in that place
+    # each record without an __init__ of its own has its _fill in that place
     for cls in {type(x) for x in SAMPLES}:
         params = parameters(cls)
         assert params == parameters(TWINS[cls.__name__]), cls
@@ -247,12 +249,39 @@ def test_fill_is_compiled_once_per_field_count_and_then_shared():
     compiled = after.misses - before.misses
     assert compiled == after.currsize - before.currsize <= 2
     assert after.hits - before.hits == len(counts) - compiled
-    # every package record has built a sample; only the four that check
-    # their values keep an __init__ of their own
+    # among the package's records only the four that check their values
+    # keep an __init__ of their own
     records = {type(x) for x in SAMPLES}
     own = {cls.__name__ for cls in records if cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"}
     assert own == {"IntMatrix", "LatticeBasis", "QuotientVector", "ClassicalOrbit"}
     assert all(cls.__init__ is cls._fill for cls in records if cls.__name__ not in own)
+
+
+def test_every_record_is_bound_when_its_class_is_made():
+    # a fresh interpreter that has loaded every layer through the CLI, and
+    # built no record since: each class's _fill is its own, and one closure
+    # was compiled for each distinct field count
+    code = (
+        "import json, nilorb.cli\n"
+        "from nilorb.errors import _Frozen, _fill_factory\n"
+        "records = _Frozen.__subclasses__()\n"
+        "print(json.dumps([\n"
+        "    {c.__qualname__: c._fill.__qualname__ for c in records},\n"
+        "    len({len(c._fields) for c in records}),\n"
+        "    _fill_factory.cache_info().misses,\n"
+        "]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(inspect.getfile(_Frozen)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    fills, counts, misses = json.loads(proc.stdout)
+    assert sorted(fills) == sorted(TWINS)
+    assert fills == {name: f"{name}._fill" for name in fills}
+    assert misses == counts
 
 
 def test_threads_that_build_a_new_class_together_bind_one_fill():

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from operator import add, mul
@@ -19,10 +20,18 @@ from hypothesis import strategies as st
 from oracles import decompose, derive_simple_roots, qadd, reference_simple_roots
 
 from nilorb import root_system
-from nilorb.errors import CapabilityError, InputError, IntegrityError
-from nilorb.delta_check import delta_verdict
+from nilorb.errors import CapabilityError, InputError, IntegrityError, _uncapped
+from nilorb.delta_check import delta_verdict, preset_report
 from nilorb.exact_linalg import IntMatrix, LatticeBasis, lattice_contains
-from nilorb.orbit_partitions import partitions_of
+from nilorb.orbit_atlas import flip_field, load_atlas, query
+from nilorb.orbit_partitions import (
+    ClassicalOrbit,
+    InverseStep,
+    elementary_step,
+    is_valid_type,
+    partitions_of,
+)
+from nilorb.selfcheck import criterion_name, run_criterion
 from nilorb.root_system import (
     QuotientVector,
     build_root_system,
@@ -572,6 +581,7 @@ def test_membership_mod_ones():
 
 # more digits than str() prints by default
 HUGE = 10**5000
+ORBIT = ClassicalOrbit("C", (2,))
 
 
 @pytest.mark.parametrize(
@@ -586,12 +596,80 @@ HUGE = 10**5000
         pytest.param(lambda: IntMatrix(1, 1, (Fraction(HUGE),)), id="matrix-entry"),
         pytest.param(lambda: IntMatrix(1, 1, (1,)).row(HUGE), id="matrix-row"),
         pytest.param(lambda: next(partitions_of(-HUGE)), id="partitions-of"),
+        # an integer where a name is expected
+        pytest.param(lambda: is_valid_type((3, 1), HUGE), id="valid-type-kind"),
+        pytest.param(lambda: ClassicalOrbit(HUGE, (1,)), id="orbit-kind"),
+        pytest.param(lambda: ClassicalOrbit("C", (Fraction(HUGE),)), id="orbit-part"),
+        pytest.param(lambda: elementary_step(ORBIT, 1, HUGE), id="step-variant"),
+        pytest.param(lambda: elementary_step(ORBIT, Fraction(HUGE)), id="step-index"),
+        pytest.param(lambda: flip_field(load_atlas()[0], HUGE), id="atlas-flag"),
+        pytest.param(lambda: query(load_atlas(), HUGE, "x"), id="atlas-query"),
+        pytest.param(lambda: delta_verdict(HUGE, (1,)), id="verdict-system"),
+        pytest.param(lambda: build_root_system(HUGE), id="root-system"),
+        pytest.param(lambda: preset_report(HUGE), id="preset"),
+        pytest.param(lambda: run_criterion(HUGE), id="criterion"),
+        pytest.param(lambda: criterion_name(HUGE), id="criterion-name"),
+        pytest.param(
+            lambda: lattice_contains_mod_ones(coroot_lattice("E7"), qv(Fraction(HUGE, 3), *[0] * 7)),
+            id="membership-vector",
+        ),
     ],
 )
 def test_an_integer_past_the_print_cap_is_refused_by_a_typed_error(call):
-    # the message prints the integer whole, not a bare ValueError from str()
+    # the message prints the integer whole, not a bare ValueError from str();
+    # an unknown root system is a capability, not an input, error
     before = sys.get_int_max_str_digits()
-    with pytest.raises(InputError) as info:
+    with pytest.raises((InputError, CapabilityError)) as info:
         call()
     assert len(str(info.value)) > 5000
     assert sys.get_int_max_str_digits() == before
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        QuotientVector((HUGE, 0)),
+        LatticeBasis(1, ((HUGE,),)),
+        IntMatrix(1, 1, (HUGE,)),
+        # a record's repr lifts the cap around its orbit's, which lifts it again
+        InverseStep(ClassicalOrbit("C", (HUGE * 2, 2)), HUGE, "i"),
+    ],
+    ids=["quotient-vector", "lattice-basis", "matrix", "nested-record"],
+)
+def test_a_valid_object_past_the_print_cap_has_a_whole_repr(value):
+    before = sys.get_int_max_str_digits()
+    assert len(repr(value)) > 5000
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_overlapping_uncapped_calls_restore_the_cap():
+    # thread A lifts the cap and waits inside; thread B then tries to enter
+    # and, once in, waits for A to end.  Were B let in while A waits, it would
+    # read A's lifted cap as the one to restore, restore it last, and leave
+    # the cap off for the whole process
+    before = sys.get_int_max_str_digits()
+    a_in, a_go, b_in = threading.Event(), threading.Event(), threading.Event()
+
+    def a_call():
+        a_in.set()
+        a_go.wait(timeout=10)
+
+    def b_call():
+        b_in.set()
+        a.join(timeout=10)
+
+    a = threading.Thread(target=_uncapped, args=(a_call,))
+    b = threading.Thread(target=_uncapped, args=(b_call,))
+    try:
+        a.start()
+        assert a_in.wait(timeout=10)
+        b.start()
+        entered_early = b_in.wait(timeout=0.2)
+        a_go.set()
+        b.join(timeout=10)
+        assert not a.is_alive() and not b.is_alive()
+        assert sys.get_int_max_str_digits() == before
+        assert not entered_early
+    finally:
+        a_go.set()
+        sys.set_int_max_str_digits(before)
