@@ -575,13 +575,13 @@ def query(
     for record in records:
         if record.group == group and record.label == label:
             return record
+    if not isinstance(label, str):  # difflib would end in a bare TypeError
+        raise InputError(f"orbit label must be a string, got {_uncapped(repr, label)}")
     import difflib  # only a miss needs it, so a load or a hit does not import it
 
     local = [r.label for r in records if r.group == group]
     near = difflib.get_close_matches(label, local, n=5, cutoff=0.3)
-    elsewhere = [
-        _fmt(r.key) for r in records if r.label == label and r.group != group
-    ]
+    elsewhere = [_fmt(r.key) for r in records if r.label == label and r.group != group]
     suggestions = tuple(near + elsewhere)
     hint = f" (did you mean: {', '.join(suggestions)}?)" if suggestions else ""
     raise OrbitNotFoundError(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import islice
 from operator import lt, sub
 
 from .errors import InputError, IntegrityError, StepInapplicableError, _Frozen, _uncapped
@@ -151,13 +151,6 @@ def is_special(orbit: ClassicalOrbit) -> bool:
     return _special_gaps(orbit.kind, _gaps(orbit.parts))
 
 
-def _strip(parts: list[int]) -> tuple[int, ...]:
-    """``parts`` without its trailing zeros, which are popped off in place."""
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return tuple(parts)
-
-
 def _moved(
     parts: tuple[int, ...], n: int, variant: str, sign: int
 ) -> tuple[int, ...] | None:
@@ -176,7 +169,9 @@ def _moved(
         moved[n] += sign
     if moved[-1] < 0 or any(map(lt, moved, islice(moved, 1, None))):
         return None
-    return _strip(moved)
+    while moved and moved[-1] == 0:
+        moved.pop()
+    return tuple(moved)
 
 
 def _orbit_or_none(kind: str, parts: tuple[int, ...]) -> ClassicalOrbit | None:
@@ -295,32 +290,45 @@ def _source(kind: str, parts: tuple[int, ...]) -> tuple[ClassicalOrbit, bool]:
     return source, is_special(source)
 
 
-def _descend(orbit: ClassicalOrbit, gaps: list[int]) -> tuple[BirationalSource, bool]:
-    """The gap-parity source of ``orbit``, whose gaps are ``gaps``, with its
-    script, and whether the source is special, both from one ``_source``
-    lookup (see :func:`birational_sources`)."""
-    parts = _strip(list(accumulate(map((1).__and__, reversed(gaps))))[::-1])
+def _descend(
+    orbit: ClassicalOrbit, gaps: list[int], tested: int = -1
+) -> tuple[BirationalSource, bool] | None:
+    """The gap-parity source of ``orbit`` with its script, and whether the
+    source is special (see :func:`birational_sources`): one loop over
+    ``reversed(gaps)`` sums the gap parities into the source's parts and
+    appends the steps, then one ``_source`` lookup.  Given ``tested``, the
+    type's ``_SPECIAL_RESIDUE``, the loop also runs :func:`is_special`'s test
+    on each g_n with n = ``tested`` mod 2: None at an odd one, not special."""
     # the script has sum floor(g_n / 2) <= p_1 / 2 steps, so only a first
-    # part this large can ask for more than a list holds; refuse before
-    # building one, and name the count's size rather than its digits
+    # part this large can ask for more than a list holds; refuse it before
+    # building one but after any specialness test, naming the count's bit size
     if orbit.parts and orbit.parts[0] >> 1 > sys.maxsize:
+        if tested >= 0 and not _special_gaps(orbit.kind, gaps):
+            return None
         count = sum(g >> 1 for g in gaps)
         if count > sys.maxsize:
             raise InputError(
                 f"a step script must have at most sys.maxsize = {sys.maxsize} steps, "
                 f"got a count of {count.bit_length()} bits"
             )
-    # only a gap of 2 or more adds steps: one tuple (n, "i"), floor(g_n / 2) times
+    parts: list[int] = []
     steps: list[tuple[int, str]] = []
-    n = len(gaps)
+    part, n = 0, len(gaps)
     for g in reversed(gaps):
+        if g & 1:
+            if n & 1 == tested:
+                return None
+            part += 1
+        if part:
+            parts.append(part)
+        # only a gap of 2 or more adds steps: one tuple (n, "i"), floor(g_n / 2) times
         if g > 1:
             steps += [(n, "i")] * (g >> 1)
         n -= 1
     # rigid by construction (every gap is 0 or 1); the type is the calculus's
     # promise, so a source outside it is an integrity fault, not bad input
     try:
-        source, special = _source(orbit.kind, parts)
+        source, special = _source(orbit.kind, tuple(parts[::-1]))
     except InputError as exc:
         raise IntegrityError(f"gap-parity source of {orbit!r}: {exc}") from None
     return BirationalSource(source, StepScript(tuple(steps))), special
@@ -339,13 +347,14 @@ def birational_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     ``(n, "i")`` for n = L down to 1.  The copies for one n are one shared
     tuple, so a source costs O(L) objects plus one tuple of
     sum floor(g_n / 2) references, not a fresh tuple per step.  A call makes
-    one pass over the gaps and one cached lookup: each distinct source orbit
-    is built and checked once per ``(kind, parts)`` and then shared, so
-    equal sources are the same object.  A birationally rigid orbit is its
-    own source with an empty script.  The result is a 1-tuple.  A script of
-    more than ``sys.maxsize`` steps is refused with InputError.  No lower
-    bound is set: the script holds one reference per step, so a count near
-    10**9 needs tens of gigabytes and can end in MemoryError.
+    one loop over the gaps, from g_L down, for the parts and the script both,
+    and one cached lookup: each distinct source orbit is built and checked
+    once per ``(kind, parts)`` and then shared, so equal sources are the same
+    object.  A birationally rigid orbit is its own source with an empty
+    script.  The result is a 1-tuple.  A script of more than ``sys.maxsize``
+    steps is refused with InputError.  No lower bound is set: the script
+    holds one reference per step, so a count near 10**9 needs tens of
+    gigabytes and can end in MemoryError.
     """
     return (_descend(orbit, _gaps(orbit.parts))[0],)
 
@@ -355,20 +364,19 @@ def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
 
     The source is the gap-parity reduction of :func:`birational_sources`;
     the gap argument there makes it unique.  A call reads the orbit's gaps
-    once, for the specialness test and the descent both, and looks the
-    source up once in the per-``(kind, parts)`` cache, which also holds
-    whether the source is special; so each distinct source is built and
-    checked once and then shared.
+    once, in one loop that tests specialness while it builds the source and
+    its script, and looks the source up once in the per-``(kind, parts)``
+    cache, which also holds whether the source is special; so each distinct
+    source is built and checked once and then shared.
     Raises InputError when the input is not special, and IntegrityError when
     the source is not special (the calculus promises it is).
     """
-    gaps = _gaps(orbit.parts)
-    if not _special_gaps(orbit.kind, gaps):
+    found = _descend(orbit, _gaps(orbit.parts), _SPECIAL_RESIDUE[orbit.kind])
+    if found is None:
         raise InputError(f"{orbit!r} is not special")
-    source, special = _descend(orbit, gaps)
-    if not special:
+    if not found[1]:
         raise IntegrityError(f"birationally rigid source of {orbit!r} is not special")
-    return source
+    return found[0]
 
 
 def partitions_of(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:

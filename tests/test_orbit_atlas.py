@@ -397,6 +397,17 @@ def test_query_unknown_group(atlas):
         query(atlas, "E9", "A_1")
 
 
+def test_query_with_a_label_that_is_not_a_string_is_input_error(atlas):
+    # a miss hands the label to difflib, which cannot read an int; the label
+    # is refused first, and an int past the print cap is printed whole
+    before = sys.get_int_max_str_digits()
+    for label, shown in ((10, "10"), (None, "None"), (10**5000, "1" + "0" * 5000)):
+        with pytest.raises(InputError) as exc:
+            query(atlas, "E8", label)
+        assert str(exc.value) == f"orbit label must be a string, got {shown}"
+    assert sys.get_int_max_str_digits() == before
+
+
 # --- checks -----------------------------------------------------------------------
 
 def test_all_checks_pass_on_default_atlas(atlas):

@@ -643,6 +643,57 @@ def test_walk_matches_the_dfs_oracle_up_to_total_26():
     assert checked == 5006
 
 
+def transpose_parity_special(o):
+    """Specialness from the transpose itself: even multiplicity at every part
+    of the transpose that is even (type B) or odd (types C and D)."""
+    residue = 0 if o.kind == "B" else 1
+    counts = Counter(transpose(o.parts))
+    return all(c % 2 == 0 for k, c in counts.items() if k % 2 == residue)
+
+
+def test_rigid_special_source_refuses_exactly_the_non_special_up_to_total_26():
+    # the search's own specialness test runs inside its loop over the gaps and
+    # stops at the first odd gap it tests; it must refuse exactly the orbits
+    # the transpose refuses, and answer the rest as the dfs oracle does
+    refused = answered = 0
+    for kind in ("B", "C", "D"):
+        for total in range(1 if kind == "B" else 0, 27, 2):
+            for o in valid_orbits(kind, total):
+                if not transpose_parity_special(o):
+                    with pytest.raises(InputError, match="is not special"):
+                        rigid_special_source(o)
+                    refused += 1
+                else:
+                    assert (rigid_special_source(o),) == dfs_sources(o), o
+                    answered += 1
+    assert refused + answered == 5006 and refused and answered
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_a_non_special_orbit_past_the_print_cap_is_refused_before_its_script_is_counted(kind):
+    # as the type-C case above: a first part past sys.maxsize sends the search
+    # through its size guard, which refuses the orbit as not special before it
+    # counts the script; its gaps ask for more than sys.maxsize steps, so the
+    # count alone would refuse it for the script's size instead
+    before = sys.get_int_max_str_digits()
+    cap = before or 4300
+    big, text = 10**cap + 1, "1" + "0" * (cap - 1) + "1"
+    if kind == "B":
+        # gaps (0, big - 2, 0, 1, 1): g_2 is odd
+        o, shown = orbit("B", big, big, 2, 2, 1), f"({text}, {text}, 2, 2, 1)"
+    else:
+        # gaps (1, 0, big - 2, 1): g_1 is odd
+        below = text[:-1] + "0"
+        o, shown = orbit("D", big, big - 1, big - 1, 1), f"({text}, {below}, {below}, 1)"
+    assert not is_special(o) and o.parts[0] >> 1 > sys.maxsize
+    with pytest.raises(InputError) as exc:
+        rigid_special_source(o)
+    assert str(exc.value) == f"ClassicalOrbit({kind!r}, {shown}) is not special"
+    with pytest.raises(InputError, match="at most sys.maxsize"):
+        birational_sources(o)
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_cold_and_warm_sources_match_fresh_builds_and_the_dfs_oracle(cold_sources):
     specials = [
         o
