@@ -671,10 +671,12 @@ def test_rigid_special_source_refuses_exactly_the_non_special_up_to_total_26():
 
 @pytest.mark.parametrize("kind", ["B", "D"])
 def test_a_non_special_orbit_past_the_print_cap_is_refused_before_its_script_is_counted(kind):
-    # as the type-C case above: a first part past sys.maxsize sends the search
-    # through its size guard, which refuses the orbit as not special before it
-    # counts the script; its gaps ask for more than sys.maxsize steps, so the
-    # count alone would refuse it for the script's size instead
+    # the B and D forms of the type-C case in
+    # test_orbit_messages_and_repr_print_parts_past_the_int_print_cap: a first
+    # part past 2 * sys.maxsize sends the search through its size guard, which
+    # refuses the orbit as not special before it counts the script; the gaps
+    # ask for more than sys.maxsize steps, so counting first would refuse it
+    # for the script's size instead
     before = sys.get_int_max_str_digits()
     cap = before or 4300
     big, text = 10**cap + 1, "1" + "0" * (cap - 1) + "1"
