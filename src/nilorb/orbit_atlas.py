@@ -581,7 +581,9 @@ def query(
 
     local = [r.label for r in records if r.group == group]
     near = difflib.get_close_matches(label, local, n=5, cutoff=0.3)
-    elsewhere = [_fmt(r.key) for r in records if r.label == label and r.group != group]
+    elsewhere = [
+        _fmt(r.key) for r in records if r.label == label and r.group != group
+    ]
     suggestions = tuple(near + elsewhere)
     hint = f" (did you mean: {', '.join(suggestions)}?)" if suggestions else ""
     raise OrbitNotFoundError(

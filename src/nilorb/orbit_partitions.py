@@ -279,6 +279,10 @@ class BirationalSource(_Frozen):
 # stream of distinct sources can pin.
 _SOURCE_CACHE_SIZE = 256
 
+# A search loop can build p_1 / 2 steps before it meets an odd gap that
+# refuses the orbit; past this first part the O(L) gap test runs first.
+_PRETEST_PART = 1 << 12
+
 
 @lru_cache(maxsize=_SOURCE_CACHE_SIZE)
 def _source(kind: str, parts: tuple[int, ...]) -> tuple[ClassicalOrbit, bool]:
@@ -299,10 +303,10 @@ def _descend(
     appends the steps, then one ``_source`` lookup.  Given ``tested``, the
     type's ``_SPECIAL_RESIDUE``, the loop also runs :func:`is_special`'s test
     on each g_n with n = ``tested`` mod 2: None at an odd one, not special."""
-    # the script has sum floor(g_n / 2) <= p_1 / 2 steps, so only a first
-    # part this large can ask for more than a list holds; refuse it before
-    # building one but after any specialness test, naming the count's bit size
-    if orbit.parts and orbit.parts[0] >> 1 > sys.maxsize:
+    # the script has sum floor(g_n / 2) <= p_1 / 2 steps: past _PRETEST_PART
+    # refuse an orbit that is not special before building any, then one
+    # asking for more than a list holds, naming the count's bit size
+    if orbit.parts and orbit.parts[0] > _PRETEST_PART:
         if tested >= 0 and not _special_gaps(orbit.kind, gaps):
             return None
         count = sum(g >> 1 for g in gaps)

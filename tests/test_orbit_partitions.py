@@ -696,6 +696,34 @@ def test_a_non_special_orbit_past_the_print_cap_is_refused_before_its_script_is_
     assert sys.get_int_max_str_digits() == before
 
 
+@pytest.mark.parametrize(
+    "kind, parts",
+    [
+        # gaps (0, 1, 1, 0, 2N): g_2 odd, below g_5's N steps
+        ("B", (2 * 10**7 + 2, 2 * 10**7 + 2, 2 * 10**7 + 1, 2 * 10**7, 2 * 10**7)),
+        # gaps (1, 0, 1, 2N): g_3 odd, below g_4's N steps
+        ("C", (2 * 10**7 + 2, 2 * 10**7 + 1, 2 * 10**7 + 1, 2 * 10**7)),
+        # gaps (1, 0, 1, 2N + 1): g_3 odd, below g_4's N steps
+        ("D", (2 * 10**7 + 3, 2 * 10**7 + 2, 2 * 10**7 + 2, 2 * 10**7 + 1)),
+    ],
+)
+def test_a_non_special_orbit_with_a_large_gap_is_refused_without_building_its_script(
+    kind, parts
+):
+    # the search loop meets the large gap before the odd one, so without the
+    # gap test up front it would build N = 10**7 steps (80 MB) and then refuse
+    o = orbit(kind, *parts)
+    assert not is_special(o)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="is not special"):
+            rigid_special_source(o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_cold_and_warm_sources_match_fresh_builds_and_the_dfs_oracle(cold_sources):
     specials = [
         o
