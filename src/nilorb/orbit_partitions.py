@@ -371,7 +371,8 @@ def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
     once, in one loop that tests specialness while it builds the source and
     its script, and looks the source up once in the per-``(kind, parts)``
     cache, which also holds whether the source is special; so each distinct
-    source is built and checked once and then shared.
+    source is built and checked once and then shared.  Past a first part of
+    4096 the test runs before the loop: an input not special builds no script.
     Raises InputError when the input is not special, and IntegrityError when
     the source is not special (the calculus promises it is).
     """
