@@ -36,7 +36,6 @@ _EXPORTS = {
     "hermite_normal_form": "exact_linalg",
     "kernel_lattice": "exact_linalg",
     "lattice_contains": "exact_linalg",
-    "mat_mul": "exact_linalg",
     "ROOT_SYSTEM_NAMES": "root_system",
     "QuotientVector": "root_system",
     "RootSystem": "root_system",

@@ -29,7 +29,6 @@ __all__ = [
     "hermite_normal_form",
     "kernel_lattice",
     "lattice_contains",
-    "mat_mul",
 ]
 
 
@@ -89,24 +88,6 @@ class IntMatrix(_Frozen):
             self.rows,
             tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
         )
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact matrix product a @ b."""
-    if a.cols != b.rows:
-        raise InputError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    rows = []
-    b_rows = b.to_rows()
-    for i in range(a.rows):
-        arow = a.row(i)
-        acc = [0] * b.cols
-        for k, coeff in enumerate(arow):
-            if coeff:
-                brow = b_rows[k]
-                for j in range(b.cols):
-                    acc[j] += coeff * brow[j]
-        rows.append(acc)
-    return IntMatrix.from_rows(rows, cols=b.cols)
 
 
 def _echelon(h: list[list[int]], cols: int) -> None:

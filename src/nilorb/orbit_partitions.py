@@ -385,14 +385,38 @@ def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
 
 
 def partitions_of(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of ``total``, largest part first, lexicographically
-    descending."""
+    """All partitions of ``total`` with no part above ``largest``, largest
+    part first, lexicographically descending.
+
+    A loop, so a partition of many parts costs no stack: the next partition
+    drops the trailing 1s, lowers the last part above 1 by one, and refills
+    what that freed with parts no larger than the lowered one.
+    """
+    if type(total) is not int:
+        raise InputError(f"partition total must be an integer, got {_uncapped(repr, total)}")
+    if largest is not None and type(largest) is not int:
+        raise InputError(f"largest part must be an integer or None, got {_uncapped(repr, largest)}")
     if total < 0:
         raise InputError(f"cannot partition {_uncapped(str, total)}")
     if total == 0:
         yield ()
         return
     cap = total if largest is None else min(largest, total)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(total - first, first):
-            yield (first,) + rest
+    if cap < 1:
+        return
+    parts: list[int] = []
+    free = total
+    while True:
+        count, rest = divmod(free, cap)
+        parts += [cap] * count
+        if rest:
+            parts.append(rest)
+        yield tuple(parts)
+        free = 1
+        while parts[-1] == 1:
+            parts.pop()
+            if not parts:
+                return
+            free += 1
+        cap = parts[-1] - 1
+        parts[-1] = cap

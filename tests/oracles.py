@@ -21,17 +21,23 @@ the plain ``__slots__`` classes must keep.
 ``reference_text_lines`` is the CLI's text renderer as it was before one
 loop served dict entries and list items: a branch for each, spelling out
 the same per-entry rules twice.
+
+``mat_mul`` is the exact matrix product the HNF tests check U·M = H with;
+no code of the package multiplies matrices.  ``reference_partitions_of`` is
+``partitions_of`` as it was before it became a loop: the recursion on the
+first part, which fixes the order the loop must keep.
 """
 
 import dataclasses
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Optional, Sequence
 
 from nilorb.cli import _is_scalar_list, _scalar_list_text, _scalar_text
-from nilorb.errors import IntegrityError
+from nilorb.errors import InputError, IntegrityError
+from nilorb.exact_linalg import IntMatrix
 from nilorb.root_system import QuotientVector, pair
 
 
@@ -189,6 +195,17 @@ def check_echelon_against_reference(echelon, rows: list[list[int]], cols: int) -
     assert [row[cols:] for row in augmented] == u
 
 
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Exact matrix product a @ b."""
+    if a.cols != b.rows:
+        raise InputError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    columns = b.transpose()
+    return IntMatrix.from_rows(
+        [[sum(map(mul, a.row(i), columns.row(j))) for j in range(b.cols)] for i in range(a.rows)],
+        cols=b.cols,
+    )
+
+
 # --- simple roots from every pairwise sum ------------------------------------------
 
 def reference_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int) -> tuple[tuple[int, ...], ...]:
@@ -211,6 +228,23 @@ def reference_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int)
         return (support, tuple(-c for c in canon))
 
     return tuple(sorted(simples, key=label_key))
+
+
+# --- partitions by recursion on the first part -------------------------------------
+
+def reference_partitions_of(total: int, largest: Optional[int] = None):
+    """All partitions of ``total``, largest part first, lexicographically
+    descending: each first part from the cap down, then the partitions of
+    the rest with no part above it."""
+    if total < 0:
+        raise InputError(f"cannot partition {total}")
+    if total == 0:
+        yield ()
+        return
+    cap = total if largest is None else min(largest, total)
+    for first in range(cap, 0, -1):
+        for rest in reference_partitions_of(total - first, first):
+            yield (first,) + rest
 
 
 # --- frozen-dataclass twins of the package's records -------------------------------

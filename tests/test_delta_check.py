@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import check_echelon_against_reference, coefficient_table, qadd
+from oracles import check_echelon_against_reference, coefficient_table, mat_mul, qadd
 
 from nilorb import delta_check, exact_linalg, root_system
 from nilorb.delta_check import (
@@ -30,7 +30,7 @@ from nilorb.delta_check import (
     roots_pairing_one,
 )
 from nilorb.errors import InputError, IntegrityError
-from nilorb.exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains, mat_mul
+from nilorb.exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains
 from nilorb.root_system import (
     LeviSubsystem,
     QuotientVector,

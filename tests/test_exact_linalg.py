@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import check_echelon_against_reference
+from oracles import check_echelon_against_reference, mat_mul
 
 from nilorb.errors import InputError
 from nilorb.exact_linalg import (
@@ -24,7 +24,6 @@ from nilorb.exact_linalg import (
     hermite_normal_form,
     kernel_lattice,
     lattice_contains,
-    mat_mul,
 )
 from nilorb.orbit_partitions import ClassicalOrbit
 from nilorb.root_system import QuotientVector

@@ -8,10 +8,12 @@ roundtrips up to moderate sizes.
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_partitions_of
 
 from nilorb import orbit_partitions
 from nilorb.errors import InputError, IntegrityError, StepInapplicableError
@@ -173,16 +175,6 @@ def transpose_special(o: ClassicalOrbit) -> bool:
     transpose part of the type's residue is even."""
     counts = Counter(transpose(o.parts))
     return all(c % 2 == 0 for k, c in counts.items() if k % 2 == _SPECIAL_RESIDUE[o.kind])
-
-
-def test_gap_parity_specialness_matches_the_transpose_oracle_up_to_total_26():
-    checked = 0
-    for kind in ("B", "C", "D"):
-        for total in range(1 if kind == "B" else 0, 27, 2):
-            for o in valid_orbits(kind, total):
-                assert is_special(o) == transpose_special(o), o
-                checked += 1
-    assert checked == 5006
 
 
 def test_specialness_of_a_huge_part_needs_no_transpose():
@@ -627,46 +619,32 @@ def gap_parity_reduction(parts):
     return tuple(p for p in reduced if p)
 
 
-def test_walk_matches_the_dfs_oracle_up_to_total_26():
-    # the zero orbit of types C and D counts too
-    checked = 0
-    for kind in ("B", "C", "D"):
+def test_every_orbit_up_to_total_26_against_the_transpose_and_dfs_oracles():
+    # one pass over the B/C/D orbits of total at most 26, the zero orbits of
+    # C and D included; each orbit meets each oracle once
+    checked = refused = 0
+    for kind in KINDS:
         for total in range(1 if kind == "B" else 0, 27, 2):
             for o in valid_orbits(kind, total):
+                special, dfs = transpose_special(o), dfs_sources(o)
+                assert is_special(o) == special, o
                 (source,) = birational_sources(o)
-                assert (source,) == dfs_sources(o), o
+                assert (source,) == dfs, o
                 assert source.orbit.parts == gap_parity_reduction(o.parts), o
                 # the descent keeps specialness, so rigid_special_source's
                 # IntegrityError on a source that is not special is a guard
-                assert is_special(source.orbit) == is_special(o), o
-                checked += 1
-    assert checked == 5006
-
-
-def transpose_parity_special(o):
-    """Specialness from the transpose itself: even multiplicity at every part
-    of the transpose that is even (type B) or odd (types C and D)."""
-    residue = 0 if o.kind == "B" else 1
-    counts = Counter(transpose(o.parts))
-    return all(c % 2 == 0 for k, c in counts.items() if k % 2 == residue)
-
-
-def test_rigid_special_source_refuses_exactly_the_non_special_up_to_total_26():
-    # the search's own specialness test runs inside its loop over the gaps and
-    # stops at the first odd gap it tests; it must refuse exactly the orbits
-    # the transpose refuses, and answer the rest as the dfs oracle does
-    refused = answered = 0
-    for kind in ("B", "C", "D"):
-        for total in range(1 if kind == "B" else 0, 27, 2):
-            for o in valid_orbits(kind, total):
-                if not transpose_parity_special(o):
+                assert is_special(source.orbit) == special, o
+                # the search's own specialness test runs inside its loop over
+                # the gaps and stops at the first odd gap it tests; it must
+                # refuse exactly the orbits the transpose refuses
+                if special:
+                    assert (rigid_special_source(o),) == dfs, o
+                else:
                     with pytest.raises(InputError, match="is not special"):
                         rigid_special_source(o)
                     refused += 1
-                else:
-                    assert (rigid_special_source(o),) == dfs_sources(o), o
-                    answered += 1
-    assert refused + answered == 5006 and refused and answered
+                checked += 1
+    assert (checked, refused) == (5006, 1832)
 
 
 @pytest.mark.parametrize("kind", ["B", "D"])
@@ -818,3 +796,30 @@ def test_partitions_are_valid_and_distinct(total):
         assert all(p[i] >= p[i + 1] for i in range(len(p) - 1))
         assert p not in seen
         seen.add(p)
+
+
+def test_partitions_of_keeps_the_order_of_the_recursive_oracle():
+    # selftest criterion 7 draws its seeded pool in this order
+    for total in range(27):
+        for largest in (None, -1, 0, 1, 2, 3, 5, total, total + 3):
+            got = list(partitions_of(total, largest))
+            assert got == list(reference_partitions_of(total, largest)), (total, largest)
+
+
+def test_partitions_of_needs_no_stack_and_takes_only_integers():
+    # a thousand parts: past the recursion limit if each part took a frame
+    assert list(partitions_of(1000, 1)) == [(1,) * 1000]
+    assert next(partitions_of(1000)) == (1000,)
+    cap = sys.get_int_max_str_digits() or 4300
+    text = "1" + "0" * cap
+    for total, largest, message in (
+        (2.5, None, "partition total must be an integer, got 2.5"),
+        ("3", None, "partition total must be an integer, got '3'"),
+        (True, None, "partition total must be an integer, got True"),
+        (Fraction(10**cap), None, f"partition total must be an integer, got Fraction\\({text}, 1\\)"),
+        (3, "x", "largest part must be an integer or None, got 'x'"),
+        (3, True, "largest part must be an integer or None, got True"),
+        (3, 2.0, "largest part must be an integer or None, got 2.0"),
+    ):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            next(partitions_of(total, largest))
