@@ -15,7 +15,7 @@ import subprocess
 import sys
 
 
-def main(argv: list[str]) -> int:
+def main(argv: list[str]) -> None:
     if len(argv) < 2:
         sys.exit("usage: require_nonzero.py WORKLOAD NAME...")
     workload, names = argv[0], argv[1:]
@@ -29,10 +29,8 @@ def main(argv: list[str]) -> int:
         print(name, metrics[name]["value"])
     zero = [name for name in names if not metrics[name]["value"]]
     if zero:
-        print(f"traced metrics of {workload} read 0: {', '.join(zero)}", file=sys.stderr)
-        return 1
-    return 0
+        sys.exit(f"traced metrics of {workload} read 0: {', '.join(zero)}")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main(sys.argv[1:])
