@@ -619,32 +619,53 @@ def gap_parity_reduction(parts):
     return tuple(p for p in reduced if p)
 
 
-def test_every_orbit_up_to_total_26_against_the_transpose_and_dfs_oracles():
-    # one pass over the B/C/D orbits of total at most 26, the zero orbits of
-    # C and D included; each orbit meets each oracle once
-    checked = refused = 0
-    for kind in KINDS:
-        for total in range(1 if kind == "B" else 0, 27, 2):
-            for o in valid_orbits(kind, total):
-                special, dfs = transpose_special(o), dfs_sources(o)
-                assert is_special(o) == special, o
-                (source,) = birational_sources(o)
-                assert (source,) == dfs, o
-                assert source.orbit.parts == gap_parity_reduction(o.parts), o
-                # the descent keeps specialness, so rigid_special_source's
-                # IntegrityError on a source that is not special is a guard
-                assert is_special(source.orbit) == special, o
-                # the search's own specialness test runs inside its loop over
-                # the gaps and stops at the first odd gap it tests; it must
-                # refuse exactly the orbits the transpose refuses
-                if special:
-                    assert (rigid_special_source(o),) == dfs, o
-                else:
-                    with pytest.raises(InputError, match="is not special"):
-                        rigid_special_source(o)
-                    refused += 1
-                checked += 1
-    assert (checked, refused) == (5006, 1832)
+@pytest.fixture(scope="module")
+def orbits_up_to_total_26():
+    """One pass over the B/C/D orbits of total at most 26, the zero orbits of
+    C and D included: each orbit with its transpose and DFS oracle answers.
+    Each oracle runs once per orbit, and the three tests below share the pass."""
+    return [
+        (o, transpose_special(o), dfs_sources(o))
+        for kind in KINDS
+        for total in range(1 if kind == "B" else 0, 27, 2)
+        for o in valid_orbits(kind, total)
+    ]
+
+
+def test_gap_parity_specialness_matches_the_transpose_oracle_up_to_total_26(
+    orbits_up_to_total_26,
+):
+    for o, special, _ in orbits_up_to_total_26:
+        assert is_special(o) == special, o
+    assert len(orbits_up_to_total_26) == 5006
+
+
+def test_walk_matches_the_dfs_oracle_up_to_total_26(orbits_up_to_total_26):
+    for o, special, dfs in orbits_up_to_total_26:
+        (source,) = birational_sources(o)
+        assert (source,) == dfs, o
+        assert source.orbit.parts == gap_parity_reduction(o.parts), o
+        # the descent keeps specialness, so rigid_special_source's
+        # IntegrityError on a source that is not special is a guard
+        assert is_special(source.orbit) == special, o
+    assert len(orbits_up_to_total_26) == 5006
+
+
+def test_rigid_special_source_refuses_exactly_the_non_special_up_to_total_26(
+    orbits_up_to_total_26,
+):
+    # the search's own specialness test runs inside its loop over the gaps
+    # and stops at the first odd gap it tests; it must refuse exactly the
+    # orbits the transpose refuses, and answer the rest as the dfs oracle does
+    refused = 0
+    for o, special, dfs in orbits_up_to_total_26:
+        if special:
+            assert (rigid_special_source(o),) == dfs, o
+        else:
+            with pytest.raises(InputError, match="is not special"):
+                rigid_special_source(o)
+            refused += 1
+    assert (len(orbits_up_to_total_26), refused) == (5006, 1832)
 
 
 @pytest.mark.parametrize("kind", ["B", "D"])
