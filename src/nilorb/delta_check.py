@@ -283,7 +283,7 @@ def _compare(report: DeltaReport, example: WorkedExample) -> ReferenceComparison
 
 def preset_report(preset: str) -> DeltaReport:
     """delta_verdict for a named preset, with the reference comparison filled in."""
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:  # a list is unhashable
         raise InputError(
             f"unknown preset {_uncapped(repr, preset)}; available: {', '.join(sorted(PRESETS))}"
         )

@@ -28,22 +28,22 @@ successive loads are therefore one shared frozen object; nothing but ``is``
 can tell.
 
 Each record has one row, cached on the record the first time the loader or
-a check reads it: its key, its bits and its rare parts.  Every orbit key
-holds one slot of seven bits, a lane for each key set C1-C7 compare, given
-the first time the key is seen and kept for the life of the process; a row's
-bits are the lanes it joins, in its key's slot.  Slot order follows first
-sight and so the hash seed; no output depends on it.  The rare parts are
-whether the record is rigid but not birationally rigid, its e-list problems,
-its C6 entry and its conformance issues, gathered in one field that is None
-when all four are unset, as for 61 of the 63 packaged records.  The row is the one place conformance
-runs, so it runs once per record: the loader refuses a file by its records'
-row issues, and C7 reports the same issues.  That is sound because records
-are frozen and the row depends on nothing but their fields, so a reload
-reuses the accepted records with their rows and a check derives only the
-rows of records no load or check has seen; ``flip_field`` and the record
-constructor build new records, which start with no row.  The delta verdicts
-of C6 are not part of the row, so an injected runner is called on every
-check.
+a check reads it: its key, its bits and its rare parts.  A slot is seven
+bits, a lane for each key set C1-C7 compare.  The 56 keys the embedded
+expectations name have fixed slots, their indexes in the sorted ``_KEYS``; a
+row's bits are the lanes it joins, in its key's slot.  Any other key gets a
+slot for one call only, in a check it fails.  The rare parts are whether the
+record is rigid but not birationally rigid, its e-list problems, its C6
+entry, its conformance issues and the lanes of a key outside ``_KEYS``, in
+one field that is None when all five are unset, as for 61 of the 63
+packaged records.  The row is the one place conformance runs, so it runs
+once per record: the loader refuses a file by its records' row issues, and
+C7 reports the same issues.  That is sound because records are frozen and
+the row depends on nothing but their fields, so a reload reuses the accepted
+records with their rows and a check derives only the rows of records no load
+or check has seen; ``flip_field`` and the record constructor build new
+records, which start with no row.  The delta verdicts of C6 are not part of
+the row, so an injected runner is called on every check.
 
 A check that passes returns the one shared result of that check, which is
 immutable like every ``CheckResult``; only a failing check builds a new
@@ -57,7 +57,6 @@ import os
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import count
 from operator import is_, itemgetter
 
 from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen, _uncapped
@@ -214,30 +213,20 @@ SPECIAL_TRUE_EXPECTED: frozenset[Key] = frozenset(
 
 # a key's lane is bit 7 * slot + lane, with lanes 0 both (birationally rigid
 # and failing the smooth locus), 1 quad (birationally rigid, not rigid),
-# 2 smooth, 3 c4, 4 e1, 5 e2 and 6 e3
+# 2 smooth, 3 c4, 4 e1, 5 e2 and 6 e3; a key the embedded sets name has its
+# index in _KEYS as its slot (E1 and the rigid sets lie within those below)
 _LANES = 7
-_slots: dict[Key, int] = {}
-_slot_keys: dict[int, Key] = {}
-_next_slot = count()
-
-
-def _slot(key: Key) -> int:
-    """The key's slot; a key seen for the first time takes the next one."""
-    slot = _slots.get(key)
-    if slot is None:
-        # one count hands out the numbers, so two threads never draw the same
-        # one; the thread that loses setdefault gives its number back unused
-        fresh = next(_next_slot)
-        _slot_keys[fresh] = key
-        slot = _slots.setdefault(key, fresh)
-        if slot != fresh:
-            del _slot_keys[fresh]
-    return slot
+_KEYS: tuple[Key, ...] = tuple(sorted(
+    SMOOTH_LOCUS_FAILURES | CODIM4_BOUNDARY_MEMBERS | BIRIGID_TRUE_EXPECTED
+    | BIRIGID_FALSE_EXPECTED | SPECIAL_TRUE_EXPECTED | E2_MEMBERS | E3_MEMBERS
+))
+# the lane-0 bit of each key's slot
+_BIT_OF = {key: 1 << _LANES * slot for slot, key in enumerate(_KEYS)}
 
 
 def _lane_bits(keys) -> int:
     """The lane-0 bit of each key's slot."""
-    return sum(1 << _LANES * _slot(key) for key in keys)
+    return sum(_BIT_OF[key] for key in keys)
 
 
 # expected value of each primary-source flag, as lane-0 bits: (true bits,
@@ -522,6 +511,8 @@ def load_atlas(path: str | os.PathLike | None = None) -> tuple[ExceptionalOrbitR
         text = default_atlas_text()
         origin = "packaged atlas"
     else:
+        if not isinstance(path, (str, os.PathLike)):
+            raise InputError(f"atlas path must be str or os.PathLike, not {type(path).__name__}")
         from pathlib import Path  # only to spell the path in messages: ./a.json as a.json
         origin = str(Path(path))
         text = _read_atlas_file(origin)
@@ -634,17 +625,18 @@ def _result(check_id: str, problems: list[str]) -> CheckResult:
     return CheckResult(check_id, _CHECK_NAMES[check_id], False, "; ".join(problems))
 
 
-def _keys_at(bits: int) -> str:
-    """The keys whose lane-0 bits are set in ``bits``, formatted, sorted and joined."""
+def _keys_at(bits: int, keys: Sequence[Key]) -> str:
+    """The keys, by slot in ``keys``, whose lane-0 bits are set in ``bits``,
+    formatted, sorted and joined."""
     names = []
     while bits:
         low = bits & -bits
-        names.append(_fmt(_slot_keys[(low.bit_length() - 1) // _LANES]))
+        names.append(_fmt(keys[(low.bit_length() - 1) // _LANES]))
         bits ^= low
     return ", ".join(sorted(names))
 
 
-def _lane_mismatch(lane: int, union: int, diff: int, lane0: int) -> list[str]:
+def _lane_mismatch(lane: int, union: int, diff: int, lane0: int, keys: Sequence[Key]) -> list[str]:
     """What the lane of ``union`` has beyond its expected keys and lacks of
     them; empty when ``diff``, the union XOR the expected bits, spares it."""
     moved = (diff >> lane) & lane0
@@ -653,18 +645,18 @@ def _lane_mismatch(lane: int, union: int, diff: int, lane0: int) -> list[str]:
     gone = moved ^ extra
     bits = []
     if extra:
-        bits.append(f"unexpected: {_keys_at(extra)}")
+        bits.append(f"unexpected: {_keys_at(extra, keys)}")
     if gone:
-        bits.append(f"missing: {_keys_at(gone)}")
+        bits.append(f"missing: {_keys_at(gone, keys)}")
     return bits
 
 
 # what check_consistency reads from one record: its key, the lanes it joins
-# in its key's slot, and its rare parts, None for a plain record
+# in its key's slot (none outside _KEYS), and its rare parts, None if plain
 _CheckRow = namedtuple("_CheckRow", "key bits rare")
 # whether the record is rigid but not birationally rigid, its e-list problems,
-# its C6 entry or None, and its conformance issues
-_RareParts = namedtuple("_RareParts", "breaks_c3 e_problems levi conformance")
+# its C6 entry or None, its conformance issues, and its lanes if outside _KEYS
+_RareParts = namedtuple("_RareParts", "breaks_c3 e_problems levi conformance lanes")
 
 
 def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
@@ -674,7 +666,7 @@ def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
         in_e1, in_e2, in_e3, levi, provenance, _comment,
     ) = record._field_values(record)
     key = (group, label)
-    shift = _LANES * _slot(key)
+    bit = _BIT_OF.get(key, 0)  # a key outside _KEYS has no slot
     e_problems = []
     if sum((in_e1, in_e2, in_e3)) > 1:
         e_problems.append(f"{_fmt(key)}: in more than one e-list")
@@ -689,19 +681,17 @@ def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
         in_e2,
         in_e3,
     )
+    lanes = sum(1 << lane for lane, member in enumerate(joined) if member)
     rare = _RareParts(
         birigid is not True and rigid is True,
         tuple(e_problems),
         None
         if levi is None
         else (key, levi, "non-integral" if (in_e2 or in_e3) else "integral"),
-        tuple(_conform(record, key, provenance, 1 << shift)),
+        tuple(_conform(record, key, provenance, bit)),
+        0 if bit else lanes,
     )
-    return _CheckRow(
-        key,
-        sum(1 << lane for lane, member in enumerate(joined) if member) << shift,
-        rare if any(rare) else None,
-    )
+    return _CheckRow(key, lanes * bit, rare if any(rare) else None)
 
 
 def check_consistency(
@@ -712,10 +702,10 @@ def check_consistency(
     One pass ORs the records' cached row bits into one union, seven lanes
     per orbit key, and reads a row's rare parts only where they are set.
     The union XOR the expected bits is 0 for a conforming atlas; otherwise
-    only the lanes it touches are decoded into sorted key lists.  A passing
-    check's result is one object shared by every call, equal to
-    ``CheckResult(check_id, name, True, "")``; a failing check's is new on
-    each call.
+    only the lanes it touches are decoded into sorted key lists, a key
+    outside ``_KEYS`` at a slot past the table that this call alone numbers.
+    A passing check's result is one object shared by every call, equal to
+    ``CheckResult(check_id, name, True, "")``; a failing check's is new.
 
     ``delta_runner(group, indices) -> verdict`` may be injected; the default
     memoizes the exact computation so repeated sweeps stay cheap.
@@ -726,18 +716,22 @@ def check_consistency(
     levis = []
     e_problems = []
     conformance: list[str] = []
+    extra: dict[Key, int] = {}  # this call's slots past the table
     for record in records:
         key, bits, rare = record._check_row
         union |= bits
         if rare is not None:
-            breaks_c3, row_e_problems, levi, row_conformance = rare
+            breaks_c3, row_e_problems, levi, row_conformance, lanes = rare
             if breaks_c3:
                 rigid_not_birigid.append(_fmt(key))
             e_problems += row_e_problems
             if levi is not None:
                 levis.append(levi)
             conformance += row_conformance
+            if lanes:  # a key outside _KEYS that joins a lane, so fails a check
+                union |= lanes << _LANES * extra.setdefault(key, len(_KEYS) + len(extra))
 
+    keys = _KEYS + tuple(extra)
     diff = union ^ _EXPECTED_BITS
     # lane 0 of every slot the union or the expected bits reach; 0 when
     # nothing differs, which masks every lane to no mismatch
@@ -750,24 +744,24 @@ def check_consistency(
     problems = []
     mismatch = (union ^ union >> 4) & lane0
     if mismatch:
-        problems.append(f"set mismatch at: {_keys_at(mismatch)}")
+        problems.append(f"set mismatch at: {_keys_at(mismatch, keys)}")
     e1_size = ((union >> 4) & lane0).bit_count() if diff else len(E1_MEMBERS)
     if e1_size != 6:
         problems.append(f"e1 has {e1_size} members, expected 6")
     results.append(_result("C1", problems))
 
     # C2: the non-rigid birationally rigid orbits form the expected quadruple
-    results.append(_result("C2", _lane_mismatch(1, union, diff, lane0)))
+    results.append(_result("C2", _lane_mismatch(1, union, diff, lane0, keys)))
 
     # C3: rigidity forces birational rigidity record by record
     problems = [f"violated by: {', '.join(sorted(rigid_not_birigid))}"] if rigid_not_birigid else []
     results.append(_result("C3", problems))
 
     # C4: smooth-locus failures match the embedded 13-element list
-    results.append(_result("C4", _lane_mismatch(2, union, diff, lane0)))
+    results.append(_result("C4", _lane_mismatch(2, union, diff, lane0, keys)))
 
     # C5: codimension-4 boundary orbits match the embedded 36-element list
-    results.append(_result("C5", _lane_mismatch(3, union, diff, lane0)))
+    results.append(_result("C5", _lane_mismatch(3, union, diff, lane0, keys)))
 
     # C6: integrality verdicts agree with e2/e3 membership where a Levi is given
     problems = []
@@ -784,7 +778,7 @@ def check_consistency(
     # C7: e-list coherence plus conformance with the embedded expectations
     problems = e_problems
     for name, lane in (("e1", 4), ("e2", 5), ("e3", 6)):
-        mismatch = _lane_mismatch(lane, union, diff, lane0)
+        mismatch = _lane_mismatch(lane, union, diff, lane0, keys)
         if mismatch:
             problems.append(f"{name} members: {'; '.join(mismatch)}")
     problems.extend(conformance)

@@ -358,14 +358,18 @@ def diagram_arms(cartan: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     return tuple(sorted(arms, reverse=True))
 
 
-@lru_cache(maxsize=None)
 def build_root_system(name: str) -> RootSystem:
-    """Construct and validate a root system by name ("E7" or "E8")."""
-    if name not in _REALIZATIONS:
+    """Construct and validate a root system by name ("E7" or "E8"), once per name."""
+    if not isinstance(name, str) or name not in _REALIZATIONS:  # a list is unhashable
         raise CapabilityError(
             f"unsupported root system {_uncapped(repr, name)}; "
             f"available: {', '.join(ROOT_SYSTEM_NAMES)}"
         )
+    return _built(name)
+
+
+@lru_cache(maxsize=None)
+def _built(name: str) -> RootSystem:
     ambient_dim, expected_count, expected_arms, generate = _REALIZATIONS[name]
     rank = ambient_dim - 1
     positives = tuple(generate())

@@ -435,13 +435,14 @@ flips = [(i, f) for i, r in enumerate(records) for f in paper_provenanced_fields
 for index, field in flips[::7]:
     records[index] = flip_field(records[index], field)
 print(json.dumps([r.to_payload() for r in check_consistency(records)], ensure_ascii=False))
-print(json.dumps(sorted(orbit_atlas._slots, key=orbit_atlas._slots.get), ensure_ascii=False))
+print(json.dumps(orbit_atlas._KEYS, ensure_ascii=False))
 """
 
 
 def test_check_output_does_not_depend_on_the_hash_seed(tmp_path):
-    # the embedded keys take their slots in frozenset order at import, which
-    # the hash seed changes; the sorted messages must not change with it
+    # the embedded keys take their slots in sorted order, not in the
+    # frozensets' order, which the hash seed changes; neither the slot table
+    # nor the sorted messages may change with the seed
     doc = raw_doc()
     fields = ("codim4_boundary", "fails_smooth_locus_codim4", "in_e1", "in_e2", "in_e3")
     for index, raw in enumerate(doc["records"][::4]):
@@ -469,7 +470,7 @@ def test_check_output_does_not_depend_on_the_hash_seed(tmp_path):
         results, slot_order = payload.stdout.splitlines()
         outputs.append((results, check.stdout, slot_order))
     assert len({(results, check) for results, check, _ in outputs}) == 1
-    assert len({slot_order for _, _, slot_order in outputs}) == 3
+    assert len({slot_order for _, _, slot_order in outputs}) == 1
     failed = [c["id"] for c in json.loads(outputs[0][0]) if not c["passed"]]
     assert failed == list(CHECK_IDS)
     shown = json.loads(outputs[0][1])["payload"]["checks"]

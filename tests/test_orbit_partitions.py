@@ -353,6 +353,18 @@ def _variant_i_parts(parts, n):
     return _strip(grown)
 
 
+def variant_i_source(orbit: ClassicalOrbit, n: int) -> tuple[int, ...] | None:
+    """The source parts of the variant (i) inverse step at ``n``, built by
+    hand, or None: the first n parts less 2, where p_n - 2 >= p_{n+1} and
+    the type accepts the result."""
+    parts = orbit.parts
+    nxt = parts[n] if n < len(parts) else 0
+    if parts[n - 1] - 2 < nxt:
+        return None
+    src = _strip(tuple(p - 2 for p in parts[:n]) + parts[n:])
+    return src if is_valid_type(src, orbit.kind) else None
+
+
 def reference_inverse_steps(orbit: ClassicalOrbit) -> tuple[InverseStep, ...]:
     """Inverse steps built by hand: the variant (i) and (ii) candidates are
     written out, and the step rule is restated as their legality tests."""
@@ -360,13 +372,9 @@ def reference_inverse_steps(orbit: ClassicalOrbit) -> tuple[InverseStep, ...]:
     length = len(parts)
     found = []
     for n in range(1, length + 1):
-        nxt = parts[n] if n < length else 0
-        if parts[n - 1] >= 2 and parts[n - 1] - 2 >= nxt:
-            src = _strip(tuple(p - 2 for p in parts[:n]) + parts[n:])
-            if is_valid_type(src, orbit.kind):
-                found.append(
-                    InverseStep(ClassicalOrbit(orbit.kind, src), n, "i")
-                )
+        src = variant_i_source(orbit, n)
+        if src is not None:
+            found.append(InverseStep(ClassicalOrbit(orbit.kind, src), n, "i"))
         if n < length:
             cand = [p for p in parts]
             for k in range(n - 1):
@@ -585,10 +593,10 @@ def test_rigid_special_source_exists_for_all_small_special_orbits():
 def dfs_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
     """Birationally rigid orbits reaching ``orbit`` by variant-(i) steps.
 
-    Depth-first over inverse variant-(i) steps with n ascending; the first
-    script found per source is kept.  The orbit itself appears (with an empty
-    script) when it is already birationally rigid.  Results sort by the
-    source partition.
+    Depth-first over inverse variant-(i) steps with n ascending, built by
+    ``variant_i_source`` alone; the first script found per source is kept.
+    The orbit itself appears (with an empty script) when it is already
+    birationally rigid.  Results sort by the source partition.
     """
     found: dict[tuple[int, ...], StepScript] = {}
     seen: set[tuple[int, ...]] = set()
@@ -599,10 +607,10 @@ def dfs_sources(orbit: ClassicalOrbit) -> tuple[BirationalSource, ...]:
         seen.add(current.parts)
         if is_birationally_rigid(current) and current.parts not in found:
             found[current.parts] = StepScript(trail)
-        for step in inverse_steps(current):
-            if step.variant != "i":
-                continue
-            visit(step.source, ((step.n, "i"),) + trail)
+        for n in range(1, len(current.parts) + 1):
+            src = variant_i_source(current, n)
+            if src is not None and src not in seen:
+                visit(ClassicalOrbit(current.kind, src), ((n, "i"),) + trail)
 
     visit(orbit, ())
     return tuple(

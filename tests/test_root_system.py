@@ -278,14 +278,14 @@ def test_diagram_arms_rejects_other_shapes():
 
 
 def test_build_checks_the_diagram_shape(monkeypatch):
-    build_root_system.cache_clear()
+    root_system._built.cache_clear()
     dim, count, _, generate = root_system._REALIZATIONS["E7"]
     monkeypatch.setitem(root_system._REALIZATIONS, "E7", (dim, count, (2, 2, 2), generate))
     try:
         with pytest.raises(IntegrityError):
             build_root_system("E7")
     finally:
-        build_root_system.cache_clear()
+        root_system._built.cache_clear()
 
 
 # --- the build against the quotient-vector oracle ------------------------------------
@@ -389,12 +389,12 @@ def test_build_refuses_a_broken_realization(guard, monkeypatch):
         return [QuotientVector(c) for c in coords]
 
     monkeypatch.setitem(root_system._REALIZATIONS, "E7", (8, count, (3, 2, 1), generate))
-    build_root_system.cache_clear()
+    root_system._built.cache_clear()
     try:
         with pytest.raises(IntegrityError, match=message):
             build_root_system("E7")
     finally:
-        build_root_system.cache_clear()
+        root_system._built.cache_clear()
 
 
 def test_coefficients_recombine_every_positive_root():
@@ -468,11 +468,11 @@ def test_a_cold_build_takes_each_coweight_from_one_kernel_lattice(monkeypatch):
         return kernel(m)
 
     monkeypatch.setattr(root_system, "kernel_lattice", counting)
-    build_root_system.cache_clear()
+    root_system._built.cache_clear()
     try:
         orders = {name: tuple(m for m, _ in build_root_system(name).coweights) for name in ("E7", "E8")}
     finally:
-        build_root_system.cache_clear()
+        root_system._built.cache_clear()
     assert calls == Counter({7: 7, 8: 8})
     assert orders == COWEIGHT_ORDERS
 
@@ -623,6 +623,30 @@ def test_an_integer_past_the_print_cap_is_refused_by_a_typed_error(call):
         call()
     assert len(str(info.value)) > 5000
     assert sys.get_int_max_str_digits() == before
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: preset_report(["x"]), InputError, "unknown preset", id="preset"),
+        pytest.param(
+            lambda: build_root_system(["E7"]), CapabilityError, "unsupported root system",
+            id="root-system",
+        ),
+        pytest.param(
+            lambda: delta_verdict(["E7"], (1,)), CapabilityError, "unsupported root system",
+            id="verdict-system",
+        ),
+        pytest.param(lambda: load_atlas(5), InputError, "atlas path must be", id="atlas-path"),
+    ],
+)
+def test_an_unhashable_name_or_a_path_of_the_wrong_type_is_refused_by_a_typed_error(
+    call, error, message
+):
+    # a dict lookup or lru_cache would end in a bare TypeError, and so would
+    # pathlib on an int
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize(
