@@ -437,7 +437,6 @@ def levi_subsystem(rs: RootSystem, indices: Iterable[int]) -> LeviSubsystem:
     return LeviSubsystem(rs, tuple(sorted(idx)), members)
 
 
-@lru_cache(maxsize=None)
 def coroot_lattice(name: str) -> LatticeBasis:
     """Integer span of all coroots, as a lattice in the ambient Z^d."""
     rs = build_root_system(name)

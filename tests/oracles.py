@@ -41,6 +41,10 @@ from nilorb.exact_linalg import IntMatrix
 from nilorb.root_system import QuotientVector, pair
 
 
+def qv(*coords) -> QuotientVector:
+    return QuotientVector(tuple(coords))
+
+
 def qadd(*vectors: QuotientVector) -> QuotientVector:
     """Sum of equal-length vectors, raw coordinate by raw coordinate."""
     return QuotientVector(tuple(map(sum, zip(*(v.coords for v in vectors)))))
@@ -110,6 +114,11 @@ def coefficient_table(rs) -> dict:
     the system's labeled simple roots, found by descent."""
     pos_set = set(rs.positive_roots)
     return {root: decompose(root, rs.simple_roots, pos_set) for root in rs.positive_roots}
+
+
+# for each simple-root label j, the least m with m * omega_j in the coroot
+# lattice; written out, so that no test reads them from the stored coweights
+COWEIGHT_ORDERS = {"E7": (2, 1, 2, 1, 1, 1, 2), "E8": (1,) * 8}
 
 
 # --- the HNF kernel before rows were rebuilt -------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from oracles import reference_text_lines
 
-from nilorb.cli import _selftest_table, main
+from nilorb.cli import _JOIN_BLOCK, _selftest_table, main
 from nilorb.orbit_atlas import default_atlas_text
 
 
@@ -97,6 +97,23 @@ def test_partition_step_past_the_int_print_cap(capsys, json_mode):
     assert sys.get_int_max_str_digits() == before
 
 
+def test_a_result_of_many_join_blocks_is_rendered_whole(capsys):
+    # both renderings join a long list a block of _JOIN_BLOCK entries or
+    # chunks at a time; every block must reach stdout, with its separators
+    n = 100_000
+    expected = [3, 3] + [2] * (n - 2)
+    assert n > 10 * _JOIN_BLOCK
+    argv = ("partition", "step", "--type", "C", "--parts", "1,1", "--n", str(n))
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["payload"]["result"] == expected
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert f"result: [{', '.join(map(str, expected))}]" in out.splitlines()
+
+
 def test_partition_step_without_n(capsys):
     code, _, err = run_cli(capsys, "partition", "step", "--type", "C", "--parts", "2,2")
     assert code == 2
@@ -166,6 +183,7 @@ def test_a_malformed_entry_is_refused_without_the_digit_cap_api(capsys, monkeypa
         ("9" * 5000, f"at most {sys.get_int_max_str_digits()} digits"),
         ("1" + "0" * 30, f"no larger than sys.maxsize = {sys.maxsize}"),
         ("1,2", "--n must be an integer, got '1,2'"),
+        ("x", "--n must be an integer, got 'x'"),
     ],
 )
 def test_partition_step_n_is_one_bounded_integer(capsys, n, phrase):
@@ -492,14 +510,34 @@ def test_selftest_json_deterministic(capsys):
 # --- entry point ----------------------------------------------------------------
 
 
-def test_module_entry_point():
+# -X dev reports files left open and other resource warnings, and -W error
+# makes each warning an error
+DEV_MODE = ("-X", "dev", "-W", "error")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["selftest", "--json"], 0),
+        (["atlas", "check", "--data", "{tmp}/not-utf8.json"], 1),
+        (["atlas", "query", "--group", "E8", "--label", "A_4+2A_2x"], 2),
+    ],
+    ids=["selftest", "not-utf8-atlas", "missed-query"],
+)
+def test_module_entry_point(tmp_path, argv, code):
+    (tmp_path / "not-utf8.json").write_bytes(b'{"records": [\xff]}')
     proc = subprocess.run(
-        [sys.executable, "-m", "nilorb", "partition", "special", "--type", "D", "--parts", "2,2,1,1", "--json"],
+        [sys.executable, *DEV_MODE, "-m", "nilorb", *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["payload"]["special"] is True
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code:  # a refusal: nothing on stdout, and its error line first on stderr
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    else:
+        assert json.loads(proc.stdout)["payload"]["all_passed"] is True
+        assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -521,7 +559,7 @@ def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "nilorb", *argv],
+            [sys.executable, *DEV_MODE, "-m", "nilorb", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,

@@ -17,7 +17,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import check_echelon_against_reference, coefficient_table, mat_mul, qadd
+from oracles import (
+    COWEIGHT_ORDERS,
+    check_echelon_against_reference,
+    coefficient_table,
+    mat_mul,
+    qadd,
+    qv,
+)
 
 from nilorb import delta_check, exact_linalg, root_system
 from nilorb.delta_check import (
@@ -43,10 +50,6 @@ from nilorb.root_system import (
     levi_subsystem,
     pair,
 )
-
-
-def qv(*coords):
-    return QuotientVector(tuple(coords))
 
 
 # --- E7 preset ------------------------------------------------------------------
@@ -420,10 +423,8 @@ def test_table_stages_match_the_ambient_oracle_on_every_levi():
 # labels j outside L, by 2 omega_j for the order-2 ones, and by
 # omega_j + omega_j0 for two order-2 ones, so its evenness is a parity of the
 # c_j.  The coefficients come from the descent in tests/oracles.py, and the
-# orders are hard-coded, so nothing here reads the growth tree or the stored
-# coweights.
-
-COWEIGHT_ORDERS = {"E7": (2, 1, 2, 1, 1, 1, 2), "E8": (1,) * 8}
+# orders are written out there, so nothing here reads the growth tree or the
+# stored coweights.
 
 
 def test_verdict_is_a_parity_of_kappa_coefficients_on_every_levi():

@@ -17,7 +17,14 @@ from operator import add, mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decompose, derive_simple_roots, qadd, reference_simple_roots
+from oracles import (
+    COWEIGHT_ORDERS,
+    decompose,
+    derive_simple_roots,
+    qadd,
+    qv,
+    reference_simple_roots,
+)
 
 from nilorb import root_system
 from nilorb.errors import CapabilityError, InputError, IntegrityError, _uncapped
@@ -42,10 +49,6 @@ from nilorb.root_system import (
     levi_subsystem,
     pair,
 )
-
-
-def qv(*coords):
-    return QuotientVector(tuple(coords))
 
 
 def eps_diff(dim, i, j):
@@ -438,9 +441,6 @@ def test_growth_tree_reaches_every_root_once_from_an_earlier_parent(name):
         reached.add(child)
 
 
-COWEIGHT_ORDERS = {"E7": (2, 1, 2, 1, 1, 1, 2), "E8": (1,) * 8}
-
-
 @pytest.mark.parametrize("name", ["E7", "E8"])
 def test_stored_coweights_are_primitive_coroot_lattice_multiples(name):
     rs = build_root_system(name)
@@ -636,6 +636,10 @@ def test_an_integer_past_the_print_cap_is_refused_by_a_typed_error(call):
         pytest.param(
             lambda: delta_verdict(["E7"], (1,)), CapabilityError, "unsupported root system",
             id="verdict-system",
+        ),
+        pytest.param(
+            lambda: coroot_lattice(["E7"]), CapabilityError, "unsupported root system",
+            id="coroot-lattice",
         ),
         pytest.param(lambda: load_atlas(5), InputError, "atlas path must be", id="atlas-path"),
     ],
