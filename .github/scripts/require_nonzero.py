@@ -1,4 +1,4 @@
-"""Fail when a traced perfbench run reads 0 on any of the named metrics.
+"""Fail when a traced perfbench run answers wrongly or reads 0 on a named metric.
 
 Run from the root of a checkout:
 
@@ -6,8 +6,10 @@ Run from the root of a checkout:
 
 It makes one traced run, ``perfbench/run.py --workload WORKLOAD --seed 1
 --trace 1 --seconds 2``, prints the value of each NAME from the run's last
-line, and exits 1 naming every metric that reads 0.  A dead wrapper or a
-renamed function shows up here as a 0, not as a silently empty table.
+line, and exits 1 unless the run has ``correct`` true and ``failed`` 0,
+naming each of the two that does not hold, or naming every metric that reads
+0.  A dead wrapper or a renamed function shows up here as a 0, not as a
+silently empty table.
 """
 
 import json
@@ -24,9 +26,15 @@ def main(argv: list[str]) -> None:
          "--seed", "1", "--trace", "1", "--seconds", "2"],
         stdout=subprocess.PIPE, text=True, check=True,
     )
-    metrics = json.loads(run.stdout.splitlines()[-1])["metrics"]
+    record = json.loads(run.stdout.splitlines()[-1])
+    metrics = record["metrics"]
     for name in names:
         print(name, metrics[name]["value"])
+    wrong = [] if record["correct"] is True else [f"correct is {record['correct']!r}"]
+    if record["failed"] != 0:
+        wrong.append(f"failed is {record['failed']!r}")
+    if wrong:
+        sys.exit(f"traced run of {workload} failed: {', '.join(wrong)}")
     zero = [name for name in names if not metrics[name]["value"]]
     if zero:
         sys.exit(f"traced metrics of {workload} read 0: {', '.join(zero)}")

@@ -5,7 +5,8 @@ Output is deterministic: JSON mode serializes with sorted keys and fixed
 indentation, so identical inputs produce byte-identical bytes, and the text
 mode renders the same payload.  Exit codes follow one convention everywhere:
 0 for success, 1 when a consistency or acceptance check fails, a data file
-fails validation or memory runs out, 2 for usage and input errors.
+fails validation, memory runs out or the output cannot be written, 2 for
+usage and input errors.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ def _parse_ints(text: str, option: str, expected: str) -> tuple[int, ...]:
             values.append(int(chunk))
         except ValueError:
             digits = chunk.strip().lstrip("+-").replace("_", "")
-            # no cap before 3.10.7, so there only a malformed entry fails
-            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-            if limit and digits.isdecimal() and len(digits) > limit:
+            limit = sys.get_int_max_str_digits()
+            if digits.isdecimal() and len(digits) > limit:
                 raise InputError(
                     f"{option} entries may have at most {limit} digits, "
                     f"got one of {len(digits)} digits in {shown}"
@@ -352,9 +352,13 @@ def main(argv: list[str] | None = None) -> int:
         # a step's result may hold an int past the cap on printing ints
         _uncapped(_emit, result, args.json, text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early (`| head`); point stdout at devnull so the
-        # interpreter's final flush does not raise again
+    except (OSError, UnicodeEncodeError) as exc:
+        # the reader left early (`| head`) and needs no word; a full disk or
+        # an encoding without the labels' letters gets one line.  Point
+        # stdout at devnull so the interpreter's final flush does not raise
+        # again
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -56,8 +56,6 @@ def _uncapped(call, *args):
     interpreter-wide: one thread at a time lifts it, so none reads the
     lifted cap as the one to restore.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):  # no cap before 3.10.7
-        return call(*args)
     with _UNCAPPING:
         cap = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)

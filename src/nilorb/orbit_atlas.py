@@ -223,34 +223,25 @@ _KEYS: tuple[Key, ...] = tuple(sorted(
 # the lane-0 bit of each key's slot
 _BIT_OF = {key: 1 << _LANES * slot for slot, key in enumerate(_KEYS)}
 
-
-def _lane_bits(keys) -> int:
-    """The lane-0 bit of each key's slot."""
-    return sum(_BIT_OF[key] for key in keys)
-
-
-# expected value of each primary-source flag, as lane-0 bits: (true bits,
-# false bits, exhaustive); exhaustive means every key outside the true bits
-# expects False
-_PAPER_EXPECTATIONS: dict[str, tuple[int, int, bool]] = {
-    "in_e1": (_lane_bits(E1_MEMBERS), 0, True),
-    "in_e2": (_lane_bits(E2_MEMBERS), 0, True),
-    "in_e3": (_lane_bits(E3_MEMBERS), 0, True),
-    "codim4_boundary": (_lane_bits(CODIM4_BOUNDARY_MEMBERS), 0, True),
-    "fails_smooth_locus_codim4": (_lane_bits(SMOOTH_LOCUS_FAILURES), 0, True),
-    "is_special": (_lane_bits(SPECIAL_TRUE_EXPECTED), 0, False),
-    "is_rigid": (_lane_bits(RIGID_TRUE_EXPECTED), _lane_bits(RIGID_FALSE_EXPECTED), False),
-    "is_birationally_rigid": (
-        _lane_bits(BIRIGID_TRUE_EXPECTED), _lane_bits(BIRIGID_FALSE_EXPECTED), False
-    ),
+# expected value of each primary-source flag: (keys expected true, keys
+# expected false), the second None when every other key expects False
+_PAPER_EXPECTATIONS: dict[str, tuple[frozenset[Key], frozenset[Key] | None]] = {
+    "in_e1": (E1_MEMBERS, None),
+    "in_e2": (E2_MEMBERS, None),
+    "in_e3": (E3_MEMBERS, None),
+    "codim4_boundary": (CODIM4_BOUNDARY_MEMBERS, None),
+    "fails_smooth_locus_codim4": (SMOOTH_LOCUS_FAILURES, None),
+    "is_special": (SPECIAL_TRUE_EXPECTED, frozenset()),
+    "is_rigid": (RIGID_TRUE_EXPECTED, RIGID_FALSE_EXPECTED),
+    "is_birationally_rigid": (BIRIGID_TRUE_EXPECTED, BIRIGID_FALSE_EXPECTED),
 }
 
 # the union of a conforming atlas's row bits, lane by lane; lane 0 expects
 # e1, since C1 wants both to equal e1 and C7 wants e1 to be E1_MEMBERS
-_EXPECTED_BITS = sum(_lane_bits(keys) << lane for lane, keys in enumerate((
+_EXPECTED_BITS = sum(_BIT_OF[key] << lane for lane, keys in enumerate((
     E1_MEMBERS, RIGID_FALSE_EXPECTED, SMOOTH_LOCUS_FAILURES, CODIM4_BOUNDARY_MEMBERS,
     E1_MEMBERS, E2_MEMBERS, E3_MEMBERS,
-)))
+)) for key in keys)
 
 __all__ = [
     "GROUPS",
@@ -330,9 +321,9 @@ def flip_field(record: ExceptionalOrbitRecord, field: str) -> ExceptionalOrbitRe
     return ExceptionalOrbitRecord(*values)
 
 
-def _conform(record: ExceptionalOrbitRecord, key: Key, provenance, bit: int) -> list[str]:
+def _conform(record: ExceptionalOrbitRecord, key: Key, provenance) -> list[str]:
     """The record's primary-source flags that disagree with the embedded
-    expectations, in provenance order; ``bit`` is the lane-0 bit of the key's slot."""
+    expectations, in provenance order."""
     issues = []
     for field, source in provenance:
         if not source.startswith(PRIMARY_SOURCE_PREFIX):
@@ -340,11 +331,11 @@ def _conform(record: ExceptionalOrbitRecord, key: Key, provenance, bit: int) -> 
         expectation = _PAPER_EXPECTATIONS.get(field)
         if expectation is None:
             raise InputError(f"unknown flag field {field!r}")
-        true_bits, false_bits, exhaustive = expectation
-        # the true bits win where a key sits in both
-        if true_bits & bit:
+        trues, falses = expectation
+        # the true set wins where a key sits in both
+        if key in trues:
             want = True
-        elif exhaustive or false_bits & bit:
+        elif falses is None or key in falses:
             want = False
         else:
             issues.append(
@@ -688,7 +679,7 @@ def _record_row(record: ExceptionalOrbitRecord) -> _CheckRow:
         None
         if levi is None
         else (key, levi, "non-integral" if (in_e2 or in_e3) else "integral"),
-        tuple(_conform(record, key, provenance, bit)),
+        tuple(_conform(record, key, provenance)),
         0 if bit else lanes,
     )
     return _CheckRow(key, lanes * bit, rare if any(rare) else None)

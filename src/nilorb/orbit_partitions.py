@@ -245,10 +245,8 @@ def inverse_steps(orbit: ClassicalOrbit) -> tuple[InverseStep, ...]:
     for n in range(1, len(orbit.parts) + 1):
         for variant in ("i", "ii"):
             parts = _moved(orbit.parts, n, variant, -1)
-            if parts is None or not is_valid_type(parts, orbit.kind):
-                continue
-            source = ClassicalOrbit(orbit.kind, parts)
-            if elementary_step(source, n) == (orbit, variant):
+            source = None if parts is None else _orbit_or_none(orbit.kind, parts)
+            if source is not None and elementary_step(source, n) == (orbit, variant):
                 found.append(InverseStep(source, n, variant))
     return tuple(found)
 

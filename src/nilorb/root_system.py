@@ -385,9 +385,9 @@ def _built(name: str) -> RootSystem:
         if _form(t, t) != 2:
             raise IntegrityError(f"{name}: root of wrong norm: {r!r}")
 
+    index = {t: k for k, t in enumerate(canon)}
     simple_canon = derive_simple_roots(canon, rank)
-    by_canon = dict(zip(canon, positives))
-    simples = tuple(by_canon[t] for t in simple_canon)
+    simples = tuple(positives[index[t]] for t in simple_canon)
     grown, steps = _grow_rows(canon, simple_canon)
     if len(grown) != expected_count:
         raise IntegrityError(
@@ -398,7 +398,6 @@ def _built(name: str) -> RootSystem:
     if diagram_arms(cartan) != expected_arms:
         raise IntegrityError(f"{name}: derived diagram has the wrong shape")
     masks = tuple(grown[t] for t in canon)
-    index = {t: k for k, t in enumerate(canon)}
     growth = tuple((index[c], -1 if p is None else index[p], k) for c, p, k in steps)
     coweights = _coweights(cartan, simple_canon)
     return RootSystem(name, ambient_dim, rank, positives, simples, cartan, masks, growth, coweights)

@@ -160,24 +160,6 @@ def test_integer_past_the_digit_limit_is_named(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["partition", "special", "--type", "C", "--parts", "3,x"],
-        ["partition", "step", "--type", "C", "--parts", "1,1", "--n", "x"],
-        ["delta", "--system", "E7", "--levi", "1,x"],
-    ],
-)
-def test_a_malformed_entry_is_refused_without_the_digit_cap_api(capsys, monkeypatch, argv):
-    # Python 3.10.0 to 3.10.6 have no cap on int() and neither sys function
-    monkeypatch.delattr(sys, "get_int_max_str_digits")
-    monkeypatch.delattr(sys, "set_int_max_str_digits")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
     "n, phrase",
     [
         ("9" * 5000, f"at most {sys.get_int_max_str_digits()} digits"),
@@ -569,6 +551,55 @@ def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def assert_one_write_error_line(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "special", "--type", "D", "--parts", "3,3,2,2,1,1"],
+        ["selftest", "--json"],
+        ["partition", "step", "--type", "C", "--parts", "1,1", "--n", "100000", "--json"],
+    ],
+)
+def test_a_full_disk_is_one_error_line(argv):
+    # every write to /dev/full fails with ENOSPC, at the flush or, for the
+    # long result, already inside the output loop
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *DEV_MODE, "-m", "nilorb", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert_one_write_error_line(proc)
+    assert "No space left on device" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["atlas", "list", "--group", "F4"],
+        ["atlas", "query", "--group", "F4", "--label", "Ã_1"],
+    ],
+)
+def test_labels_the_stdout_encoding_cannot_spell_are_one_error_line(argv):
+    # F4's labels include Ã_1, which ASCII cannot encode; --json escapes it
+    proc = subprocess.run(
+        [sys.executable, *DEV_MODE, "-m", "nilorb", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert_one_write_error_line(proc)
+    assert "'ascii' codec can't encode" in proc.stderr
 
 
 # --- README commands against the benchmark's golden stdout ------------------------
