@@ -6,12 +6,13 @@ indentation, so identical inputs produce byte-identical bytes, and the text
 mode renders the same payload.  Exit codes follow one convention everywhere:
 0 for success, 1 when a consistency or acceptance check fails, a data file
 fails validation, memory runs out or the output cannot be written, 2 for
-usage and input errors.
+usage and input errors, even when the refusal cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -358,11 +359,12 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at devnull so the interpreter's final flush does not raise
         # again
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            with contextlib.suppress(OSError):  # stderr may be the full one
+                print(f"error: cannot write output: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 1
+        return result.exit_code or 1
     return result.exit_code
 
 

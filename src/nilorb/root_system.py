@@ -12,24 +12,25 @@ realizations and add like the quotient vectors they stand for.  A positive
 root is simple iff its tuple is not the sum of two positive-root tuples,
 which the build asks of each root r as "is r - a a positive root?" over the
 positives a of smallest support first, stopping at the first hit; the
-simples are then labeled by a deterministic rule.  The positive roots grow out
-from the simple roots, adding one simple root at a time, and every positive
-root must be reached; each such step is kept as the system's growth tree.
-The growth carries support masks, not coefficient rows: a root's mask is its
-parent's with the added simple root's bit set.
-Before a built system is returned, its Cartan matrix must pass
-:func:`diagram_arms` with the arm lengths of the E-series tree; that function
-is the one diagram-shape check in the package, and ``selftest`` criteria 1
-and 2 call it too.  The build also stores, per label, the smallest multiple
-of the fundamental coweight that lies in the coroot lattice, each the
-generator of ``exact_linalg.kernel_lattice`` of the Cartan rows other than
-its label; the central-torus stage of the delta check combines these instead
-of solving a kernel per Levi.
+simples are then labeled by a deterministic rule.  Their Cartan matrix must
+pass :func:`diagram_arms` with the arm lengths of the E-series tree; that
+function is the one diagram-shape check in the package, and ``selftest``
+criteria 1 and 2 call it too.  From the matrix alone the positive roots grow
+as coefficient rows by root strings, one simple root at a time, and each such
+step is kept as the system's growth tree.  The one check of the enumeration
+is that these grown roots, mapped through the simple roots, are exactly the
+enumerated ones; it implies the count, that no root repeats, that every root
+has norm 2 and that every root is reached.  The build also stores, per label,
+the smallest multiple of the fundamental coweight that lies in the coroot
+lattice, each the generator of ``exact_linalg.kernel_lattice`` of the Cartan
+rows other than its label; the central-torus stage of the delta check
+combines these instead of solving a kernel per Levi.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -151,8 +152,8 @@ def _over(num, d: int):
 
 
 def coroot(root: QuotientVector) -> QuotientVector:
-    """Coroot of a root.  All E7/E8 roots have pairing norm 2, so the coroot
-    coincides with the root itself; the norm is still checked."""
+    """Coroot of a root: the root itself, as every E7/E8 root has norm 2
+    (implied by the build's one check).  The argument's norm is checked."""
     if pair(root, root) != 2:
         raise InputError(f"not a norm-2 root: {_uncapped(repr, root)}")
     return root
@@ -192,10 +193,10 @@ def _positive_roots_e8() -> list[QuotientVector]:
     return roots
 
 
-# name -> (ambient dimension, number of positive roots, diagram arms, generator)
+# name -> (ambient dimension, diagram arms, generator)
 _REALIZATIONS = {
-    "E7": (8, 63, (3, 2, 1), _positive_roots_e7),
-    "E8": (9, 120, (4, 2, 1), _positive_roots_e8),
+    "E7": (8, (3, 2, 1), _positive_roots_e7),
+    "E8": (9, (4, 2, 1), _positive_roots_e8),
 }
 ROOT_SYSTEM_NAMES = tuple(_REALIZATIONS)
 
@@ -230,34 +231,31 @@ def _support(canon: tuple[int, ...]) -> int:
     return len(canon) - canon.count(0)
 
 
-def _grow_rows(
-    positive_roots: Sequence[tuple[int, ...]], simples: Sequence[tuple[int, ...]]
-) -> tuple[dict, list]:
-    """Support masks over ``simples``, grown out from the simple roots.
+def _grow(cartan: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int | None, int]]:
+    """Positive roots as coefficient rows, grown by root strings from
+    ``cartan``, with C[i][j] = <alpha_i^vee, alpha_j>.
 
-    Simple root k starts with mask ``1 << k``.  Adding simple root k to a
-    reached root that gives another positive root reaches that root, with
-    bit k set in its parent's mask.  Roots no chain of such steps reaches
-    are missing from the result.  Alongside the masks come the steps
-    ``(child, parent, k)`` in the order the roots were reached, so every
-    parent comes before its children; a simple root's step has parent None.
+    Simple root k starts as unit row k.  Row b gains simple root k iff
+    p > <alpha_k^vee, b>, where p counts b - alpha_k, b - 2 alpha_k, ...
+    already reached.  The result lists the steps ``(row, parent, k)`` in
+    the order the roots are reached, ``parent`` an index into the list (None
+    for a simple root), so every parent comes before its children; the loop
+    walks the same list it appends to.  Finite for a finite-type matrix.
     """
-    pos_set = set(positive_roots)
-    masks = {alpha: 1 << k for k, alpha in enumerate(simples)}
-    steps = [(alpha, None, k) for k, alpha in enumerate(simples)]
-    frontier = list(masks)
-    while frontier:
-        grown = []
-        for root in frontier:
-            mask = masks[root]
-            for k, alpha in enumerate(simples):
-                s = tuple(map(add, root, alpha))
-                if s in pos_set and s not in masks:
-                    masks[s] = mask | 1 << k
-                    steps.append((s, root, k))
-                    grown.append(s)
-        frontier = grown
-    return masks, steps
+    rank = len(cartan)
+    steps = [(tuple(int(i == k) for i in range(rank)), None, k) for k in range(rank)]
+    reached = {row for row, _, _ in steps}
+    for parent, (row, _, _) in enumerate(steps):
+        for k, pairings in enumerate(cartan):
+            head, c, tail = row[:k], row[k], row[k + 1:]
+            p = 0
+            while head + (c - p - 1,) + tail in reached:
+                p += 1
+            child = head + (c + 1,) + tail
+            if p > sum(map(mul, pairings, row)) and child not in reached:
+                reached.add(child)
+                steps.append((child, parent, k))
+    return steps
 
 
 def _coweights(
@@ -309,9 +307,9 @@ class RootSystem(_Frozen):
     label j: the order m_j in {1, 2} of the fundamental coweight omega_j
     modulo the coroot lattice, and that coroot-lattice multiple in canonical
     ambient coordinates (last coordinate 0).  ``levi_subsystem`` reads the
-    masks and the delta stages read ``growth`` and ``coweights``; every root
-    has been checked to have norm 2, so each coroot has the same coefficients
-    as its root.
+    masks and the delta stages read ``growth`` and ``coweights``.  Every root
+    has norm 2, implied by the build's one check, so each coroot has the same
+    coefficients as its root.
     """
 
     __slots__ = ("name", "ambient_dim", "rank", "positive_roots", "simple_roots", "cartan",
@@ -370,35 +368,35 @@ def build_root_system(name: str) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def _built(name: str) -> RootSystem:
-    ambient_dim, expected_count, expected_arms, generate = _REALIZATIONS[name]
+    ambient_dim, expected_arms, generate = _REALIZATIONS[name]
     rank = ambient_dim - 1
     positives = tuple(generate())
     canon = tuple(r.canonical_coords for r in positives)
-
-    if len(positives) != expected_count:
-        raise IntegrityError(
-            f"{name}: enumerated {len(positives)} positive roots, expected {expected_count}"
-        )
-    if len(set(canon)) != expected_count:
-        raise IntegrityError(f"{name}: positive root enumeration repeats a root")
-    for r, t in zip(positives, canon):
-        if _form(t, t) != 2:
-            raise IntegrityError(f"{name}: root of wrong norm: {r!r}")
-
-    index = {t: k for k, t in enumerate(canon)}
     simple_canon = derive_simple_roots(canon, rank)
-    simples = tuple(positives[index[t]] for t in simple_canon)
-    grown, steps = _grow_rows(canon, simple_canon)
-    if len(grown) != expected_count:
-        raise IntegrityError(
-            f"{name}: {expected_count - len(grown)} positive roots are not reached "
-            "from the simple roots"
-        )
     cartan = tuple(tuple(_form(a, b) for b in simple_canon) for a in simple_canon)
     if diagram_arms(cartan) != expected_arms:
         raise IntegrityError(f"{name}: derived diagram has the wrong shape")
-    masks = tuple(grown[t] for t in canon)
-    growth = tuple((index[c], -1 if p is None else index[p], k) for c, p, k in steps)
+
+    # the one check: the enumeration is exactly the roots the Cartan matrix grows
+    steps = _grow(cartan)
+    grown = []
+    for _, parent, k in steps:
+        alpha = simple_canon[k]
+        grown.append(alpha if parent is None else tuple(map(add, grown[parent], alpha)))
+    missing, extra = Counter(canon) - Counter(grown), Counter(grown) - Counter(canon)
+    if missing or extra:
+        raise IntegrityError(
+            f"{name}: {missing.total()} enumerated roots are not grown and "
+            f"{extra.total()} grown roots are not enumerated"
+        )
+
+    index = {t: k for k, t in enumerate(canon)}
+    simples = tuple(positives[index[t]] for t in simple_canon)
+    growth = tuple(
+        (index[t], -1 if p is None else index[grown[p]], k) for t, (_, p, k) in zip(grown, steps)
+    )
+    rows = dict(zip(grown, (row for row, _, _ in steps)))
+    masks = tuple(sum(1 << i for i, c in enumerate(rows[t]) if c) for t in canon)
     coweights = _coweights(cartan, simple_canon)
     return RootSystem(name, ambient_dim, rank, positives, simples, cartan, masks, growth, coweights)
 

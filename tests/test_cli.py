@@ -583,6 +583,19 @@ def test_a_full_disk_is_one_error_line(argv):
     assert "No space left on device" in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_refusal_keeps_exit_2_when_its_output_cannot_be_written(flags):
+    # the refusal goes to stderr, or as JSON to stdout; both are full, and
+    # the write-error line after it cannot be written either
+    argv = ["atlas", "query", "--group", "E8", "--label", "zz", *flags]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *DEV_MODE, "-m", "nilorb", *argv], stdout=full, stderr=full
+        )
+    assert proc.returncode == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -282,8 +282,8 @@ def test_diagram_arms_rejects_other_shapes():
 
 def test_build_checks_the_diagram_shape(monkeypatch):
     root_system._built.cache_clear()
-    dim, count, _, generate = root_system._REALIZATIONS["E7"]
-    monkeypatch.setitem(root_system._REALIZATIONS, "E7", (dim, count, (2, 2, 2), generate))
+    dim, _, generate = root_system._REALIZATIONS["E7"]
+    monkeypatch.setitem(root_system._REALIZATIONS, "E7", (dim, (2, 2, 2), generate))
     try:
         with pytest.raises(IntegrityError):
             build_root_system("E7")
@@ -300,7 +300,7 @@ def test_build_checks_the_diagram_shape(monkeypatch):
 
 def oracle_fields(name):
     """The RootSystem fields the quotient-vector build gives."""
-    ambient_dim, _, _, generate = root_system._REALIZATIONS[name]
+    ambient_dim, _, generate = root_system._REALIZATIONS[name]
     positives = tuple(generate())
     simples = derive_simple_roots(positives, ambient_dim - 1)
     pos_set = set(positives)
@@ -328,7 +328,7 @@ def test_build_matches_the_quotient_vector_oracle(name):
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
 def test_early_exit_simple_roots_match_the_pairwise_oracle(name):
-    ambient_dim, _, _, generate = root_system._REALIZATIONS[name]
+    ambient_dim, _, generate = root_system._REALIZATIONS[name]
     canon = [r.canonical_coords for r in generate()]
     rank = ambient_dim - 1
     expected = reference_simple_roots(canon, rank)
@@ -358,40 +358,55 @@ def e7_raw():
 
 
 # The A7 chain e1-e2, ..., e7-e8 with three sums added: e1-e3 = a1 + a2,
-# e3-e5 = a3 + a4 and e1-e5 = (e1-e3) + (e3-e5).  All have norm 2, seven
-# are simple, but e1-e5 is one simple root away from no member of the set,
-# so the growth loop never reaches it.
+# e3-e5 = a3 + a4 and e1-e5 = (e1-e3) + (e3-e5).  All have norm 2 and seven
+# are simple, but they form an A7 chain, not the E7 diagram.
 UNREACHABLE = [eps_diff(8, i, i + 1).coords for i in range(1, 8)] + [
     eps_diff(8, i, j).coords for i, j in ((1, 3), (3, 5), (1, 5))
 ]
 
+# e8 - e7 is E7's highest root, a1 + 2a2 + 3a3 + 4a4 + 3a5 + 2a6 + 2a7 in the
+# labels of test_e7_simple_roots_and_labels (height 17).  In its place, twice
+# a1: simple roots and diagram are unchanged, and only the comparison with
+# the grown roots can tell.
+HIGHEST_REPLACED = [
+    (2, -2, 0, 0, 0, 0, 0, 0) if c == (0, 0, 0, 0, 0, 0, -1, 1) else c for c in e7_raw()
+]
+
+SHAPE = "derived diagram has the wrong shape"
 GUARDS = {
-    "wrong count": (e7_raw()[:-1], 63, "enumerated 62 positive roots, expected 63"),
+    # without its last root, a7 = e5+e6+e7+e8, seven other roots look simple
+    # and their diagram is not E7's
+    "wrong count": (e7_raw()[:-1], SHAPE),
     # the first root again in place of the last, shifted along the all-ones
     # line: other raw coordinates, same quotient vector
     "duplicate": (
         e7_raw()[:-1] + [tuple(c + 1 for c in e7_raw()[0])],
-        63,
-        "repeats a root",
+        "derived 8 simple roots, expected rank 7",
     ),
-    "wrong norm": (e7_raw()[:-1] + [(1, 1, 0, 0, 0, 0, 0, 0)], 63, "root of wrong norm"),
+    "wrong norm": (
+        e7_raw()[:-1] + [(1, 1, 0, 0, 0, 0, 0, 0)],
+        "derived 8 simple roots, expected rank 7",
+    ),
     "simple count": (
         [eps_diff(8, i, i + 1).coords for i in range(1, 7)],
-        6,
         "derived 6 simple roots, expected rank 7",
     ),
-    "unreached": (UNREACHABLE, len(UNREACHABLE), "1 positive roots are not reached"),
+    "unreached": (UNREACHABLE, SHAPE),
+    "not grown": (
+        HIGHEST_REPLACED,
+        "1 enumerated roots are not grown and 1 grown roots are not enumerated",
+    ),
 }
 
 
 @pytest.mark.parametrize("guard", sorted(GUARDS))
 def test_build_refuses_a_broken_realization(guard, monkeypatch):
-    coords, count, message = GUARDS[guard]
+    coords, message = GUARDS[guard]
 
     def generate():
         return [QuotientVector(c) for c in coords]
 
-    monkeypatch.setitem(root_system._REALIZATIONS, "E7", (8, count, (3, 2, 1), generate))
+    monkeypatch.setitem(root_system._REALIZATIONS, "E7", (8, (3, 2, 1), generate))
     root_system._built.cache_clear()
     try:
         with pytest.raises(IntegrityError, match=message):
@@ -423,6 +438,78 @@ def test_non_root_is_not_a_positive_root():
 
 
 # --- the growth tree and the fundamental coweights ------------------------------------
+
+
+def chain(n, last=-1):
+    """Cartan matrix of a chain of n nodes, C[i][j] = <alpha_i^vee, alpha_j>,
+    with ``last`` in row n - 1, column n - 2."""
+    cm = simply_laced(n, [(i, i + 1) for i in range(n - 1)])
+    cm[n - 1][n - 2] = last
+    return cm
+
+
+def transposed(cm):
+    return [list(col) for col in zip(*cm)]
+
+
+F4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]  # alpha_3 short
+E6 = simply_laced(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+
+# C[i][j] = <alpha_i^vee, alpha_j>: in B_n the last node is short, so its
+# coroot pairs to -2 with its long neighbour; C_n is the transpose
+GROWER_TYPES = {
+    "A2": (chain(2), 3),
+    "B2": (chain(2, -2), 4),
+    "C2": (transposed(chain(2, -2)), 4),
+    "G2": (chain(2, -3), 6),
+    "G2 transposed": (transposed(chain(2, -3)), 6),
+    "B3": (chain(3, -2), 9),
+    "C3": (transposed(chain(3, -2)), 9),
+    "D4": (simply_laced(4, [(0, 1), (1, 2), (1, 3)]), 12),
+    "F4": (F4, 24),
+    "E6": (E6, 36),
+}
+
+
+def reflection_closure(cm):
+    """Positive rows of the Weyl orbit of the simple roots, by reflections
+    s_i(b) = b - <alpha_i^vee, b> alpha_i: an oracle that grows nothing."""
+    n = len(cm)
+    roots = {tuple(int(i == k) for i in range(n)) for k in range(n)}
+    todo = list(roots)
+    while todo:
+        b = todo.pop()
+        for i in range(n):
+            image = list(b)
+            image[i] -= sum(map(mul, cm[i], b))
+            if tuple(image) not in roots:
+                roots.add(tuple(image))
+                todo.append(tuple(image))
+    return {b for b in roots if min(b) >= 0}
+
+
+@pytest.mark.parametrize("kind", sorted(GROWER_TYPES))
+def test_root_strings_grow_every_positive_root_of_a_finite_type(kind):
+    cm, count = GROWER_TYPES[kind]
+    steps = root_system._grow(cm)
+    rows = [row for row, _, _ in steps]
+    assert len(rows) == len(set(rows)) == count
+    assert set(rows) == reflection_closure(cm)
+    for index, (row, parent, k) in enumerate(steps):
+        base = [0] * len(cm) if parent is None else list(rows[parent])
+        assert parent is None or parent < index
+        base[k] += 1
+        assert row == tuple(base), (kind, index)
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_the_grower_reads_only_the_cartan_matrix(name):
+    rs = build_root_system(name)
+    rows = growth_rows(rs)
+    position = {child: i for i, (child, _, _) in enumerate(rs.growth)}
+    assert root_system._grow(rs.cartan) == [
+        (rows[c], None if p == -1 else position[p], k) for c, p, k in rs.growth
+    ]
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
