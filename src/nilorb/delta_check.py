@@ -3,7 +3,7 @@
 Given a Levi subsystem L of E7 or E8, the pipeline is:
 
 1. h: the sum of the positive coroots of L.  Every root of the system has
-   norm 2 (implied by the build's one check), so each coroot is its
+   norm 2 (implied by the build's bijection check), so each coroot is its
    root and h is one column sum of L's raw root coordinates.  L's members are
    the positive roots whose support bitmask lies inside L's labels.
 2. The positive roots beta with pairing(h, beta-coroot) == 1.  h is paired
@@ -237,7 +237,7 @@ def _verdict(pairings: Iterable[Scalar]) -> str:
 def delta_verdict(system: str, levi_indices: Iterable[int]) -> DeltaReport:
     """Run the full criterion for a Levi given by simple-root labels."""
     rs = build_root_system(system)
-    levi = levi_subsystem(rs, tuple(levi_indices))
+    levi = levi_subsystem(rs, levi_indices)
     h = principal_h(levi)
     roots = roots_pairing_one(rs, h)
     kap = _coordinate_sum(roots, rs.ambient_dim)

@@ -57,7 +57,10 @@ __all__ = [
 
 def _check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     # a tuple comes back as itself, so checking a long partition copies nothing
-    parts = tuple(parts)
+    try:
+        parts = tuple(parts)
+    except TypeError:
+        raise InputError(f"a partition must be iterable, got {_uncapped(repr, parts)}") from None
     prev = None
     for p in parts:
         if type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
@@ -107,7 +110,11 @@ class ClassicalOrbit(_Frozen):
     def __init__(self, kind: str, parts: tuple[int, ...]):
         if kind not in KINDS:
             raise InputError(f"orbit kind must be one of {KINDS}, got {_uncapped(repr, kind)}")
-        parts = tuple(parts)
+        try:
+            parts = tuple(parts)
+        except TypeError:
+            _check_partition(parts)  # words the refusal of a non-iterable
+            raise  # a TypeError from inside the iteration
         # is_valid_type checks the parts once, before their parity
         if not is_valid_type(parts, kind):
             raise InputError(f"{_uncapped(repr, parts)} is not a valid type-{kind} partition")

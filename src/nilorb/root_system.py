@@ -8,23 +8,26 @@ quotient.  All arithmetic is integer or Fraction; nothing is approximated.
 
 Simple roots are not hard-coded.  The build works on the canonical
 representatives (last coordinate 0), which are integer tuples in both
-realizations and add like the quotient vectors they stand for.  A positive
-root is simple iff its tuple is not the sum of two positive-root tuples,
-which the build asks of each root r as "is r - a a positive root?" over the
-positives a of smallest support first, stopping at the first hit; the
-simples are then labeled by a deterministic rule.  Their Cartan matrix must
-pass :func:`diagram_arms` with the arm lengths of the E-series tree; that
-function is the one diagram-shape check in the package, and ``selftest``
-criteria 1 and 2 call it too.  From the matrix alone the positive roots grow
-as coefficient rows by root strings, one simple root at a time, and each such
-step is kept as the system's growth tree.  The one check of the enumeration
-is that these grown roots, mapped through the simple roots, are exactly the
-enumerated ones; it implies the count, that no root repeats, that every root
-has norm 2 and that every root is reached.  The build also stores, per label,
-the smallest multiple of the fundamental coweight that lies in the coroot
-lattice, each the generator of ``exact_linalg.kernel_lattice`` of the Cartan
-rows other than its label; the central-torus stage of the delta check
-combines these instead of solving a kernel per Levi.
+realizations and add like the quotient vectors they stand for.  With every
+root of norm 2, <2 rho, alpha> = 2 ht(alpha) for 2 rho the sum of the
+positive roots (Humphreys, Introduction to Lie Algebras and Representation
+Theory, 10.2), so the simple roots are the positive roots that pair to 2
+with 2 rho: one pass picks them, and a deterministic rule labels them.  The
+build has two guards.  The first is that their Cartan matrix passes
+:func:`diagram_arms` with the arm lengths of the E-series tree, which also
+fixes their count; that function is the one diagram-shape check in the
+package, and ``selftest`` criteria 1 and 2 call it too.  From the matrix
+alone the positive roots then grow as coefficient rows by root strings, one
+simple root at a time, and each such step is kept as the system's growth
+tree.  The second guard is that these grown roots, mapped through the simple
+roots, are exactly the enumerated ones.  It proves the picked simple roots
+right, and it implies the count, that no root repeats, that every root has
+norm 2 (which the 2 rho rule assumed) and that every root is reached.  The
+build also stores, per label, the smallest multiple of the fundamental
+coweight that lies in the coroot lattice, each the generator of
+``exact_linalg.kernel_lattice`` of the Cartan rows other than its label; the
+central-torus stage of the delta check combines these instead of solving a
+kernel per Levi.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import CapabilityError, InputError, IntegrityError, _Frozen, _uncapped
 from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains
@@ -127,16 +130,11 @@ def pair(x: QuotientVector, y: QuotientVector):
     """
     if x.dim != y.dim:
         raise InputError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return _form(x.coords, y.coords)
-
-
-def _form(x: Sequence[Scalar], y: Sequence[Scalar]):
-    """:func:`pair` on raw coordinate tuples of equal length."""
-    return _over(_scaled_forms(x, (y,))[0], len(x))
+    return _over(_scaled_forms(x.coords, (y.coords,))[0], x.dim)
 
 
 def _scaled_forms(x: Sequence[Scalar], ys: Iterable[Sequence[Scalar]]) -> list:
-    """d * _form(x, y) for each y, exactly: y's dot product with d * x - sum(x) * ones."""
+    """d * pair(x, y) for each y, exactly: y's dot product with d * x - sum(x) * ones."""
     d, sx = len(x), sum(x)
     shifted = [d * c - sx for c in x]
     return [sum(map(mul, shifted, y)) for y in ys]
@@ -153,7 +151,7 @@ def _over(num, d: int):
 
 def coroot(root: QuotientVector) -> QuotientVector:
     """Coroot of a root: the root itself, as every E7/E8 root has norm 2
-    (implied by the build's one check).  The argument's norm is checked."""
+    (implied by the build's bijection check).  The argument's norm is checked."""
     if pair(root, root) != 2:
         raise InputError(f"not a norm-2 root: {_uncapped(repr, root)}")
     return root
@@ -199,36 +197,6 @@ _REALIZATIONS = {
     "E8": (9, (4, 2, 1), _positive_roots_e8),
 }
 ROOT_SYSTEM_NAMES = tuple(_REALIZATIONS)
-
-
-def derive_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int) -> tuple[tuple[int, ...], ...]:
-    """Simple roots from first principles, in a deterministic label order.
-
-    Roots come and go as canonical integer tuples, the representatives whose
-    last coordinate is 0.  Two such tuples add to the canonical tuple of the
-    sum, so a positive root is simple iff its tuple is not the sum of two
-    positive-root tuples.  (Over raw coordinates some composites would
-    masquerade as simple.)  For each root r the search asks whether r - a is
-    a positive root for some positive a, trying the a of smallest support
-    first, and stops at the first hit; only the simple roots run through
-    every a.  Labels sort by support size, then by descending lexicographic
-    order, which lines the difference roots up as an A-chain followed by the
-    branch root.
-    """
-    pos_set = set(positive_roots)
-    by_support = sorted(positive_roots, key=_support)
-    simples = [
-        r for r in positive_roots if not any(tuple(map(sub, r, a)) in pos_set for a in by_support)
-    ]
-    if len(simples) != rank:
-        raise IntegrityError(
-            f"derived {len(simples)} simple roots, expected rank {rank}"
-        )
-    return tuple(sorted(simples, key=lambda canon: (_support(canon), tuple(-c for c in canon))))
-
-
-def _support(canon: tuple[int, ...]) -> int:
-    return len(canon) - canon.count(0)
 
 
 def _grow(cartan: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int | None, int]]:
@@ -308,7 +276,7 @@ class RootSystem(_Frozen):
     modulo the coroot lattice, and that coroot-lattice multiple in canonical
     ambient coordinates (last coordinate 0).  ``levi_subsystem`` reads the
     masks and the delta stages read ``growth`` and ``coweights``.  Every root
-    has norm 2, implied by the build's one check, so each coroot has the same
+    has norm 2, implied by the build's bijection check, so each coroot has the same
     coefficients as its root.
     """
 
@@ -372,12 +340,20 @@ def _built(name: str) -> RootSystem:
     rank = ambient_dim - 1
     positives = tuple(generate())
     canon = tuple(r.canonical_coords for r in positives)
-    simple_canon = derive_simple_roots(canon, rank)
-    cartan = tuple(tuple(_form(a, b) for b in simple_canon) for a in simple_canon)
+    # the simple roots pair to 2 with 2 rho, labeled by support size, then descending
+    two_rho = tuple(map(sum, zip(*canon)))
+    simple_canon = tuple(sorted(
+        (t for t, n in zip(canon, _scaled_forms(two_rho, canon)) if n == 2 * ambient_dim),
+        key=lambda t: (len(t) - t.count(0), tuple(-c for c in t)),
+    ))
+    cartan = tuple(
+        tuple(_over(n, ambient_dim) for n in _scaled_forms(a, simple_canon)) for a in simple_canon
+    )
+    # the shape guard, which fixes the count and so keeps growth finite
     if diagram_arms(cartan) != expected_arms:
         raise IntegrityError(f"{name}: derived diagram has the wrong shape")
 
-    # the one check: the enumeration is exactly the roots the Cartan matrix grows
+    # the bijection check: the enumeration is exactly the roots the Cartan matrix grows
     steps = _grow(cartan)
     grown = []
     for _, parent, k in steps:
@@ -420,13 +396,17 @@ def levi_subsystem(rs: RootSystem, indices: Iterable[int]) -> LeviSubsystem:
 
     Indices are 1-based simple-root labels.
     """
-    idx = tuple(indices)
-    if len(set(idx)) != len(idx):
-        raise InputError(f"duplicate levi indices: {_uncapped(str, idx)}")
+    try:
+        idx = tuple(indices)
+    except TypeError:
+        raise InputError(f"levi indices must be iterable, got {_uncapped(repr, indices)}") from None
+    # each label's type and range first: a duplicate check on a list would not hash
     for i in idx:
         plain = type(i) is int or isinstance(i, int) and not isinstance(i, bool)
         if not plain or not 1 <= i <= rs.rank:
             raise InputError(f"levi index {_uncapped(repr, i)} out of range 1..{rs.rank}")
+    if len(set(idx)) != len(idx):
+        raise InputError(f"duplicate levi indices: {_uncapped(str, idx)}")
     outside = ~sum([1 << (i - 1) for i in idx])
     members = tuple(
         [root for root, mask in zip(rs.positive_roots, rs.support_masks) if not mask & outside]

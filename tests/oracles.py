@@ -11,8 +11,8 @@ did.
 ``reference_echelon`` is the HNF kernel as it was before it rebuilt rows:
 a ``min`` pivot search and in-place row updates, with the transform ``u`` as
 a second matrix beside ``h``.  ``reference_simple_roots``
-is the simple-root search as it was before it stopped at the first hit: the
-set of every pairwise sum.
+is the pairwise search the build's 2 rho rule replaced, as it was before it
+stopped at the first hit: the set of every pairwise sum.
 
 ``record_twin`` maps a record of the package to a ``dataclasses`` twin
 with the same fields, defaults and ``eq`` flag, for the record semantics
@@ -218,8 +218,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 # --- simple roots from every pairwise sum ------------------------------------------
 
 def reference_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int) -> tuple[tuple[int, ...], ...]:
-    """``derive_simple_roots`` on canonical integer tuples as it was before
-    the early-exit search: the composites are the set of all pairwise sums."""
+    """The simple roots as the positive roots that are no sum of two, on
+    canonical integer tuples: the composites are the set of all pairwise sums."""
     pos_set = set(positive_roots)
     composite = {
         s

@@ -42,7 +42,6 @@ from nilorb.root_system import (
     LeviSubsystem,
     QuotientVector,
     RootSystem,
-    _form,
     build_root_system,
     coroot,
     coroot_lattice,
@@ -473,7 +472,7 @@ def test_every_torus_pairing_is_the_divided_form_in_value_and_type():
     checked = 0
     for name, idx in all_levis():
         report = delta_verdict(name, idx)
-        expected = [_form(report.kappa.coords, v) for v in report.torus_basis]
+        expected = [pair(report.kappa, QuotientVector(v)) for v in report.torus_basis]
         assert list(report.pairings) == expected, (name, idx)
         assert [type(p) for p in report.pairings] == [type(p) for p in expected], (name, idx)
         checked += 1

@@ -37,6 +37,7 @@ from nilorb.orbit_partitions import (
     elementary_step,
     is_valid_type,
     partitions_of,
+    transpose,
 )
 from nilorb.selfcheck import criterion_name, run_criterion
 from nilorb.root_system import (
@@ -327,27 +328,47 @@ def test_build_matches_the_quotient_vector_oracle(name):
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
-def test_early_exit_simple_roots_match_the_pairwise_oracle(name):
+def test_two_rho_pairs_with_each_positive_root_to_twice_its_height(name):
+    # the identity the build picks the simple roots by, with heights from the
+    # growth tree rather than from any pairing
+    rs = build_root_system(name)
+    two_rho = QuotientVector(tuple(map(sum, zip(*(r.coords for r in rs.positive_roots)))))
+    heights = [sum(row) for row in growth_rows(rs)]
+    assert [pair(two_rho, r) for r in rs.positive_roots] == [2 * h for h in heights]
+    assert heights.count(1) == rs.rank
+
+
+def build_with(name, coords, monkeypatch):
+    """Build ``name`` from the given raw root coordinates in place of its generator."""
+    dim, arms, _ = root_system._REALIZATIONS[name]
+    monkeypatch.setitem(
+        root_system._REALIZATIONS, name, (dim, arms, lambda: [QuotientVector(c) for c in coords])
+    )
+    root_system._built.cache_clear()
+    try:
+        return build_root_system(name)
+    finally:
+        root_system._built.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_the_simple_roots_match_the_pairwise_oracle_in_any_enumeration_order(name, monkeypatch):
     ambient_dim, _, generate = root_system._REALIZATIONS[name]
-    canon = [r.canonical_coords for r in generate()]
-    rank = ambient_dim - 1
-    expected = reference_simple_roots(canon, rank)
-    assert root_system.derive_simple_roots(canon, rank) == expected
+    raw = [r.coords for r in generate()]
+    expected = reference_simple_roots([r.canonical_coords for r in generate()], ambient_dim - 1)
     rng = random.Random(104729)
     for _ in range(5):
-        order = rng.sample(canon, len(canon))
-        assert root_system.derive_simple_roots(order, rank) == expected
-    # without one root the sets change: some composites lose their only
-    # decomposition; both searches must agree on the outcome there too
-    for dropped in rng.sample(range(len(canon)), 6):
-        rest = canon[:dropped] + canon[dropped + 1:]
-        outcomes = []
-        for derive in (root_system.derive_simple_roots, reference_simple_roots):
-            try:
-                outcomes.append(derive(rest, rank))
-            except IntegrityError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        rs = build_with(name, rng.sample(raw, len(raw)), monkeypatch)
+        assert tuple(r.canonical_coords for r in rs.simple_roots) == expected
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_every_enumeration_short_of_one_root_is_refused(name, monkeypatch):
+    _, _, generate = root_system._REALIZATIONS[name]
+    raw = [r.coords for r in generate()]
+    for dropped in range(len(raw)):
+        with pytest.raises(IntegrityError):
+            build_with(name, raw[:dropped] + raw[dropped + 1:], monkeypatch)
 
 
 # --- every guard in the build is reachable --------------------------------------------
@@ -366,35 +387,38 @@ UNREACHABLE = [eps_diff(8, i, i + 1).coords for i in range(1, 8)] + [
 
 # e8 - e7 is E7's highest root, a1 + 2a2 + 3a3 + 4a4 + 3a5 + 2a6 + 2a7 in the
 # labels of test_e7_simple_roots_and_labels (height 17).  In its place, twice
-# a1: simple roots and diagram are unchanged, and only the comparison with
-# the grown roots can tell.
+# a1: 2 rho moves by 2a1 - theta, so other roots look simple.
 HIGHEST_REPLACED = [
     (2, -2, 0, 0, 0, 0, 0, 0) if c == (0, 0, 0, 0, 0, 0, -1, 1) else c for c in e7_raw()
 ]
 
+# As above, and a1 + a2 = e1 - e3 replaced too, by a vector that gives 2 rho
+# back its old value: simple roots and diagram are unchanged, and only the
+# comparison with the grown roots can tell.
+TWO_RHO_KEPT = [
+    {
+        (0, 0, 0, 0, 0, 0, -1, 1): (2, -2, 0, 0, 0, 0, 0, 0),
+        (1, 0, -1, 0, 0, 0, 0, 0): (-1, 2, -1, 0, 0, 0, -1, 1),
+    }.get(c, c)
+    for c in e7_raw()
+]
+
 SHAPE = "derived diagram has the wrong shape"
+# every input but "not enumerated" fails the shape guard, the first of the build's two
 GUARDS = {
-    # without its last root, a7 = e5+e6+e7+e8, seven other roots look simple
-    # and their diagram is not E7's
+    # without its last root, a7 = e5+e6+e7+e8, 2 rho moves and the roots that
+    # pair to 2 with it do not form E7's diagram
     "wrong count": (e7_raw()[:-1], SHAPE),
     # the first root again in place of the last, shifted along the all-ones
     # line: other raw coordinates, same quotient vector
-    "duplicate": (
-        e7_raw()[:-1] + [tuple(c + 1 for c in e7_raw()[0])],
-        "derived 8 simple roots, expected rank 7",
-    ),
-    "wrong norm": (
-        e7_raw()[:-1] + [(1, 1, 0, 0, 0, 0, 0, 0)],
-        "derived 8 simple roots, expected rank 7",
-    ),
-    "simple count": (
-        [eps_diff(8, i, i + 1).coords for i in range(1, 7)],
-        "derived 6 simple roots, expected rank 7",
-    ),
+    "duplicate": (e7_raw()[:-1] + [tuple(c + 1 for c in e7_raw()[0])], SHAPE),
+    "wrong norm": (e7_raw()[:-1] + [(1, 1, 0, 0, 0, 0, 0, 0)], SHAPE),
+    "simple count": ([eps_diff(8, i, i + 1).coords for i in range(1, 7)], SHAPE),
     "unreached": (UNREACHABLE, SHAPE),
-    "not grown": (
-        HIGHEST_REPLACED,
-        "1 enumerated roots are not grown and 1 grown roots are not enumerated",
+    "not grown": (HIGHEST_REPLACED, SHAPE),
+    "not enumerated": (
+        TWO_RHO_KEPT,
+        "2 enumerated roots are not grown and 2 grown roots are not enumerated",
     ),
 }
 
@@ -402,17 +426,8 @@ GUARDS = {
 @pytest.mark.parametrize("guard", sorted(GUARDS))
 def test_build_refuses_a_broken_realization(guard, monkeypatch):
     coords, message = GUARDS[guard]
-
-    def generate():
-        return [QuotientVector(c) for c in coords]
-
-    monkeypatch.setitem(root_system._REALIZATIONS, "E7", (8, (3, 2, 1), generate))
-    root_system._built.cache_clear()
-    try:
-        with pytest.raises(IntegrityError, match=message):
-            build_root_system("E7")
-    finally:
-        root_system._built.cache_clear()
+    with pytest.raises(IntegrityError, match=message):
+        build_with("E7", coords, monkeypatch)
 
 
 def test_coefficients_recombine_every_positive_root():
@@ -729,13 +744,48 @@ def test_an_integer_past_the_print_cap_is_refused_by_a_typed_error(call):
             id="coroot-lattice",
         ),
         pytest.param(lambda: load_atlas(5), InputError, "atlas path must be", id="atlas-path"),
+        pytest.param(
+            lambda: delta_verdict("E7", 5), InputError, "levi indices must be iterable",
+            id="verdict-int-levi",
+        ),
+        pytest.param(
+            lambda: delta_verdict("E7", None), InputError, "levi indices must be iterable",
+            id="verdict-none-levi",
+        ),
+        pytest.param(
+            lambda: levi_subsystem(build_root_system("E7"), 5), InputError,
+            "levi indices must be iterable", id="levi-int",
+        ),
+        pytest.param(
+            lambda: delta_verdict("E7", (1, [2])), InputError, r"levi index \[2\] out of range",
+            id="verdict-list-label",
+        ),
+        pytest.param(
+            lambda: delta_verdict("E7", (1, True)), InputError, "levi index True out of range",
+            id="verdict-bool-label",
+        ),
+        pytest.param(
+            lambda: ClassicalOrbit("B", 5), InputError, "a partition must be iterable",
+            id="orbit-int-parts",
+        ),
+        pytest.param(
+            lambda: ClassicalOrbit("B", None), InputError, "a partition must be iterable",
+            id="orbit-none-parts",
+        ),
+        pytest.param(
+            lambda: is_valid_type(5, "B"), InputError, "a partition must be iterable",
+            id="valid-type-int-parts",
+        ),
+        pytest.param(
+            lambda: transpose(5), InputError, "a partition must be iterable", id="transpose-int",
+        ),
     ],
 )
 def test_an_unhashable_name_or_a_path_of_the_wrong_type_is_refused_by_a_typed_error(
     call, error, message
 ):
     # a dict lookup or lru_cache would end in a bare TypeError, and so would
-    # pathlib on an int
+    # pathlib on an int, tuple() on an int or None, and set() on a list
     with pytest.raises(error, match=message):
         call()
 
