@@ -1,4 +1,4 @@
-"""Exception types, and the base of the records, shared across the package."""
+"""Exceptions and the helpers every layer shares: ``_Frozen``, ``_is_int`` and ``_items``."""
 
 from __future__ import annotations
 
@@ -42,6 +42,22 @@ class OrbitNotFoundError(NilorbError):
     def __init__(self, message: str, suggestions: tuple[str, ...] = ()):
         super().__init__(message)
         self.suggestions = suggestions
+
+
+def _is_int(value: object) -> bool:
+    """An ``int`` that is not a ``bool``; an ``IntEnum`` is one."""
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
+
+
+def _items(values, what: str) -> tuple:
+    """``tuple(values)``, uncopied if a tuple; InputError if ``iter(values)`` raises TypeError."""
+    if type(values) is tuple:
+        return values
+    try:
+        iterator = iter(values)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {_uncapped(repr, values)}") from None
+    return tuple(iterator)
 
 
 _UNCAPPING = RLock()  # held while the cap is lifted; a guarded repr nests

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import InputError, _Frozen, _uncapped
+from .errors import InputError, _Frozen, _is_int, _items, _uncapped
 
 Vector = tuple[int, ...]
 
@@ -33,15 +33,13 @@ __all__ = [
 
 
 def _as_int(value: object) -> int:
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int and not _is_int(value):
         raise InputError(f"matrix entries must be plain integers, got {_uncapped(repr, value)}")
     return value
 
 
 def _as_dim(value: object, what: str) -> int:
-    if type(value) is not int or value < 0:
+    if not _is_int(value) or value < 0:
         raise InputError(f"{what} must be a nonnegative integer, got {_uncapped(repr, value)}")
     return value
 
@@ -53,7 +51,7 @@ class IntMatrix(_Frozen):
 
     def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
         rows, cols = _as_dim(rows, "row count"), _as_dim(cols, "column count")
-        entries = tuple(map(_as_int, entries))
+        entries = tuple(map(_as_int, _items(entries, "matrix entries")))
         if len(entries) != rows * cols:
             raise InputError(f"expected {rows * cols} entries, got {len(entries)}")
         self._fill(rows, cols, entries)
@@ -61,7 +59,7 @@ class IntMatrix(_Frozen):
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         # entries are checked once, by the constructor
-        rows = [tuple(row) for row in rows]
+        rows = [_items(row, "a matrix row") for row in _items(rows, "matrix rows")]
         if rows:
             width = len(rows[0])
             if any(len(row) != width for row in rows):
@@ -75,7 +73,7 @@ class IntMatrix(_Frozen):
         return cls(len(rows), cols, flat)
 
     def row(self, i: int) -> Vector:
-        if not 0 <= i < self.rows:
+        if not _is_int(i) or not 0 <= i < self.rows:
             raise InputError(f"row index {_uncapped(str, i)} out of range")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -185,7 +183,8 @@ class LatticeBasis(_Frozen):
         self.__post_init__()
         _as_dim(ambient_dim, "ambient dimension")
         rows = []
-        for v in vectors:
+        for v in _items(vectors, "lattice vectors"):
+            v = v if type(v) is tuple else _items(v, "a vector")
             row = [x if type(x) is int else _as_int(x) for x in v]
             if len(row) != ambient_dim:
                 raise InputError(
@@ -218,7 +217,7 @@ def lattice_contains(basis: LatticeBasis, v: Sequence[int]) -> Vector | None:
     lattice.  Back-substitution over the HNF pivots; exact divisibility at a
     pivot is both necessary and sufficient because later rows vanish there.
     """
-    coords = [_as_int(x) for x in v]
+    coords = [_as_int(x) for x in _items(v, "a vector")]
     if len(coords) != basis.ambient_dim:
         raise InputError(
             f"vector length {len(coords)} does not match ambient dimension {basis.ambient_dim}"

@@ -59,7 +59,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from operator import is_, itemgetter
 
-from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen, _uncapped
+from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen, _is_int, _uncapped
 
 GROUPS = ("G2", "F4", "E6", "E7", "E8")
 
@@ -396,11 +396,7 @@ def _parse_record(raw: object) -> ExceptionalOrbitRecord:
                 f"levi_descriptor is only meaningful for {sorted(_LEVI_RANK)}",
                 record=raw,
             )
-        if (
-            not isinstance(levi, list)
-            or not levi
-            or any(not isinstance(i, int) or isinstance(i, bool) for i in levi)
-        ):
+        if not isinstance(levi, list) or not levi or not all(map(_is_int, levi)):
             raise AtlasLoadError("levi_descriptor must be a list of integers", record=raw)
         if list(levi) != sorted(set(levi)) or levi[0] < 1 or levi[-1] > _LEVI_RANK[group]:
             raise AtlasLoadError(

@@ -34,6 +34,7 @@ from itertools import islice
 from operator import lt, sub
 
 from .errors import InputError, IntegrityError, StepInapplicableError, _Frozen, _uncapped
+from .errors import _is_int, _items
 
 KINDS = ("B", "C", "D")
 
@@ -56,14 +57,10 @@ __all__ = [
 
 
 def _check_partition(parts: Sequence[int]) -> tuple[int, ...]:
-    # a tuple comes back as itself, so checking a long partition copies nothing
-    try:
-        parts = tuple(parts)
-    except TypeError:
-        raise InputError(f"a partition must be iterable, got {_uncapped(repr, parts)}") from None
+    parts = _items(parts, "a partition")
     prev = None
     for p in parts:
-        if type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
+        if type(p) is not int and not _is_int(p):
             raise InputError(f"partition parts must be integers, got {_uncapped(repr, p)}")
         if p <= 0:
             raise InputError(f"partition parts must be positive, got {_uncapped(str, p)}")
@@ -110,13 +107,8 @@ class ClassicalOrbit(_Frozen):
     def __init__(self, kind: str, parts: tuple[int, ...]):
         if kind not in KINDS:
             raise InputError(f"orbit kind must be one of {KINDS}, got {_uncapped(repr, kind)}")
-        try:
-            parts = tuple(parts)
-        except TypeError:
-            _check_partition(parts)  # words the refusal of a non-iterable
-            raise  # a TypeError from inside the iteration
-        # is_valid_type checks the parts once, before their parity
-        if not is_valid_type(parts, kind):
+        parts = _items(parts, "a partition")
+        if not is_valid_type(parts, kind):  # checks the parts once, before their parity
             raise InputError(f"{_uncapped(repr, parts)} is not a valid type-{kind} partition")
         self._fill(kind, parts)
 
@@ -207,7 +199,7 @@ def elementary_step(
             f"step index must be a positive integer no larger than sys.maxsize = "
             f"{sys.maxsize}, got an integer of {n.bit_length()} bits"
         )
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"step index must be a positive integer, got {_uncapped(repr, n)}")
     if variant not in (None, "i", "ii"):
         raise InputError(f"variant must be 'i' or 'ii', got {_uncapped(repr, variant)}")
@@ -397,9 +389,9 @@ def partitions_of(total: int, largest: int | None = None) -> Iterator[tuple[int,
     drops the trailing 1s, lowers the last part above 1 by one, and refills
     what that freed with parts no larger than the lowered one.
     """
-    if type(total) is not int:
+    if not _is_int(total):
         raise InputError(f"partition total must be an integer, got {_uncapped(repr, total)}")
-    if largest is not None and type(largest) is not int:
+    if largest is not None and not _is_int(largest):
         raise InputError(f"largest part must be an integer or None, got {_uncapped(repr, largest)}")
     if total < 0:
         raise InputError(f"cannot partition {_uncapped(str, total)}")

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
-from .errors import CapabilityError, InputError, IntegrityError, _Frozen, _uncapped
+from .errors import CapabilityError, InputError, IntegrityError, _Frozen, _is_int, _items, _uncapped
 from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains
 
 Scalar = int | Fraction
@@ -83,6 +83,7 @@ class QuotientVector(_Frozen):
 
     def __init__(self, coords: tuple[Scalar, ...]):
         self.__post_init__()
+        coords = _items(coords, "coordinates")
         coords = tuple([c if type(c) is int else _normalize(c) for c in coords])
         if not coords:
             raise InputError("empty coordinate tuple")
@@ -396,14 +397,10 @@ def levi_subsystem(rs: RootSystem, indices: Iterable[int]) -> LeviSubsystem:
 
     Indices are 1-based simple-root labels.
     """
-    try:
-        idx = tuple(indices)
-    except TypeError:
-        raise InputError(f"levi indices must be iterable, got {_uncapped(repr, indices)}") from None
+    idx = _items(indices, "levi indices")
     # each label's type and range first: a duplicate check on a list would not hash
     for i in idx:
-        plain = type(i) is int or isinstance(i, int) and not isinstance(i, bool)
-        if not plain or not 1 <= i <= rs.rank:
+        if type(i) is not int and not _is_int(i) or not 1 <= i <= rs.rank:
             raise InputError(f"levi index {_uncapped(repr, i)} out of range 1..{rs.rank}")
     if len(set(idx)) != len(idx):
         raise InputError(f"duplicate levi indices: {_uncapped(str, idx)}")

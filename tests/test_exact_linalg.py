@@ -25,7 +25,7 @@ from nilorb.exact_linalg import (
     kernel_lattice,
     lattice_contains,
 )
-from nilorb.orbit_partitions import ClassicalOrbit
+from nilorb.orbit_partitions import ClassicalOrbit, partitions_of
 from nilorb.root_system import QuotientVector
 
 
@@ -118,6 +118,13 @@ def test_from_rows_and_accessors():
             m.row(i)
     with pytest.raises(InputError, match="explicit column count disagrees"):
         IntMatrix.from_rows([[1, 2, 3]], cols=2)
+
+
+@pytest.mark.parametrize("index", [True, "a", 0.0])
+def test_a_row_index_is_an_integer(index):
+    # True once read row 1, "a" failed the comparison and 0.0 the slice
+    with pytest.raises(InputError, match=f"^row index {index} out of range$"):
+        IntMatrix(2, 1, (1, 2)).row(index)
 
 
 def test_empty_matrix_needs_explicit_cols():
@@ -374,6 +381,16 @@ def test_entry_checks_accept_ints_and_refuse_the_rest(name):
         with pytest.raises(InputError) as excinfo:
             build(value)
         assert str(excinfo.value) == message.format(value)
+
+
+def test_an_int_enum_is_an_integer_in_every_layer():
+    # each is used as given; a type(x) is int test once refused all four
+    m = IntMatrix(Two.TWO, 1, (1, 2))
+    assert m.rows is Two.TWO and m.to_rows() == [[1], [2]]
+    basis = LatticeBasis(Two.TWO, ((1, 0),))
+    assert basis.ambient_dim is Two.TWO and basis.vectors == ((1, 0),)
+    assert list(partitions_of(Two.TWO)) == [(2,), (1, 1)]
+    assert list(partitions_of(4, Two.TWO)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 @pytest.mark.parametrize(

@@ -477,6 +477,20 @@ def test_check_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert [c["id"] for c in shown if not c["passed"]] == ["C1", "C2", "C4", "C5", "C7"]
 
 
+@pytest.mark.parametrize("command", [("atlas", "check"), ("selftest",)], ids="-".join)
+def test_the_packaged_check_and_selftest_print_the_same_bytes_under_two_hash_seeds(command):
+    package_parent = str(Path(orbit_atlas.__file__).parent.parent)
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_parent)
+        run = subprocess.run(
+            [sys.executable, "-m", "nilorb", *command, "--json"], capture_output=True, env=env
+        )
+        assert run.returncode == 0 and b"Traceback" not in run.stderr, run.stderr
+        runs.append(run.stdout)
+    assert runs[0] == runs[1] and json.loads(runs[0])
+
+
 def test_c6_uses_injected_runner(atlas):
     calls = []
 

@@ -835,6 +835,11 @@ def test_partitions_of_keeps_the_order_of_the_recursive_oracle():
             assert got == list(reference_partitions_of(total, largest)), (total, largest)
 
 
+def test_checking_a_partition_tuple_copies_nothing():
+    parts = (1,) * 10**5
+    assert orbit_partitions._check_partition(parts) is parts
+
+
 def test_partitions_of_needs_no_stack_and_takes_only_integers():
     # a thousand parts: past the recursion limit if each part took a frame
     assert list(partitions_of(1000, 1)) == [(1,) * 1000]

@@ -779,6 +779,25 @@ def test_an_integer_past_the_print_cap_is_refused_by_a_typed_error(call):
         pytest.param(
             lambda: transpose(5), InputError, "a partition must be iterable", id="transpose-int",
         ),
+        *(
+            pytest.param(
+                lambda call=call, bad=bad: call(bad), InputError, f"{what} must be iterable",
+                id=f"{name}-{type(bad).__name__}",
+            )
+            for name, call, what in [
+                ("quotient-vector", QuotientVector, "coordinates"),
+                ("matrix-entries", lambda bad: IntMatrix(1, 1, bad), "matrix entries"),
+                ("matrix-rows", IntMatrix.from_rows, "matrix rows"),
+                ("matrix-row", lambda bad: IntMatrix.from_rows([bad]), "a matrix row"),
+                ("lattice-vectors", lambda bad: LatticeBasis(3, bad), "lattice vectors"),
+                ("lattice-vector", lambda bad: LatticeBasis(1, (bad,)), "a vector"),
+                (
+                    "lattice-contains", lambda bad: lattice_contains(LatticeBasis(1, ()), bad),
+                    "a vector",
+                ),
+            ]
+            for bad in (5, None)
+        ),
     ],
 )
 def test_an_unhashable_name_or_a_path_of_the_wrong_type_is_refused_by_a_typed_error(
@@ -788,6 +807,17 @@ def test_an_unhashable_name_or_a_path_of_the_wrong_type_is_refused_by_a_typed_er
     # pathlib on an int, tuple() on an int or None, and set() on a list
     with pytest.raises(error, match=message):
         call()
+
+
+def test_a_type_error_raised_while_a_sequence_is_read_is_not_worded_as_not_iterable():
+    def labels():
+        yield 1
+        raise TypeError("raised part-way")
+
+    for call in (lambda: levi_subsystem(build_root_system("E7"), labels()),
+                 lambda: ClassicalOrbit("B", labels())):
+        with pytest.raises(TypeError, match="^raised part-way$"):
+            call()
 
 
 @pytest.mark.parametrize(
