@@ -44,7 +44,6 @@ _EXPORTS = {
     "pair": "root_system",
     "coroot": "root_system",
     "coroot_lattice": "root_system",
-    "lattice_contains_mod_ones": "root_system",
     "levi_subsystem": "root_system",
     "PRESETS": "delta_check",
     "DeltaReport": "delta_check",
@@ -62,7 +61,6 @@ _EXPORTS = {
     "InverseStep": "orbit_partitions",
     "BirationalSource": "orbit_partitions",
     "is_valid_type": "orbit_partitions",
-    "transpose": "orbit_partitions",
     "is_special": "orbit_partitions",
     "elementary_step": "orbit_partitions",
     "inverse_steps": "orbit_partitions",

@@ -30,7 +30,7 @@ from .errors import (
     _Frozen,
     _uncapped,
 )
-from .orbit_atlas import _check_group, check_consistency, load_atlas, query
+from .orbit_atlas import GROUPS, _check_group, check_consistency, load_atlas, query
 from .orbit_partitions import (
     KINDS,
     ClassicalOrbit,
@@ -313,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atlas", help="query and cross-check the exceptional orbit table")
     p.add_argument("action", choices=["query", "check", "list"])
-    p.add_argument("--group", default=None, help="G2, F4, E6, E7 or E8")
+    p.add_argument("--group", default=None, help=f"{', '.join(GROUPS[:-1])} or {GROUPS[-1]}")
     p.add_argument("--label", default=None, help="orbit label, matched exactly")
     p.add_argument(
         "--data",

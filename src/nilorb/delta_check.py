@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .errors import InputError, IntegrityError, _Frozen, _uncapped
-from .exact_linalg import LatticeBasis
+from .exact_linalg import LatticeBasis, lattice_contains
 from .reference import WORKED_EXAMPLES, WorkedExample
 from .root_system import (
     LeviSubsystem,
@@ -50,7 +50,6 @@ from .root_system import (
     _over,
     _scaled_forms,
     build_root_system,
-    lattice_contains_mod_ones,
     levi_subsystem,
     pair,
 )
@@ -192,10 +191,6 @@ class DeltaReport(_Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     @property
-    def is_integral(self) -> bool:
-        return self.verdict == "integral"
-
-    @property
     def torus_rank(self) -> int:
         return len(self.torus_basis)
 
@@ -256,15 +251,16 @@ def delta_verdict(system: str, levi_indices: Iterable[int]) -> DeltaReport:
 
 
 def _compare(report: DeltaReport, example: WorkedExample) -> ReferenceComparison:
-    torus = LatticeBasis(report.h.dim, report.torus_basis)
+    # a member may slide along the all-ones line, so the lattice takes it in
+    d = report.h.dim
+    torus = LatticeBasis(d, report.torus_basis + ((1,) * d,))
     checks = []
     for fixture in example.torus_members:
-        member = QuotientVector(fixture.coords)
         checks.append(
             MemberCheck(
                 coords=fixture.coords,
-                in_lattice=lattice_contains_mod_ones(torus, member),
-                pairing=pair(report.kappa, member),
+                in_lattice=lattice_contains(torus, fixture.coords) is not None,
+                pairing=pair(report.kappa, QuotientVector(fixture.coords)),
                 expected_pairing=fixture.expected_pairing,
                 note=fixture.note,
             )

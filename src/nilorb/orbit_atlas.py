@@ -59,7 +59,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from operator import is_, itemgetter
 
-from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen, _is_int, _uncapped
+from .errors import AtlasLoadError, InputError, OrbitNotFoundError, _Frozen, _is_int, _items, _uncapped
 
 GROUPS = ("G2", "F4", "E6", "E7", "E8")
 
@@ -550,6 +550,7 @@ def query(
 ) -> ExceptionalOrbitRecord:
     """Exact lookup by group and orbit label, with suggestions on a miss."""
     _check_group(group)
+    records = _items(records, "atlas records")
     for record in records:
         if record.group == group and record.label == label:
             return record
@@ -697,6 +698,8 @@ def check_consistency(
     ``delta_runner(group, indices) -> verdict`` may be injected; the default
     memoizes the exact computation so repeated sweeps stay cheap.
     """
+    if type(records) is not list:  # a list is read as it is, not copied into a tuple
+        records = _items(records, "atlas records")
     runner = delta_runner or _cached_delta_verdict
     union = 0
     rigid_not_birigid = []

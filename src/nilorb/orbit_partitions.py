@@ -45,7 +45,6 @@ __all__ = [
     "InverseStep",
     "BirationalSource",
     "is_valid_type",
-    "transpose",
     "is_special",
     "elementary_step",
     "inverse_steps",
@@ -92,13 +91,6 @@ def is_valid_type(parts: Sequence[int], kind: str) -> bool:
     raise InputError(f"unknown type {_uncapped(repr, kind)}; expected one of A, B, C, D")
 
 
-def transpose(parts: Sequence[int]) -> tuple[int, ...]:
-    parts = _check_partition(parts)
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > k) for k in range(parts[0]))
-
-
 class ClassicalOrbit(_Frozen):
     """A validated nilpotent orbit of type B, C or D."""
 
@@ -111,10 +103,6 @@ class ClassicalOrbit(_Frozen):
         if not is_valid_type(parts, kind):  # checks the parts once, before their parity
             raise InputError(f"{_uncapped(repr, parts)} is not a valid type-{kind} partition")
         self._fill(kind, parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
 
     @property
     def is_very_even(self) -> bool:
@@ -381,9 +369,9 @@ def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
     return found[0]
 
 
-def partitions_of(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of ``total`` with no part above ``largest``, largest
-    part first, lexicographically descending.
+def partitions_of(total: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of ``total``, largest part first, lexicographically
+    descending.
 
     A loop, so a partition of many parts costs no stack: the next partition
     drops the trailing 1s, lowers the last part above 1 by one, and refills
@@ -391,16 +379,12 @@ def partitions_of(total: int, largest: int | None = None) -> Iterator[tuple[int,
     """
     if not _is_int(total):
         raise InputError(f"partition total must be an integer, got {_uncapped(repr, total)}")
-    if largest is not None and not _is_int(largest):
-        raise InputError(f"largest part must be an integer or None, got {_uncapped(repr, largest)}")
     if total < 0:
         raise InputError(f"cannot partition {_uncapped(str, total)}")
     if total == 0:
         yield ()
         return
-    cap = total if largest is None else min(largest, total)
-    if cap < 1:
-        return
+    cap = total
     parts: list[int] = []
     free = total
     while True:

@@ -40,7 +40,7 @@ from functools import lru_cache
 from operator import add, mul
 
 from .errors import CapabilityError, InputError, IntegrityError, _Frozen, _is_int, _items, _uncapped
-from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice, lattice_contains
+from .exact_linalg import IntMatrix, LatticeBasis, kernel_lattice
 
 Scalar = int | Fraction
 
@@ -54,7 +54,6 @@ __all__ = [
     "coroot",
     "diagram_arms",
     "coroot_lattice",
-    "lattice_contains_mod_ones",
     "levi_subsystem",
 ]
 
@@ -101,9 +100,6 @@ class QuotientVector(_Frozen):
         coords = self.coords
         t = coords[-1]
         return coords if t == 0 else tuple(_normalize(c - t) for c in coords)
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuotientVector):
@@ -415,17 +411,3 @@ def coroot_lattice(name: str) -> LatticeBasis:
     """Integer span of all coroots, as a lattice in the ambient Z^d."""
     rs = build_root_system(name)
     return LatticeBasis(rs.ambient_dim, tuple([r.coords for r in rs.positive_roots]))
-
-
-def lattice_contains_mod_ones(basis: LatticeBasis, vector: QuotientVector) -> bool:
-    """Membership in the lattice spanned by ``basis`` and the all-ones vector.
-
-    This is the right containment test for quotient vectors: a representative
-    is free to slide along the all-ones line.
-    """
-    if not vector.is_integral():
-        raise InputError(f"lattice membership needs integer coordinates: {vector!r}")
-    if vector.dim != basis.ambient_dim:
-        raise InputError(f"dimension mismatch: {vector.dim} vs {basis.ambient_dim}")
-    augmented = LatticeBasis(basis.ambient_dim, basis.vectors + ((1,) * basis.ambient_dim,))
-    return lattice_contains(augmented, tuple(vector.coords)) is not None

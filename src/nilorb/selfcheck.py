@@ -42,7 +42,7 @@ from .orbit_partitions import (
 )
 from .root_system import QuotientVector, build_root_system, diagram_arms, pair
 
-__all__ = ["CriterionResult", "CRITERION_IDS", "criterion_name", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "CRITERION_IDS", "run_criterion", "run_all"]
 
 _STEP_SEED = 74207281
 _LATTICE_SEED = 57885161
@@ -452,10 +452,6 @@ def _lookup(criterion_id: str) -> tuple[str, Callable[[str | None], tuple]]:
             f"unknown criterion {_uncapped(repr, criterion_id)}; "
             f"expected one of {', '.join(map(repr, CRITERION_IDS))}"
         ) from None
-
-
-def criterion_name(criterion_id: str) -> str:
-    return _lookup(criterion_id)[0]
 
 
 def run_criterion(criterion_id: str, atlas_path: str | None = None) -> CriterionResult:

@@ -1,18 +1,18 @@
 """Slow, independent twins of fast code paths, shared by the tests.
 
 Most of this is the quotient-vector build that the integer-tuple build
-replaced: every pairwise sum as a QuotientVector, then coefficients peeled
-off by descent through ``pair()``.  Nothing here reads the growth tree, the
-support masks or the stored coweights, so the fast build always has an
-independent slow twin.  ``QuotientVector`` has no arithmetic of its own; the
-helpers below add and subtract raw coordinates, which is what its operators
-did.
+replaced: the simple roots as the positive roots that are no pairwise sum,
+then coefficients peeled off by descent through ``pair()``.  Nothing here
+reads the growth tree, the support masks or the stored coweights, so the
+fast build always has an independent slow twin.  ``QuotientVector`` has no
+arithmetic of its own; the helpers below add and subtract raw coordinates,
+which is what its operators did.
 
 ``reference_echelon`` is the HNF kernel as it was before it rebuilt rows:
 a ``min`` pivot search and in-place row updates, with the transform ``u`` as
-a second matrix beside ``h``.  ``reference_simple_roots``
-is the pairwise search the build's 2 rho rule replaced, as it was before it
-stopped at the first hit: the set of every pairwise sum.
+a second matrix beside ``h``.  ``reference_simple_roots`` is the one
+simple-root oracle: the pairwise search the build's 2 rho rule replaced, as
+it was before it stopped at the first hit, on canonical integer tuples.
 
 ``record_twin`` maps a record of the package to a ``dataclasses`` twin
 with the same fields, defaults and ``eq`` flag, for the record semantics
@@ -23,9 +23,13 @@ loop served dict entries and list items: a branch for each, spelling out
 the same per-entry rules twice.
 
 ``mat_mul`` is the exact matrix product the HNF tests check U·M = H with;
-no code of the package multiplies matrices.  ``reference_partitions_of`` is
-``partitions_of`` as it was before it became a loop: the recursion on the
-first part, which fixes the order the loop must keep.
+no code of the package multiplies matrices.  ``lattice_contains_mod_ones``
+is lattice membership up to the all-ones line, one augmented lattice per
+vector, and ``transpose`` the conjugate partition the specialness oracle
+counts multiplicities in; the package asks neither.
+``reference_partitions_of`` is ``partitions_of`` as it was before it became
+a loop: the recursion on the first part, which fixes the order the loop
+must keep.
 """
 
 import dataclasses
@@ -37,7 +41,8 @@ from typing import Optional, Sequence
 
 from nilorb.cli import _is_scalar_list, _scalar_list_text, _scalar_text
 from nilorb.errors import InputError, IntegrityError
-from nilorb.exact_linalg import IntMatrix
+from nilorb.exact_linalg import IntMatrix, LatticeBasis, lattice_contains
+from nilorb.orbit_partitions import _check_partition
 from nilorb.root_system import QuotientVector, pair
 
 
@@ -57,35 +62,6 @@ def qsub(a: QuotientVector, b: QuotientVector) -> QuotientVector:
 def is_zero(v: QuotientVector) -> bool:
     """Whether v is a multiple of the all-ones vector."""
     return not any(v.canonical_coords)
-
-
-def derive_simple_roots(positive_roots: Sequence[QuotientVector], rank: int) -> tuple[QuotientVector, ...]:
-    """Simple roots from first principles, in a deterministic label order.
-
-    A positive root is simple iff it is not the sum of two positive roots.
-    The sum test runs in the quotient; over raw coordinates some composites
-    would masquerade as simple.  Labels sort by support size of the canonical
-    representative, then by descending lexicographic order, which lines the
-    difference roots up as an A-chain followed by the branch root.
-    """
-    pos_set = set(positive_roots)
-    composite = set()
-    for a, b in itertools.combinations_with_replacement(positive_roots, 2):
-        s = qadd(a, b)
-        if s in pos_set:
-            composite.add(s)
-    simples = [r for r in positive_roots if r not in composite]
-    if len(simples) != rank:
-        raise IntegrityError(
-            f"derived {len(simples)} simple roots, expected rank {rank}"
-        )
-
-    def label_key(v: QuotientVector):
-        canon = v.canonical_coords
-        support = sum(1 for c in canon if c != 0)
-        return (support, tuple(-c for c in canon))
-
-    return tuple(sorted(simples, key=label_key))
 
 
 def decompose(root: QuotientVector, simples: Sequence[QuotientVector], pos_set) -> tuple[int, ...]:
@@ -213,6 +189,27 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         [[sum(map(mul, a.row(i), columns.row(j))) for j in range(b.cols)] for i in range(a.rows)],
         cols=b.cols,
     )
+
+
+def lattice_contains_mod_ones(basis: LatticeBasis, vector: QuotientVector) -> bool:
+    """Membership in the lattice spanned by ``basis`` and the all-ones vector.
+
+    This is the right containment test for quotient vectors: a representative
+    is free to slide along the all-ones line.
+    """
+    if not all(isinstance(c, int) for c in vector.coords):
+        raise InputError(f"lattice membership needs integer coordinates: {vector!r}")
+    if vector.dim != basis.ambient_dim:
+        raise InputError(f"dimension mismatch: {vector.dim} vs {basis.ambient_dim}")
+    augmented = LatticeBasis(basis.ambient_dim, basis.vectors + ((1,) * basis.ambient_dim,))
+    return lattice_contains(augmented, tuple(vector.coords)) is not None
+
+
+def transpose(parts: Sequence[int]) -> tuple[int, ...]:
+    parts = _check_partition(parts)
+    if not parts:
+        return ()
+    return tuple(sum(1 for p in parts if p > k) for k in range(parts[0]))
 
 
 # --- simple roots from every pairwise sum ------------------------------------------

@@ -21,6 +21,7 @@ from oracles import (
     COWEIGHT_ORDERS,
     check_echelon_against_reference,
     coefficient_table,
+    lattice_contains_mod_ones,
     mat_mul,
     qadd,
     qv,
@@ -45,7 +46,6 @@ from nilorb.root_system import (
     build_root_system,
     coroot,
     coroot_lattice,
-    lattice_contains_mod_ones,
     levi_subsystem,
     pair,
 )
@@ -81,7 +81,6 @@ def test_e7_torus_basis_and_verdict():
     )
     assert report.pairings == (0, -4, -4, -10)
     assert report.verdict == "integral"
-    assert report.is_integral
     assert report.torus_rank == 4
 
 
@@ -135,7 +134,6 @@ def test_e8_torus_basis_and_verdict():
     )
     assert report.pairings == (12, -1)
     assert report.verdict == "non-integral"
-    assert not report.is_integral
     assert report.torus_rank == 2
 
 
@@ -243,7 +241,7 @@ def test_verdict_is_basis_independent():
             vectors[i] = [a + q * b for a, b in zip(vectors[i], vectors[j])]
         pairings = [pair(report.kappa, QuotientVector(tuple(v))) for v in vectors]
         same = all(isinstance(p, int) and p % 2 == 0 for p in pairings)
-        assert same == report.is_integral
+        assert same == (report.verdict == "integral")
 
 
 def test_kappa_representative_does_not_change_pairings():
@@ -502,3 +500,25 @@ def test_one_verdict_builds_one_levi_two_vectors_one_lattice_and_pairs_nothing(m
         counts.clear()
         delta_verdict(name, idx)
         assert counts == Counter({"LeviSubsystem": 1, "QuotientVector": 2, "LatticeBasis": 1})
+
+
+def test_a_preset_comparison_builds_one_lattice_for_all_its_members(monkeypatch):
+    # the torus, then the torus plus the all-ones line, asked once per member
+    build_root_system("E7")
+    build_root_system("E8")
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(LatticeBasis, "__post_init__", counted("LatticeBasis", LatticeBasis.__post_init__))
+    monkeypatch.setattr(delta_check, "lattice_contains", counted("lattice_contains", lattice_contains))
+    for preset, members in (("E7:A2+A1", 4), ("E8:A4+2A1", 2)):
+        counts.clear()
+        report = preset_report(preset)
+        assert len(report.reference.member_checks) == members
+        assert counts == Counter({"LatticeBasis": 2, "lattice_contains": members}), preset

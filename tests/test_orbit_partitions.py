@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_partitions_of
+from oracles import reference_partitions_of, transpose
 
 from nilorb import orbit_partitions
 from nilorb.errors import InputError, IntegrityError, StepInapplicableError
@@ -31,7 +31,6 @@ from nilorb.orbit_partitions import (
     is_valid_type,
     partitions_of,
     rigid_special_source,
-    transpose,
 )
 
 
@@ -85,7 +84,7 @@ def test_orbit_validation():
         ClassicalOrbit("C", (3, 1))
     with pytest.raises(InputError):
         ClassicalOrbit("A", (2, 1))
-    assert orbit("D", 3, 3).size == 6
+    assert sum(orbit("D", 3, 3).parts) == 6
     assert orbit("D", 2, 2).is_very_even
     assert not orbit("D", 3, 3).is_very_even
     assert not orbit("C", 2, 2).is_very_even
@@ -264,7 +263,7 @@ def test_step_grows_size_by_2n():
                 grown, _ = elementary_step(o, n)
             except StepInapplicableError:
                 continue
-            assert grown.size == o.size + 2 * n
+            assert sum(grown.parts) == sum(o.parts) + 2 * n
 
 
 def test_a_step_checks_each_candidate_once(monkeypatch):
@@ -764,7 +763,7 @@ def test_long_chain_c_2400():
 
 def test_b_staircase_of_total_361():
     staircase = orbit("B", *range(37, 0, -2))
-    assert staircase.size == 361
+    assert sum(staircase.parts) == 361
     result = rigid_special_source(staircase)
     assert result.orbit.parts == (1,) * 19
     assert result.script.replay(result.orbit) == staircase
@@ -830,9 +829,7 @@ def test_partitions_are_valid_and_distinct(total):
 def test_partitions_of_keeps_the_order_of_the_recursive_oracle():
     # selftest criterion 7 draws its seeded pool in this order
     for total in range(27):
-        for largest in (None, -1, 0, 1, 2, 3, 5, total, total + 3):
-            got = list(partitions_of(total, largest))
-            assert got == list(reference_partitions_of(total, largest)), (total, largest)
+        assert list(partitions_of(total)) == list(reference_partitions_of(total)), total
 
 
 def test_checking_a_partition_tuple_copies_nothing():
@@ -841,19 +838,14 @@ def test_checking_a_partition_tuple_copies_nothing():
 
 
 def test_partitions_of_needs_no_stack_and_takes_only_integers():
-    # a thousand parts: past the recursion limit if each part took a frame
-    assert list(partitions_of(1000, 1)) == [(1,) * 1000]
     assert next(partitions_of(1000)) == (1000,)
     cap = sys.get_int_max_str_digits() or 4300
     text = "1" + "0" * cap
-    for total, largest, message in (
-        (2.5, None, "partition total must be an integer, got 2.5"),
-        ("3", None, "partition total must be an integer, got '3'"),
-        (True, None, "partition total must be an integer, got True"),
-        (Fraction(10**cap), None, f"partition total must be an integer, got Fraction\\({text}, 1\\)"),
-        (3, "x", "largest part must be an integer or None, got 'x'"),
-        (3, True, "largest part must be an integer or None, got True"),
-        (3, 2.0, "largest part must be an integer or None, got 2.0"),
+    for total, message in (
+        (2.5, "partition total must be an integer, got 2.5"),
+        ("3", "partition total must be an integer, got '3'"),
+        (True, "partition total must be an integer, got True"),
+        (Fraction(10**cap), f"partition total must be an integer, got Fraction\\({text}, 1\\)"),
     ):
         with pytest.raises(InputError, match=f"^{message}$"):
-            next(partitions_of(total, largest))
+            next(partitions_of(total))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from oracles import (
     COWEIGHT_ORDERS,
     decompose,
-    derive_simple_roots,
+    lattice_contains_mod_ones,
     qadd,
     qv,
     reference_simple_roots,
@@ -30,23 +30,21 @@ from nilorb import root_system
 from nilorb.errors import CapabilityError, InputError, IntegrityError, _uncapped
 from nilorb.delta_check import delta_verdict, preset_report
 from nilorb.exact_linalg import IntMatrix, LatticeBasis, lattice_contains
-from nilorb.orbit_atlas import flip_field, load_atlas, query
+from nilorb.orbit_atlas import check_consistency, flip_field, load_atlas, query
 from nilorb.orbit_partitions import (
     ClassicalOrbit,
     InverseStep,
     elementary_step,
     is_valid_type,
     partitions_of,
-    transpose,
 )
-from nilorb.selfcheck import criterion_name, run_criterion
+from nilorb.selfcheck import run_criterion
 from nilorb.root_system import (
     QuotientVector,
     build_root_system,
     coroot,
     diagram_arms,
     coroot_lattice,
-    lattice_contains_mod_ones,
     levi_subsystem,
     pair,
 )
@@ -303,7 +301,9 @@ def oracle_fields(name):
     """The RootSystem fields the quotient-vector build gives."""
     ambient_dim, _, generate = root_system._REALIZATIONS[name]
     positives = tuple(generate())
-    simples = derive_simple_roots(positives, ambient_dim - 1)
+    by_canonical = {root.canonical_coords: root for root in positives}
+    canonical = reference_simple_roots(list(by_canonical), ambient_dim - 1)
+    simples = tuple(by_canonical[c] for c in canonical)
     pos_set = set(positives)
     table = {root: decompose(root, simples, pos_set) for root in positives}
     cartan = tuple(tuple(pair(a, b) for b in simples) for a in simples)
@@ -710,7 +710,6 @@ ORBIT = ClassicalOrbit("C", (2,))
         pytest.param(lambda: build_root_system(HUGE), id="root-system"),
         pytest.param(lambda: preset_report(HUGE), id="preset"),
         pytest.param(lambda: run_criterion(HUGE), id="criterion"),
-        pytest.param(lambda: criterion_name(HUGE), id="criterion-name"),
         pytest.param(
             lambda: lattice_contains_mod_ones(coroot_lattice("E7"), qv(Fraction(HUGE, 3), *[0] * 7)),
             id="membership-vector",
@@ -776,9 +775,6 @@ def test_an_integer_past_the_print_cap_is_refused_by_a_typed_error(call):
             lambda: is_valid_type(5, "B"), InputError, "a partition must be iterable",
             id="valid-type-int-parts",
         ),
-        pytest.param(
-            lambda: transpose(5), InputError, "a partition must be iterable", id="transpose-int",
-        ),
         *(
             pytest.param(
                 lambda call=call, bad=bad: call(bad), InputError, f"{what} must be iterable",
@@ -795,6 +791,8 @@ def test_an_integer_past_the_print_cap_is_refused_by_a_typed_error(call):
                     "lattice-contains", lambda bad: lattice_contains(LatticeBasis(1, ()), bad),
                     "a vector",
                 ),
+                ("check-consistency", check_consistency, "atlas records"),
+                ("query-records", lambda bad: query(bad, "E8", "x"), "atlas records"),
             ]
             for bad in (5, None)
         ),
