@@ -1,10 +1,9 @@
-"""Exceptions and the helpers every layer shares: ``_Frozen``, ``_is_int`` and ``_items``."""
+"""Exceptions and helpers every layer shares: ``_Frozen``, ``_is_int``, ``_items``, ``_uncapped``."""
 
 from __future__ import annotations
 
 import sys
 from _thread import RLock
-from functools import lru_cache
 from operator import attrgetter
 
 
@@ -81,24 +80,6 @@ def _uncapped(call, *args):
             sys.set_int_max_str_digits(cap)
 
 
-@lru_cache(maxsize=None)
-def _fill_factory(count: int):
-    """The factory that closes ``_fill(self, v0, ..)``, which stores each
-    ``v_i`` by the setter ``_s_i``, named apart from every field, over the
-    setters; compiled when the first class with ``count`` fields is made,
-    then shared."""
-    names = range(count)
-    source = (
-        f"def factory({', '.join(f'_s{i}' for i in names)}):\n"
-        f"    def _fill(self{''.join(f', v{i}' for i in names)}):\n"
-        + "".join(f"        _s{i}(self, v{i})\n" for i in names)
-        + "    return _fill\n"
-    )
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["factory"]
-
-
 class _Frozen:
     """Base of the package's immutable records, in place of a frozen dataclass.
 
@@ -112,11 +93,11 @@ class _Frozen:
     layer imports, so that no layer loads ``dataclasses`` or another layer
     for its records.
 
-    Each field is set once, by ``_fill``, compiled once per field count as
+    Each field is set once, by ``_fill``, which each class compiles once,
+    when the class is made, from its own field names, as
     ``collections.namedtuple`` compiles its ``__new__``: one direct
-    slot-setter call per field, with no ``*values``, ``zip`` or loop.  A
-    class binds its setters when the class is made, and names the
-    parameters after its fields in a copy of the code, not a second compile.
+    slot-setter call per field, with no ``*values``, ``zip`` or loop.  The
+    compile costs import time only, 20-130 us a class by its field count.
     A class that checks its values calls ``self._fill`` once in its
     ``__init__``; any other class defines none and is built by ``_fill``, by
     position or keyword, with ``_defaults`` as the defaults of its trailing
@@ -130,8 +111,11 @@ class _Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        fill = _fill_factory(len(fields))(*(getattr(cls, name).__set__ for name in fields))
-        fill.__code__ = fill.__code__.replace(co_varnames=("self", *fields))
+        # the setters are globals _s_<field>; no field starts with _, so none clashes
+        namespace = {f"_s_{name}": getattr(cls, name).__set__ for name in fields}
+        exec(f"def _fill(self, {', '.join(fields)}):\n"
+             + "".join(f"    _s_{name}(self, {name})\n" for name in fields), namespace)
+        fill = namespace["_fill"]
         fill.__qualname__ = f"{cls.__qualname__}._fill"
         fill.__defaults__ = cls._defaults
         cls._fill = fill

@@ -475,7 +475,7 @@ def _read_atlas_file(name: str) -> str:
     try:
         with open(name, encoding="utf-8") as file:
             return file.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, or a NUL byte in the name
         raise AtlasLoadError(f"cannot read atlas file {name}: {exc}") from exc
 
 

@@ -656,3 +656,17 @@ def test_readme_commands_in_text_mode_match_the_reference_renderer(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), name
         assert out == expected + "\n", name
+
+
+def test_readme_library_example_holds_what_its_comments_claim():
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    source, report = names["source"], names["report"]
+    assert source.orbit.parts == (1, 1, 1)
+    assert source.script.replay(source.orbit) == names["orbit"]
+    assert names["orbit"].parts == (5, 3, 1)
+    assert report.verdict == "non-integral"
+    assert report.pairings and all(type(value) is int for value in report.pairings)

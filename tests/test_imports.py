@@ -21,7 +21,8 @@ import pytest
 import nilorb
 
 SRC = str(Path(nilorb.__file__).resolve().parents[1])
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 LAYERS = (
     "errors",
     "exact_linalg",
@@ -212,6 +213,32 @@ def test_every_name_the_benchmark_wraps_resolves():
     assert callable(nilorb.coroot_lattice)
 
 
+def test_every_metric_the_workflow_requires_is_declared():
+    # CI's require_nonzero.py steps read each name from a traced run's
+    # metrics, so a name BENCHMARK.json does not declare fails only there
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {workload["name"] for workload in benchmark["workloads"]}
+    declared = {metric["name"] for metric in benchmark["per_layer"]}
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8").splitlines()
+    steps = {}
+    for at, line in enumerate(lines):
+        _, found, rest = line.partition("require_nonzero.py ")
+        if not found:
+            continue
+        indent = len(line) - len(line.lstrip())
+        # a folded run: the names follow, one a line, at the command's indent
+        workload, *names = rest.split()
+        for name in lines[at + 1 :]:
+            if not name.strip() or len(name) - len(name.lstrip()) != indent:
+                break
+            names += name.split()
+        steps[workload] = names
+    assert sorted(steps) == sorted(workloads)
+    for workload, names in steps.items():
+        assert names, workload
+        assert set(names) <= declared, (workload, set(names) - declared)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         nilorb.no_such_name
@@ -253,9 +280,8 @@ def test_no_module_imports_a_name_it_never_reads():
     modules = sorted(Path(SRC, "nilorb").glob("*.py"))
     assert len(modules) >= len(LAYERS)
     # the tests and the CI scripts too, so no import outlives the name it read
-    root = Path(__file__).resolve().parents[1]
-    scripts = sorted(root.glob("tests/*.py")) + sorted(root.glob(".github/scripts/*.py"))
-    assert Path(__file__).resolve() in scripts and root / ".github/scripts/require_nonzero.py" in scripts
+    scripts = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob(".github/scripts/*.py"))
+    assert Path(__file__).resolve() in scripts and ROOT / ".github/scripts/require_nonzero.py" in scripts
     dead = {
         path.relative_to(path.parents[1]).as_posix(): unused_imports(path.read_text(encoding="utf-8"))
         for path in modules + scripts

@@ -129,6 +129,13 @@ def test_a_given_path_is_named_as_pathlib_spells_it(tmp_path, monkeypatch, given
     )
 
 
+def test_a_path_with_a_nul_byte_cannot_be_read(tmp_path):
+    # open() refuses such a name with ValueError, not OSError
+    for path in ("a\x00b", tmp_path / "a\x00b"):
+        with pytest.raises(AtlasLoadError, match="^cannot read atlas file .*: embedded null byte$"):
+            load_atlas(path)
+
+
 def test_default_atlas_shape(atlas):
     assert len(atlas) == 63
     by_group = {}

@@ -24,7 +24,7 @@ from oracles import TWINS, record_twin
 
 from nilorb.cli import CommandResult
 from nilorb.delta_check import PRESETS, preset_report
-from nilorb.errors import _fill_factory, _Frozen
+from nilorb.errors import _Frozen
 from nilorb.exact_linalg import IntMatrix, LatticeBasis
 from nilorb.orbit_atlas import (
     _RECORD_KEYS,
@@ -234,10 +234,8 @@ def throwaway(count: int) -> type:
     return Record
 
 
-def test_fill_is_compiled_once_per_field_count_and_then_shared():
-    # no package record has 21 or 22 fields
+def test_fill_takes_keywords_and_defaults_and_is_the_init_of_a_class_without_one():
     counts = (21, 22, 21, 22, 21, 22)
-    before = _fill_factory.cache_info()
     for count in counts:
         cls = throwaway(count)
         # the first record may come by keywords, the last field by its default
@@ -245,10 +243,6 @@ def test_fill_is_compiled_once_per_field_count_and_then_shared():
         assert cls._field_values(record) == (*range(count - 1), -1)
         assert cls.__init__ is cls._fill
         assert cls(*range(count)) == cls(*range(count - 1), count - 1)
-    after = _fill_factory.cache_info()
-    compiled = after.misses - before.misses
-    assert compiled == after.currsize - before.currsize <= 2
-    assert after.hits - before.hits == len(counts) - compiled
     # among the package's records only the four that check their values
     # keep an __init__ of their own
     records = {type(x) for x in SAMPLES}
@@ -259,16 +253,17 @@ def test_fill_is_compiled_once_per_field_count_and_then_shared():
 
 def test_every_record_is_bound_when_its_class_is_made():
     # a fresh interpreter that has loaded every layer through the CLI, and
-    # built no record since: each class's _fill is its own, and one closure
-    # was compiled for each distinct field count
+    # built no record since: each class's _fill is its own, compiled from
+    # its own field names
     code = (
         "import json, nilorb.cli\n"
-        "from nilorb.errors import _Frozen, _fill_factory\n"
+        "from nilorb.errors import _Frozen\n"
         "records = _Frozen.__subclasses__()\n"
         "print(json.dumps([\n"
         "    {c.__qualname__: c._fill.__qualname__ for c in records},\n"
-        "    len({len(c._fields) for c in records}),\n"
-        "    _fill_factory.cache_info().misses,\n"
+        "    len({id(c._fill.__code__) for c in records}),\n"
+        "    [c.__qualname__ for c in records\n"
+        "     if c._fill.__code__.co_varnames[:len(c._fields) + 1] != ('self', *c._fields)],\n"
         "]))\n"
     )
     src = os.path.dirname(os.path.dirname(inspect.getfile(_Frozen)))
@@ -278,10 +273,11 @@ def test_every_record_is_bound_when_its_class_is_made():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    fills, counts, misses = json.loads(proc.stdout)
+    fills, codes, misnamed = json.loads(proc.stdout)
     assert sorted(fills) == sorted(TWINS)
     assert fills == {name: f"{name}._fill" for name in fills}
-    assert misses == counts
+    assert codes == len(fills) == 18
+    assert misnamed == []
 
 
 def test_threads_that_build_a_new_class_together_bind_one_fill():
