@@ -161,16 +161,17 @@ def cmd_delta(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_atlas(args: argparse.Namespace) -> CommandResult:
-    records = load_atlas(_atlas_path(args))
+    path = _atlas_path(args)  # every usage error comes before the file is read
+    if args.action == "query" and (args.group is None or args.label is None):
+        raise InputError("'query' needs --group and --label")
+    if args.action != "check" and args.group is not None:
+        _check_group(args.group)
+    records = load_atlas(path)
 
     if args.action == "query":
-        if args.group is None or args.label is None:
-            raise InputError("'query' needs --group and --label")
         return CommandResult("ok", query(records, args.group, args.label).to_payload())
 
     if args.action == "list":
-        if args.group is not None:
-            _check_group(args.group)
         chosen = [r for r in records if args.group is None or r.group == args.group]
         orbits = [{"group": r.group, "label": r.label} for r in chosen]
         return CommandResult("ok", {"count": len(chosen), "orbits": orbits})

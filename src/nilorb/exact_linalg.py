@@ -64,7 +64,7 @@ class IntMatrix(_Frozen):
             width = len(rows[0])
             if any(len(row) != width for row in rows):
                 raise InputError("ragged rows")
-            if cols is not None and cols != width:
+            if cols is not None and _as_dim(cols, "column count") != width:
                 raise InputError("explicit column count disagrees with row width")
             cols = width
         elif cols is None:

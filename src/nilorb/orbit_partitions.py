@@ -6,9 +6,6 @@ An orbit is a partition subject to the usual parity constraints:
 * C: partition of an even total, odd parts with even multiplicity;
 * D: partition of an even total, even parts with even multiplicity.
 
-Type A is supported by the validity predicate (every partition qualifies)
-but excluded from the step calculus below, which is a B/C/D matter.
-
 Elementary steps grow an orbit by 2n in two shapes: variant (i) adds 2 to
 each of the first n parts, variant (ii) adds 2 to the first n-1 parts and 1
 to parts n and n+1.  Missing parts count as zeros, so both variants may
@@ -69,26 +66,23 @@ def _check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
-def _parity_multiplicities_even(parts: Sequence[int], residue: int) -> bool:
-    counts: dict[int, int] = {}
-    for p in parts:
-        if p % 2 == residue:
-            counts[p] = counts.get(p, 0) + 1
-    return all(c % 2 == 0 for c in counts.values())
+# per type: the parity of the total, the parity of the parts that must come
+# in pairs, and the parity of the k whose gaps g_k is_special reads
+_RULES = {"B": (1, 0, 0), "C": (0, 1, 1), "D": (0, 0, 1)}
 
 
 def is_valid_type(parts: Sequence[int], kind: str) -> bool:
-    """Whether the partition satisfies the type-``kind`` parity constraints."""
+    """Whether the partition satisfies the type-``kind`` parity constraints;
+    a kind outside ``KINDS`` raises InputError, before the parts are read."""
+    if kind not in KINDS:  # a tuple, so an unhashable kind is refused too
+        raise InputError(f"orbit kind must be one of {KINDS}, got {_uncapped(repr, kind)}")
     parts = _check_partition(parts)
-    if kind == "A":
-        return True
-    if kind == "B":
-        return sum(parts) % 2 == 1 and _parity_multiplicities_even(parts, 0)
-    if kind == "C":
-        return sum(parts) % 2 == 0 and _parity_multiplicities_even(parts, 1)
-    if kind == "D":
-        return sum(parts) % 2 == 0 and _parity_multiplicities_even(parts, 0)
-    raise InputError(f"unknown type {_uncapped(repr, kind)}; expected one of A, B, C, D")
+    total, paired, _ = _RULES[kind]
+    counts: dict[int, int] = {}
+    for p in parts:
+        if p % 2 == paired:
+            counts[p] = counts.get(p, 0) + 1
+    return sum(parts) % 2 == total and all(c % 2 == 0 for c in counts.values())
 
 
 class ClassicalOrbit(_Frozen):
@@ -97,10 +91,8 @@ class ClassicalOrbit(_Frozen):
     __slots__ = ("kind", "parts")
 
     def __init__(self, kind: str, parts: tuple[int, ...]):
-        if kind not in KINDS:
-            raise InputError(f"orbit kind must be one of {KINDS}, got {_uncapped(repr, kind)}")
         parts = _items(parts, "a partition")
-        if not is_valid_type(parts, kind):  # checks the parts once, before their parity
+        if not is_valid_type(parts, kind):  # checks the kind, then the parts, then their parity
             raise InputError(f"{_uncapped(repr, parts)} is not a valid type-{kind} partition")
         self._fill(kind, parts)
 
@@ -113,9 +105,6 @@ class ClassicalOrbit(_Frozen):
         return f"ClassicalOrbit({self.kind!r}, {_uncapped(repr, self.parts)})"
 
 
-_SPECIAL_RESIDUE = {"B": 0, "C": 1, "D": 1}
-
-
 def _gaps(parts: tuple[int, ...]) -> list[int]:
     """g_n = p_n - p_{n+1} for n = 1..L, the trailing zero counted."""
     return list(map(sub, parts, parts[1:] + (0,)))
@@ -124,7 +113,7 @@ def _gaps(parts: tuple[int, ...]) -> list[int]:
 def _special_gaps(kind: str, gaps: list[int]) -> bool:
     """The specialness test of :func:`is_special` on an orbit's gaps."""
     # g_k sits at index k - 1: even k are the odd indices
-    return not any(map((1).__and__, gaps[1 - _SPECIAL_RESIDUE[kind] :: 2]))
+    return not any(map((1).__and__, gaps[1 - _RULES[kind][2] :: 2]))
 
 
 def is_special(orbit: ClassicalOrbit) -> bool:
@@ -286,7 +275,7 @@ def _descend(
     source is special (see :func:`birational_sources`): one loop over
     ``reversed(gaps)`` sums the gap parities into the source's parts and
     appends the steps, then one ``_source`` lookup.  Given ``tested``, the
-    type's ``_SPECIAL_RESIDUE``, the loop also runs :func:`is_special`'s test
+    type's ``_RULES[kind][2]``, the loop also runs :func:`is_special`'s test
     on each g_n with n = ``tested`` mod 2: None at an odd one, not special."""
     # the script has sum floor(g_n / 2) <= p_1 / 2 steps: past _PRETEST_PART
     # refuse an orbit that is not special before building any, then one
@@ -361,7 +350,7 @@ def rigid_special_source(orbit: ClassicalOrbit) -> BirationalSource:
     Raises InputError when the input is not special, and IntegrityError when
     the source is not special (the calculus promises it is).
     """
-    found = _descend(orbit, _gaps(orbit.parts), _SPECIAL_RESIDUE[orbit.kind])
+    found = _descend(orbit, _gaps(orbit.parts), _RULES[orbit.kind][2])
     if found is None:
         raise InputError(f"{orbit!r} is not special")
     if not found[1]:

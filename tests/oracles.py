@@ -26,7 +26,9 @@ the same per-entry rules twice.
 no code of the package multiplies matrices.  ``lattice_contains_mod_ones``
 is lattice membership up to the all-ones line, one augmented lattice per
 vector, and ``transpose`` the conjugate partition the specialness oracle
-counts multiplicities in; the package asks neither.
+counts multiplicities in; the package asks neither.  ``orbit_dimension``
+is the closed dimension formula, read off that transpose, that the
+elementary-step test holds each step to.
 ``reference_partitions_of`` is ``partitions_of`` as it was before it became
 a loop: the recursion on the first part, which fixes the order the loop
 must keep.
@@ -210,6 +212,22 @@ def transpose(parts: Sequence[int]) -> tuple[int, ...]:
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p > k) for k in range(parts[0]))
+
+
+def lie_algebra_dimension(kind: str, total: int) -> int:
+    """dim so_N for types B and D, dim sp_N for type C, N = ``total``."""
+    return total * (total + (1 if kind == "C" else -1)) // 2
+
+
+def orbit_dimension(kind: str, parts: Sequence[int]) -> int:
+    """The dimension of the orbit with partition ``parts`` in so_N (types B
+    and D) or sp_N (type C), N = sum(parts), by Collingwood-McGovern
+    Corollary 6.1.4: dim g - (sum of (parts^T)_i squared -/+ #odd parts) / 2,
+    minus for so_N and plus for sp_N."""
+    odd = sum(p % 2 for p in parts)
+    squares = sum(c * c for c in transpose(parts))
+    sign = 1 if kind == "C" else -1
+    return lie_algebra_dimension(kind, sum(parts)) - (squares + sign * odd) // 2
 
 
 # --- simple roots from every pairwise sum ------------------------------------------

@@ -386,12 +386,27 @@ def test_atlas_list_filter_and_validation(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("action", [("list",), ("query", "--label", "A_1")])
-def test_atlas_unknown_group_is_one_usage_error(capsys, action):
-    # list and query share one group check, and so one message
-    code, out, err = run_cli(capsys, "atlas", *action, "--group", "E9")
+UNKNOWN_E9 = "unknown group 'E9'; expected one of G2, F4, E6, E7, E8"
+
+
+@pytest.mark.parametrize("data", ["packaged", "missing"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("list", "--group", "E9"), UNKNOWN_E9),
+        (("query", "--label", "A_1", "--group", "E9"), UNKNOWN_E9),
+        (("query", "--group", "E8"), "'query' needs --group and --label"),
+    ],
+    ids=["list-E9", "query-E9", "query-no-label"],
+)
+def test_atlas_unknown_group_is_one_usage_error(capsys, monkeypatch, tmp_path, data, argv, message):
+    # list and query share one group check, and so one message; a usage
+    # error is found before the data file is read, whatever that file holds
+    if data == "missing":
+        monkeypatch.setenv("ORBIT_ATLAS_PATH", str(tmp_path / "missing.json"))
+    code, out, err = run_cli(capsys, "atlas", *argv)
     assert (code, out) == (2, "")
-    assert err == "error: unknown group 'E9'; expected one of G2, F4, E6, E7, E8\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("via", ["--data", "ORBIT_ATLAS_PATH"])

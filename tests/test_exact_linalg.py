@@ -399,6 +399,8 @@ def test_an_int_enum_is_an_integer_in_every_layer():
         (lambda: IntMatrix(1, 1.0, (1,)), "column count must be a nonnegative integer, got 1.0"),
         (lambda: IntMatrix(-1, 0, ()), "row count must be a nonnegative integer, got -1"),
         (lambda: IntMatrix(2, 1, (1,)), "expected 2 entries, got 1"),
+        (lambda: IntMatrix.from_rows([[1, 2]], cols=True), "column count must be a nonnegative integer, got True"),
+        (lambda: IntMatrix.from_rows([[1, 2]], cols=2.0), "column count must be a nonnegative integer, got 2.0"),
         (lambda: LatticeBasis(True, ((1,),)), "ambient dimension must be a nonnegative integer, got True"),
         (lambda: LatticeBasis(2.0, ()), "ambient dimension must be a nonnegative integer, got 2.0"),
         (lambda: LatticeBasis(-1), "ambient dimension must be a nonnegative integer, got -1"),

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_partitions_of, transpose
+from oracles import lie_algebra_dimension, orbit_dimension, reference_partitions_of, transpose
 
 from nilorb import orbit_partitions
 from nilorb.errors import InputError, IntegrityError, StepInapplicableError
@@ -50,7 +50,8 @@ def test_validity_small_cases():
     assert is_valid_type((4,), "C")
     assert is_valid_type((2, 2), "C")
     assert not is_valid_type((3, 1), "C")
-    assert is_valid_type((3, 1), "A")
+    with pytest.raises(InputError, match="orbit kind must be one of"):
+        is_valid_type((3, 1), "A")
     assert is_valid_type((5,), "B")
     assert not is_valid_type((4, 1), "B")
     assert is_valid_type((2, 2, 1), "B")
@@ -67,6 +68,10 @@ def test_validity_rejects_malformed_input():
         is_valid_type((0,), "C")
     with pytest.raises(InputError):
         is_valid_type((2, 2), "E")
+    # the kind is checked before the parts, with ClassicalOrbit's message
+    with pytest.raises(InputError) as exc:
+        is_valid_type((1, 2), "E")
+    assert str(exc.value) == "orbit kind must be one of ('B', 'C', 'D'), got 'E'"
 
 
 def test_transpose_cases_and_involution():
@@ -264,6 +269,36 @@ def test_step_grows_size_by_2n():
             except StepInapplicableError:
                 continue
             assert sum(grown.parts) == sum(o.parts) + 2 * n
+
+
+def test_a_step_raises_the_orbit_dimension_by_twice_dim_n():
+    # the formula's anchors in g(N): the zero orbit has dimension 0, the
+    # regular one dim g - rank (rank N // 2 in each type), the minimal one
+    # 2N - 6 in so_N and N in sp_N
+    for total in range(4, 16):
+        for kind in KINDS:
+            dim_g = lie_algebra_dimension(kind, total)
+            if kind == "C":
+                regular, minimal, least = (total,), (2,) + (1,) * (total - 2), total
+            else:
+                regular = (total,) if kind == "B" else (total - 1, 1)
+                minimal, least = (2, 2) + (1,) * (total - 4), 2 * total - 6
+            if is_valid_type(regular, kind):
+                assert orbit_dimension(kind, (1,) * total) == 0
+                assert orbit_dimension(kind, regular) == dim_g - total // 2
+                assert orbit_dimension(kind, minimal) == least
+    # the step at n induces from the Levi gl_n x g(N) of g(N + 2n), so by
+    # Lusztig-Spaltenstein dim Ind = dim O + 2 dim n, where
+    # 2 dim n = dim g(N + 2n) - dim g(N) - n^2; no step may be refused
+    for kind in KINDS:
+        for total in range(21):
+            dim_g = lie_algebra_dimension(kind, total)
+            for o in valid_orbits(kind, total):
+                for n in range(1, 8):
+                    grown, _ = elementary_step(o, n)
+                    rise = lie_algebra_dimension(kind, total + 2 * n) - dim_g - n * n
+                    dims = orbit_dimension(kind, o.parts), orbit_dimension(kind, grown.parts)
+                    assert dims[1] == dims[0] + rise, (o, n)
 
 
 def test_a_step_checks_each_candidate_once(monkeypatch):
