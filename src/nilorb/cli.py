@@ -102,6 +102,8 @@ def _atlas_path(args: argparse.Namespace) -> str | None:
 
 
 def cmd_partition(args: argparse.Namespace) -> CommandResult:
+    if args.action != "step" and (args.n is not None or args.variant is not None):
+        raise InputError("--n and --variant apply only to 'step'")
     n = None if args.n is None else _parse_n(args.n)
     parts = _parse_ints(args.parts, "--parts", "comma-separated integers")
     base = {"type": args.type, "parts": list(parts)}
@@ -162,9 +164,13 @@ def cmd_delta(args: argparse.Namespace) -> CommandResult:
 
 def cmd_atlas(args: argparse.Namespace) -> CommandResult:
     path = _atlas_path(args)  # every usage error comes before the file is read
+    if args.action == "check" and (args.group is not None or args.label is not None):
+        raise InputError("'check' takes no --group or --label; it checks the whole atlas")
+    if args.action == "list" and args.label is not None:
+        raise InputError("'list' takes no --label")
     if args.action == "query" and (args.group is None or args.label is None):
         raise InputError("'query' needs --group and --label")
-    if args.action != "check" and args.group is not None:
+    if args.group is not None:
         _check_group(args.group)
     records = load_atlas(path)
 

@@ -4,7 +4,7 @@ Given a Levi subsystem L of E7 or E8, the pipeline is:
 
 1. h: the sum of the positive coroots of L.  Every root of the system has
    norm 2 (implied by the build's bijection check), so each coroot is its
-   root and h is one column sum of L's raw root coordinates.  L's members are
+   root and h is one column sum of L's root coordinates.  L's members are
    the positive roots whose support bitmask lies inside L's labels.
 2. The positive roots beta with pairing(h, beta-coroot) == 1.  h is paired
    with the simple coroots once, scaled by the ambient dimension d so that
@@ -13,7 +13,7 @@ Given a Levi subsystem L of E7 or E8, the pipeline is:
    as its root is of simple roots, and the growth tree reaches every root
    from a parent by adding one simple root, so each scaled pairing is the
    parent's plus one of those; a root is kept when its sum equals d.
-3. kappa: the sum of those roots, again one column sum of raw coordinates.
+3. kappa: the sum of those roots, again one column sum of coordinates.
 4. The central torus lattice of L: coroot-lattice vectors orthogonal to every
    simple root of L, of rank rank(system) - rank(L).  These are the
    coroot-lattice vectors in the span of the fundamental coweights omega_j
@@ -73,8 +73,8 @@ __all__ = [
 
 
 def _coordinate_sum(vectors: Sequence[QuotientVector], dim: int) -> QuotientVector:
-    """Sum of the vectors, one raw-coordinate column sum and one
-    QuotientVector; the raw coordinates equal those of repeated ``+``."""
+    """Sum of the vectors: one column sum of their coordinates and one
+    QuotientVector."""
     return QuotientVector(tuple(map(sum, zip(*[v.coords for v in vectors]))) or (0,) * dim)
 
 
@@ -126,8 +126,7 @@ def central_torus_lattice(levi: LeviSubsystem) -> LatticeBasis:
     The torus is therefore generated by omega_j for each j of order 1, by
     2 * omega_j0 for the first j0 of order 2, and by omega_j + omega_j0 for
     every other j of order 2, all outside the Levi.  The vectors are in the
-    simple roots' canonical ambient coordinates (last coordinate zero),
-    which matches how quotient vectors canonicalize for display.
+    simple roots' canonical ambient coordinates (last coordinate zero).
     """
     rs = levi.system
     inside = set(levi.indices)
@@ -203,9 +202,9 @@ class DeltaReport(_Frozen):
         payload = {
             "system": self.system,
             "levi": list(self.levi_indices),
-            "h": list(self.h.canonical_coords),
-            "roots_pairing_one": [list(r.canonical_coords) for r in self.roots_pairing_one],
-            "kappa": list(self.kappa.canonical_coords),
+            "h": list(self.h.coords),
+            "roots_pairing_one": [list(r.coords) for r in self.roots_pairing_one],
+            "kappa": list(self.kappa.coords),
             "torus_basis": [list(v) for v in self.torus_basis],
             "pairings": [scalar(p) for p in self.pairings],
             "verdict": self.verdict,
@@ -251,16 +250,15 @@ def delta_verdict(system: str, levi_indices: Iterable[int]) -> DeltaReport:
 
 
 def _compare(report: DeltaReport, example: WorkedExample) -> ReferenceComparison:
-    # a member may slide along the all-ones line, so the lattice takes it in
-    d = report.h.dim
-    torus = LatticeBasis(d, report.torus_basis + ((1,) * d,))
+    torus = LatticeBasis(report.h.dim, report.torus_basis)
     checks = []
     for fixture in example.torus_members:
+        member = QuotientVector(fixture.coords)
         checks.append(
             MemberCheck(
                 coords=fixture.coords,
-                in_lattice=lattice_contains(torus, fixture.coords) is not None,
-                pairing=pair(report.kappa, QuotientVector(fixture.coords)),
+                in_lattice=lattice_contains(torus, member.coords) is not None,
+                pairing=pair(report.kappa, member),
                 expected_pairing=fixture.expected_pairing,
                 note=fixture.note,
             )

@@ -6,9 +6,9 @@ Vectors are compared modulo rational multiples of the all-ones vector, and the
 bilinear form is the standard dot product corrected so that it descends to the
 quotient.  All arithmetic is integer or Fraction; nothing is approximated.
 
-Simple roots are not hard-coded.  The build works on the canonical
-representatives (last coordinate 0), which are integer tuples in both
-realizations and add like the quotient vectors they stand for.  With every
+Simple roots are not hard-coded.  A quotient vector stores its canonical
+representative (last coordinate 0), an integer tuple for every root in both
+realizations, and the build adds these tuples.  With every
 root of norm 2, <2 rho, alpha> = 2 ht(alpha) for 2 rho the sum of the
 positive roots (Humphreys, Introduction to Lie Algebras and Representation
 Theory, 10.2), so the simple roots are the positive roots that pair to 2
@@ -71,11 +71,10 @@ def _normalize(value) -> Scalar:
 class QuotientVector(_Frozen):
     """A vector in R^d considered modulo rational multiples of all-ones.
 
-    Only the coordinates are stored.  The canonical representative, whose
-    last coordinate is zero, is computed on read for ``repr``.  Equality and
-    hashing read the coordinates minus the last one in place, so two raw
-    coordinate tuples that differ by a multiple of the all-ones vector
-    compare equal.
+    ``coords`` is the canonical representative: the given coordinates
+    shifted along all-ones until the last is zero.  So two coordinate tuples
+    that differ by a multiple of the all-ones vector give equal vectors,
+    with one hash and one ``repr``.
     """
 
     __slots__ = ("coords",)
@@ -86,7 +85,8 @@ class QuotientVector(_Frozen):
         coords = tuple([c if type(c) is int else _normalize(c) for c in coords])
         if not coords:
             raise InputError("empty coordinate tuple")
-        self._fill(coords)
+        t = coords[-1]
+        self._fill(coords if t == 0 else tuple([_normalize(c - t) for c in coords]))
 
     def __post_init__(self):
         """Stores nothing: perfbench's tracer counts constructions by wrapping it."""
@@ -95,27 +95,8 @@ class QuotientVector(_Frozen):
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def canonical_coords(self) -> tuple[Scalar, ...]:
-        coords = self.coords
-        t = coords[-1]
-        return coords if t == 0 else tuple(_normalize(c - t) for c in coords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientVector):
-            return NotImplemented
-        # equal canonical coordinates: a_i - b_i is one shift for every i
-        a, b = self.coords, other.coords
-        t = a[-1] - b[-1]
-        return len(a) == len(b) and all(x - y == t for x, y in zip(a, b))
-
-    def __hash__(self) -> int:
-        # an integral Fraction hashes as its int, so no normalising is needed
-        t = self.coords[-1]
-        return hash(tuple([c - t for c in self.coords]))
-
     def __repr__(self) -> str:
-        return f"QuotientVector({_uncapped(repr, self.canonical_coords)})"
+        return f"QuotientVector({_uncapped(repr, self.coords)})"
 
 
 def pair(x: QuotientVector, y: QuotientVector):
@@ -336,7 +317,7 @@ def _built(name: str) -> RootSystem:
     ambient_dim, expected_arms, generate = _REALIZATIONS[name]
     rank = ambient_dim - 1
     positives = tuple(generate())
-    canon = tuple(r.canonical_coords for r in positives)
+    canon = tuple(r.coords for r in positives)
     # the simple roots pair to 2 with 2 rho, labeled by support size, then descending
     two_rho = tuple(map(sum, zip(*canon)))
     simple_canon = tuple(sorted(
@@ -408,6 +389,8 @@ def levi_subsystem(rs: RootSystem, indices: Iterable[int]) -> LeviSubsystem:
 
 
 def coroot_lattice(name: str) -> LatticeBasis:
-    """Integer span of all coroots, as a lattice in the ambient Z^d."""
+    """The vectors of the ambient Z^d whose class modulo all-ones lies in the
+    coroot span: the span of the canonical roots and the all-ones vector."""
     rs = build_root_system(name)
-    return LatticeBasis(rs.ambient_dim, tuple([r.coords for r in rs.positive_roots]))
+    d = rs.ambient_dim
+    return LatticeBasis(d, (*[r.coords for r in rs.positive_roots], (1,) * d))

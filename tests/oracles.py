@@ -5,7 +5,7 @@ replaced: the simple roots as the positive roots that are no pairwise sum,
 then coefficients peeled off by descent through ``pair()``.  Nothing here
 reads the growth tree, the support masks or the stored coweights, so the
 fast build always has an independent slow twin.  ``QuotientVector`` has no
-arithmetic of its own; the helpers below add and subtract raw coordinates,
+arithmetic of its own; the helpers below add and subtract coordinates,
 which is what its operators did.
 
 ``reference_echelon`` is the HNF kernel as it was before it rebuilt rows:
@@ -32,10 +32,16 @@ elementary-step test holds each step to.
 ``reference_partitions_of`` is ``partitions_of`` as it was before it became
 a loop: the recursion on the first part, which fixes the order the loop
 must keep.
+
+``classical_nilpotent`` and ``induced_jordan_type`` are the induction step
+worked in matrices, as the elementary-step test's second oracle: a
+nilpotent of the given Jordan type in so_N or sp_N, and the Jordan type of
+that nilpotent plus a random element of a nilradical.
 """
 
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
@@ -53,7 +59,7 @@ def qv(*coords) -> QuotientVector:
 
 
 def qadd(*vectors: QuotientVector) -> QuotientVector:
-    """Sum of equal-length vectors, raw coordinate by raw coordinate."""
+    """Sum of equal-length vectors, coordinate by coordinate."""
     return QuotientVector(tuple(map(sum, zip(*(v.coords for v in vectors)))))
 
 
@@ -63,7 +69,7 @@ def qsub(a: QuotientVector, b: QuotientVector) -> QuotientVector:
 
 def is_zero(v: QuotientVector) -> bool:
     """Whether v is a multiple of the all-ones vector."""
-    return not any(v.canonical_coords)
+    return not any(v.coords)
 
 
 def decompose(root: QuotientVector, simples: Sequence[QuotientVector], pos_set) -> tuple[int, ...]:
@@ -230,6 +236,144 @@ def orbit_dimension(kind: str, parts: Sequence[int]) -> int:
     return lie_algebra_dimension(kind, sum(parts)) - (squares + sign * odd) // 2
 
 
+# --- the induction step in matrices ----------------------------------------------
+
+# every rank below is taken modulo this prime
+PRIME = 1_000_003
+
+
+def classical_nilpotent(kind: str, parts: Sequence[int]) -> tuple[list, list]:
+    """``(e, gram)``: a nilpotent e with Jordan type ``parts`` in the Lie
+    algebra of the form ``gram``, symmetric for types B and D and skew for
+    type C, so that e^T gram + gram e = 0.
+
+    A block of size k has basis v_1, ..., v_k with e v_i = v_(i+1) and the
+    form <v_i, v_(k+1-i)> = (-1)^i, which is symmetric for odd k and skew
+    for even k.  A block whose form has the wrong symmetry cannot stand
+    alone, and the type's parity rule pairs it with the next block of its
+    size: v_i with w_(k+1-i), each block isotropic.  Matrices are lists of
+    integer rows and act on columns.
+    """
+    sign = -1 if kind == "C" else 1  # gram^T = sign * gram
+    size = sum(parts)
+    e = [[0] * size for _ in range(size)]
+    gram = [[0] * size for _ in range(size)]
+    at = 0
+    for k, group in itertools.groupby(parts):
+        count = len(list(group))
+        paired = (-1) ** (k + 1) != sign
+        if paired and count % 2:
+            raise InputError(f"type {kind} has no orbit {tuple(parts)}")
+        for _ in range(count // 2 if paired else count):
+            for start in (at, at + k) if paired else (at,):
+                for i in range(k - 1):
+                    e[start + i + 1][start + i] = 1
+            # the partner of v_i: v_(k+1-i) of this block, or w_(k+1-i) of the next
+            last = at + (2 * k if paired else k) - 1
+            for i in range(k):
+                gram[at + i][last - i] = (-1) ** (i + 1)
+                if paired:
+                    gram[last - i][at + i] = sign * (-1) ** (i + 1)
+            at = last + 1
+    return e, gram
+
+
+def _mod_product(a: list, b: list) -> list:
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) % PRIME for column in columns] for row in a]
+
+
+def _transpose(a: list) -> list:
+    return [list(column) for column in zip(*a)]
+
+
+def in_lie_algebra(x: list, gram: list) -> bool:
+    """Whether x^T gram + gram x = 0 mod ``PRIME``."""
+    left, right = _mod_product(_transpose(x), gram), _mod_product(gram, x)
+    return all((a + b) % PRIME == 0 for r, s in zip(left, right) for a, b in zip(r, s))
+
+
+def _basis_mod_prime(vectors: list) -> list:
+    """A basis, mod ``PRIME``, of the span of ``vectors``: each basis vector
+    is 0 before its pivot and 1 at it, and no two share a pivot."""
+    basis = {}  # pivot -> vector
+    for v in vectors:
+        v = [c % PRIME for c in v]
+        for pivot in sorted(basis):
+            if v[pivot]:
+                f = v[pivot]
+                v = [(x - f * y) % PRIME for x, y in zip(v, basis[pivot])]
+        pivot = next((i for i, c in enumerate(v) if c), None)
+        if pivot is not None:
+            inverse = pow(v[pivot], -1, PRIME)
+            basis[pivot] = [c * inverse % PRIME for c in v]
+    return list(basis.values())
+
+
+def jordan_type_mod_prime(x: list) -> tuple[int, ...]:
+    """The Jordan type of a nilpotent matrix from the ranks mod ``PRIME`` of
+    its powers: r_(k-1) - r_k blocks have size k or more.  Each rank is the
+    dimension of x applied to a basis of the previous image."""
+    size = len(x)
+    image = [[int(i == j) for j in range(size)] for i in range(size)]
+    ranks = [size]
+    while ranks[-1]:
+        image = _basis_mod_prime([[sum(map(mul, row, v)) for row in x] for v in image])
+        if len(image) == ranks[-1]:
+            raise IntegrityError("the matrix is not nilpotent")
+        ranks.append(len(image))
+    at_least = [a - b for a, b in zip(ranks, ranks[1:])]
+    return transpose(at_least) if at_least else ()
+
+
+def induced_jordan_type(kind: str, parts: Sequence[int], n: int, rng: random.Random):
+    """The Jordan type of the orbit induced from (0, ``parts``) of the Levi
+    gl_n x g(N) of g(N + 2n), N = sum(parts), or None when 5 draws in a row
+    fall short.
+
+    V = E + W + F, with E and F isotropic n-spaces paired by <e_i, f_i> = 1
+    and W the space of :func:`classical_nilpotent`, orthogonal to both.  The
+    parabolic fixes E and E + W; its nilradical is the strictly block-upper
+    part of the Lie algebra, and y - gram^-1 y^T gram maps a random strictly
+    block-upper y into it.  The gram matrix is a signed permutation, so its
+    inverse is its transpose.  The draw is e + that element.
+
+    The ranks are taken modulo ``PRIME``, and a rank mod p is never more
+    than the rank over Q.  So the type mod p is at or below the draw's type
+    in the dominance order, which is at or below the induced type, since
+    the draw lies in the closure of the induced orbit.  A type strictly
+    below another has a smaller orbit dimension, so a draw whose type mod p
+    has the induced dimension, dim O + 2 dim n, has the induced type, and
+    only such a draw is returned.
+    """
+    e, w_gram = classical_nilpotent(kind, parts)
+    total = sum(parts)
+    size = total + 2 * n
+    sign = -1 if kind == "C" else 1
+    gram = [[0] * size for _ in range(size)]
+    lifted = [[0] * size for _ in range(size)]
+    for i in range(n):
+        gram[i][n + total + i], gram[n + total + i][i] = 1, sign
+    for i in range(total):
+        gram[n + i][n:n + total] = w_gram[i]
+        lifted[n + i][n:n + total] = e[i]
+    target = orbit_dimension(kind, parts) + (
+        lie_algebra_dimension(kind, size) - lie_algebra_dimension(kind, total) - n * n
+    )
+    block = [0] * n + [1] * total + [2] * n
+    for _ in range(5):
+        y = [[rng.randrange(PRIME) if block[i] < block[j] else 0 for j in range(size)]
+             for i in range(size)]
+        back = _mod_product(_mod_product(_transpose(gram), _transpose(y)), gram)
+        draw = [[(a + b - c) % PRIME for a, b, c in zip(*rows)] for rows in zip(lifted, y, back)]
+        if not in_lie_algebra(draw, gram):
+            raise IntegrityError("the draw left the Lie algebra of the form")
+        jordan = jordan_type_mod_prime(draw)
+        if orbit_dimension(kind, jordan) == target:
+            return jordan
+    return None
+
+
 # --- simple roots from every pairwise sum ------------------------------------------
 
 def reference_simple_roots(positive_roots: Sequence[tuple[int, ...]], rank: int) -> tuple[tuple[int, ...], ...]:
@@ -284,7 +428,7 @@ _QUOTIENT_VECTOR = {
     "__eq__": lambda self, other: (
         self.canon == other.canon if type(other) is type(self) else NotImplemented
     ),
-    "__hash__": lambda self: hash(self.canon),
+    "__hash__": lambda self: hash((self.canon,)),
     "__repr__": lambda self: f"QuotientVector({self.canon!r})",
 }
 

@@ -409,6 +409,32 @@ def test_atlas_unknown_group_is_one_usage_error(capsys, monkeypatch, tmp_path, d
     assert err == f"error: {message}\n"
 
 
+ONLY_STEP = "--n and --variant apply only to 'step'"
+WHOLE_ATLAS = "'check' takes no --group or --label; it checks the whole atlas"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("atlas", "check", "--group", "E8"), WHOLE_ATLAS),
+        (("atlas", "check", "--label", "A_1"), WHOLE_ATLAS),
+        (("atlas", "list", "--group", "G2", "--label", "zz"), "'list' takes no --label"),
+        (("partition", "special", "--type", "D", "--parts", "3,3,2,2,1,1", "--variant", "ii"),
+         ONLY_STEP),
+        (("partition", "special", "--type", "D", "--parts", "3,3,2,2,1,1", "--n", "x"), ONLY_STEP),
+        (("partition", "validate", "--type", "C", "--parts", "2,2", "--n", "1"), ONLY_STEP),
+    ],
+    ids=["check-group", "check-label", "list-label", "special-variant", "special-n", "validate-n"],
+)
+def test_a_flag_the_action_does_not_read_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, message):
+    # refused before the data file is read, so a missing file changes nothing
+    for data in ("packaged", "missing"):
+        if data == "missing":
+            monkeypatch.setenv("ORBIT_ATLAS_PATH", str(tmp_path / "missing.json"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), data
+
+
 @pytest.mark.parametrize("via", ["--data", "ORBIT_ATLAS_PATH"])
 @pytest.mark.parametrize(
     "content",

@@ -1,5 +1,6 @@
 """Import hygiene: ``nilorb`` loads a layer only when one of its names is
-used, and no module imports a name it never reads.  The same source scan
+used, no module imports a name it never reads, and no module-level private
+name of the package goes unread.  The same source scan
 checks that every record stores each of its fields once, through ``_fill``,
 which is the constructor itself of each record that defines no ``__init__``.
 
@@ -287,6 +288,55 @@ def test_no_module_imports_a_name_it_never_reads():
         for path in modules + scripts
     }
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+def unread_private_names(sources: dict) -> list:
+    """``module:name`` for each module-level private name that no source reads.
+
+    ``sources`` maps a module name to its source.  A private name starts
+    with one ``_`` and is bound at the top of a module by a function, a
+    class or an assignment.  A read is a name loaded anywhere, an attribute
+    of that name, or a ``from`` import of it, which the unused-import scan
+    holds to a read of its own.  Binding the name is no read of it.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                # a name or a tuple of names; an attribute or item target binds none
+                bound = [t for target in targets for t in getattr(target, "elts", [target])]
+                names = [t.id for t in bound if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{module}:{name}" for name in names if name[:1] == "_" and name[:2] != "__"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [name for name in defined if name.partition(":")[2] not in read]
+
+
+def test_unread_private_names_sees_a_dead_name():
+    sources = {
+        "a": "_A = 1\n_B, _C = 2, 3\ndef _f():\n    return _C\nclass _K: pass\n__all__ = []\n",
+        "b": "from a import _A\nimport a\nprint(_A, a._K)\n",
+    }
+    assert unread_private_names(sources) == ["a:_B", "a:_f"]
+
+
+def test_every_private_module_level_name_is_read():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(Path(SRC, "nilorb").glob("*.py"))
+    }
+    assert unread_private_names(sources) == []
 
 
 def is_call_to(node: ast.AST, owner: str, attr: str) -> bool:

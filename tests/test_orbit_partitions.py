@@ -5,6 +5,7 @@ relation is then pinned by worked examples and closed under exhaustive
 roundtrips up to moderate sizes.
 """
 
+import random
 import sys
 import tracemalloc
 from collections import Counter
@@ -13,7 +14,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import lie_algebra_dimension, orbit_dimension, reference_partitions_of, transpose
+from oracles import (
+    classical_nilpotent,
+    in_lie_algebra,
+    induced_jordan_type,
+    jordan_type_mod_prime,
+    lie_algebra_dimension,
+    orbit_dimension,
+    reference_partitions_of,
+    transpose,
+)
 
 from nilorb import orbit_partitions
 from nilorb.errors import InputError, IntegrityError, StepInapplicableError
@@ -299,6 +309,29 @@ def test_a_step_raises_the_orbit_dimension_by_twice_dim_n():
                     rise = lie_algebra_dimension(kind, total + 2 * n) - dim_g - n * n
                     dims = orbit_dimension(kind, o.parts), orbit_dimension(kind, grown.parts)
                     assert dims[1] == dims[0] + rise, (o, n)
+
+
+def test_each_step_lands_on_the_orbit_that_the_matrices_induce():
+    orbits = [o for kind in KINDS for total in range(11) for o in valid_orbits(kind, total)]
+    assert len(orbits) == 116
+    for o in orbits:
+        e, gram = classical_nilpotent(o.kind, o.parts)
+        assert in_lie_algebra(e, gram) and jordan_type_mod_prime(e) == o.parts, o
+    # every n <= 3, and every larger n whose step stays within total 10, so
+    # that each orbit of total <= 10 that a step reaches is reached here
+    steps = [(o, n) for o in orbits for n in range(1, 6) if n <= 3 or sum(o.parts) + 2 * n <= 10]
+    assert len(steps) == 348 + 8
+    rng = random.Random(104729)
+    reached = set()
+    for o, n in steps:
+        induced = induced_jordan_type(o.kind, o.parts, n, rng)
+        assert induced is not None, f"5 draws in a row fell short at {o}, n={n}"
+        assert elementary_step(o, n)[0].parts == induced, (o, n)
+        reached.add((o.kind, induced))
+    # oracle-rigid: no step from a smaller orbit reaches it in the matrices
+    rigid = [o for o in orbits if (o.kind, o.parts) not in reached]
+    assert rigid == [o for o in orbits if not inverse_steps(o)]
+    assert len(rigid) == 32 and all(map(is_birationally_rigid, rigid))
 
 
 def test_a_step_checks_each_candidate_once(monkeypatch):

@@ -80,7 +80,7 @@ def test_equality_mod_ones():
     b = qv(1, -1, -1, -1, -1, -1, -1, -1)
     assert a == b
     assert hash(a) == hash(b)
-    assert a.canonical_coords == (2, 0, 0, 0, 0, 0, 0, 0)
+    assert a.coords == (2, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_fractional_shift_is_still_equal():
@@ -100,11 +100,11 @@ def test_a_shift_along_all_ones_is_the_same_quotient_vector(coords, shift):
     a = QuotientVector(tuple(coords))
     b = QuotientVector(tuple(c + shift for c in coords))
     assert a == b and hash(a) == hash(b)
-    canon = a.canonical_coords
+    canon = a.coords
     assert canon == tuple(c - coords[-1] for c in coords)
     # the same values of the same types, so the same repr
     assert repr(b) == repr(a) == f"QuotientVector({canon!r})"
-    assert b.canonical_coords == canon and canon[-1] == 0
+    assert b.coords == canon and canon[-1] == 0
     assert all(type(c) is int for c in canon if Fraction(c).denominator == 1)
 
 
@@ -301,7 +301,7 @@ def oracle_fields(name):
     """The RootSystem fields the quotient-vector build gives."""
     ambient_dim, _, generate = root_system._REALIZATIONS[name]
     positives = tuple(generate())
-    by_canonical = {root.canonical_coords: root for root in positives}
+    by_canonical = {root.coords: root for root in positives}
     canonical = reference_simple_roots(list(by_canonical), ambient_dim - 1)
     simples = tuple(by_canonical[c] for c in canonical)
     pos_set = set(positives)
@@ -316,8 +316,6 @@ def oracle_fields(name):
 def test_build_matches_the_quotient_vector_oracle(name):
     positives, simples, table, cartan, rows, masks = oracle_fields(name)
     rs = build_root_system(name)
-    # QuotientVector equality is modulo the all-ones line; compare the raw
-    # coordinates too, since coroot_lattice and the torus check read them
     assert [r.coords for r in rs.positive_roots] == [r.coords for r in positives]
     assert [r.coords for r in rs.simple_roots] == [r.coords for r in simples]
     assert list(zip(rs.positive_roots, growth_rows(rs))) == list(table.items())
@@ -355,11 +353,11 @@ def build_with(name, coords, monkeypatch):
 def test_the_simple_roots_match_the_pairwise_oracle_in_any_enumeration_order(name, monkeypatch):
     ambient_dim, _, generate = root_system._REALIZATIONS[name]
     raw = [r.coords for r in generate()]
-    expected = reference_simple_roots([r.canonical_coords for r in generate()], ambient_dim - 1)
+    expected = reference_simple_roots([r.coords for r in generate()], ambient_dim - 1)
     rng = random.Random(104729)
     for _ in range(5):
         rs = build_with(name, rng.sample(raw, len(raw)), monkeypatch)
-        assert tuple(r.canonical_coords for r in rs.simple_roots) == expected
+        assert tuple(r.coords for r in rs.simple_roots) == expected
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
@@ -369,6 +367,30 @@ def test_every_enumeration_short_of_one_root_is_refused(name, monkeypatch):
     for dropped in range(len(raw)):
         with pytest.raises(IntegrityError):
             build_with(name, raw[:dropped] + raw[dropped + 1:], monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_a_root_system_does_not_depend_on_the_representatives_it_is_given(name, monkeypatch):
+    _, _, generate = root_system._REALIZATIONS[name]
+    plain, lattice = build_root_system(name), coroot_lattice(name).vectors
+    # root k slides by k % 3 - 1 times all-ones: -1, 0 or +1
+    shifted = build_with(
+        name,
+        [tuple(c + k % 3 - 1 for c in r.coords) for k, r in enumerate(generate())],
+        monkeypatch,
+    )
+    assert [r.coords for r in shifted.positive_roots] == [r.coords for r in plain.positive_roots]
+    assert [r.coords for r in shifted.simple_roots] == [r.coords for r in plain.simple_roots]
+    for field in ("cartan", "support_masks", "growth", "coweights"):
+        assert getattr(shifted, field) == getattr(plain, field), field
+    try:
+        # build_with leaves the shifted generator in place, so this builds it again
+        assert coroot_lattice(name).vectors == lattice
+    finally:
+        root_system._built.cache_clear()
+    assert QuotientVector((1, 2, 3)).coords == (-2, -1, 0)
+    half = QuotientVector((Fraction(1, 2), Fraction(3, 2))).coords
+    assert half == (-1, 0) and all(type(c) is int for c in half)
 
 
 # --- every guard in the build is reachable --------------------------------------------
@@ -385,11 +407,11 @@ UNREACHABLE = [eps_diff(8, i, i + 1).coords for i in range(1, 8)] + [
     eps_diff(8, i, j).coords for i, j in ((1, 3), (3, 5), (1, 5))
 ]
 
-# e8 - e7 is E7's highest root, a1 + 2a2 + 3a3 + 4a4 + 3a5 + 2a6 + 2a7 in the
+# e8 - e7, stored as (-1, ..., -1, -2, 0), is E7's highest root, a1 + 2a2 + 3a3 + 4a4 + 3a5 + 2a6 + 2a7 in the
 # labels of test_e7_simple_roots_and_labels (height 17).  In its place, twice
 # a1: 2 rho moves by 2a1 - theta, so other roots look simple.
 HIGHEST_REPLACED = [
-    (2, -2, 0, 0, 0, 0, 0, 0) if c == (0, 0, 0, 0, 0, 0, -1, 1) else c for c in e7_raw()
+    (2, -2, 0, 0, 0, 0, 0, 0) if c == (-1, -1, -1, -1, -1, -1, -2, 0) else c for c in e7_raw()
 ]
 
 # As above, and a1 + a2 = e1 - e3 replaced too, by a vector that gives 2 rho
@@ -397,7 +419,7 @@ HIGHEST_REPLACED = [
 # comparison with the grown roots can tell.
 TWO_RHO_KEPT = [
     {
-        (0, 0, 0, 0, 0, 0, -1, 1): (2, -2, 0, 0, 0, 0, 0, 0),
+        (-1, -1, -1, -1, -1, -1, -2, 0): (2, -2, 0, 0, 0, 0, 0, 0),
         (1, 0, -1, 0, 0, 0, 0, 0): (-1, 2, -1, 0, 0, 0, -1, 1),
     }.get(c, c)
     for c in e7_raw()
@@ -410,7 +432,7 @@ GUARDS = {
     # pair to 2 with it do not form E7's diagram
     "wrong count": (e7_raw()[:-1], SHAPE),
     # the first root again in place of the last, shifted along the all-ones
-    # line: other raw coordinates, same quotient vector
+    # line: the same quotient vector, so an exact duplicate once stored
     "duplicate": (e7_raw()[:-1] + [tuple(c + 1 for c in e7_raw()[0])], SHAPE),
     "wrong norm": (e7_raw()[:-1] + [(1, 1, 0, 0, 0, 0, 0, 0)], SHAPE),
     "simple count": ([eps_diff(8, i, i + 1).coords for i in range(1, 7)], SHAPE),
@@ -533,13 +555,13 @@ def test_growth_tree_reaches_every_root_once_from_an_earlier_parent(name):
     assert sorted(child for child, _, _ in rs.growth) == list(range(len(rs.positive_roots)))
     reached = set()
     for child, parent, k in rs.growth:
-        alpha = rs.simple_roots[k].canonical_coords
+        alpha = rs.simple_roots[k].coords
         if parent == -1:
             expected = alpha
         else:
             assert parent in reached, (child, parent)
-            expected = tuple(map(add, rs.positive_roots[parent].canonical_coords, alpha))
-        assert rs.positive_roots[child].canonical_coords == expected, (child, parent, k)
+            expected = tuple(map(add, rs.positive_roots[parent].coords, alpha))
+        assert rs.positive_roots[child].coords == expected, (child, parent, k)
         reached.add(child)
 
 
@@ -550,7 +572,7 @@ def test_stored_coweights_are_primitive_coroot_lattice_multiples(name):
     assert tuple(m for m, _ in rs.coweights) == COWEIGHT_ORDERS[name]
     for j, (m, v) in enumerate(rs.coweights):
         w = QuotientVector(v)
-        assert w.coords == w.canonical_coords
+        assert w.coords == v
         assert [pair(w, alpha) for alpha in rs.simple_roots] == [m * (i == j) for i in range(rs.rank)]
         assert lattice_contains_mod_ones(lattice, w)
         # a proper fraction v/d of a canonical vector is integral only when d
@@ -598,7 +620,7 @@ def patched_e7_cartan(drop):
     ],
 )
 def test_coweights_refuse_a_coroot_lattice_of_index_above_two(drop, message):
-    simples = [a.canonical_coords for a in build_root_system("E7").simple_roots]
+    simples = [a.coords for a in build_root_system("E7").simple_roots]
     with pytest.raises(IntegrityError, match=message):
         root_system._coweights(patched_e7_cartan(drop), simples)
 
